@@ -1,0 +1,85 @@
+"""Header-checked text tables: the one write path and one read path of the file formats.
+
+A table file is a header line followed by rows of numbers.  Writers give each
+column a %-format; ``%.17g`` round-trips every float64 exactly.  The reader
+checks the header against a pattern, skips blank lines, and raises
+``UsageError`` naming the file and line of the first malformed row.
+"""
+
+from __future__ import annotations
+
+import re
+import warnings
+
+import numpy as np
+
+from .errors import UsageError
+
+
+def write_table(path, header: str, *blocks, delimiter: str = ",") -> None:
+    """Write ``header``, then each block ``(rows, fmt)`` of a 2d array.
+
+    ``fmt`` is a sequence of one %-format per column, or one format for all.
+    """
+    text = [header + "\n"]
+    for rows, fmt in blocks:
+        rows = np.asarray(rows)
+        if isinstance(fmt, str):
+            fmt = [fmt] * rows.shape[1]
+        line = delimiter.join(fmt) + "\n"
+        text.append((line * rows.shape[0]) % tuple(rows.ravel().tolist()))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("".join(text))
+
+
+def read_table(path, what: str, header: str, columns: int | None = None,
+               delimiter: str | None = ","):
+    """Read a table whose header line matches the regular expression ``header``.
+
+    ``what`` names the format in messages; ``columns``, when given, is the
+    number of fields every row must have; ``delimiter`` None splits on
+    whitespace.  Returns the header line, the rows as a float array of shape
+    (rows, fields), and ``error(row, message)``, which makes the
+    ``UsageError`` for the file line of a row (blank lines are not rows).
+    """
+    try:
+        with open(path, encoding="ascii") as fh:
+            lines = [line.strip() for line in fh]
+    except FileNotFoundError:
+        raise UsageError(f"{what} file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {what} file is not ASCII ({exc})") from None
+
+    def error(row, message):
+        filled = np.flatnonzero([bool(line) for line in lines[1:]])
+        return UsageError(f"{path}, line {filled[row] + 2}: {message}")
+
+    head = lines[0] if lines else ""
+    if re.fullmatch(header, head) is None:
+        raise UsageError(f"{path}, line 1: bad {what} header {head!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty table is the caller's to judge
+            rows = np.loadtxt(lines[1:], delimiter=delimiter, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise error(*_first_bad_row(lines[1:], delimiter, str(exc))) from None
+    if columns is not None and not rows.size:
+        rows = rows.reshape(0, columns)
+    if columns is not None and rows.shape[1] != columns:
+        raise error(0, f"{what} rows need {columns} fields, found {rows.shape[1]}")
+    return head, rows, error
+
+
+def _first_bad_row(lines, delimiter, reason):
+    """The first row ``loadtxt`` rejects, as (index among non-blank lines, why)."""
+    body = [line for line in lines if line]
+    width = len(body[0].split(delimiter))
+    for row, line in enumerate(body):
+        fields = len(line.split(delimiter))
+        if fields != width:
+            return row, f"{fields} fields where the first row has {width}"
+        try:
+            np.loadtxt([line], delimiter=delimiter, comments=None)
+        except ValueError:
+            return row, f"cannot read {line!r} as numbers"
+    return 0, reason

@@ -26,14 +26,13 @@ estimate actually consumes.  The partition uses the quintic smoothstep, so
 
 from __future__ import annotations
 
-import io
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SearchExhaustedError, UsageError
+from ._table import read_table, write_table
+from .errors import DomainError, UsageError, _doubling_search
 
 __all__ = [
     "PolarMetricGrid",
@@ -197,15 +196,16 @@ def find_k_blend(grid: PolarMetricGrid, R1: float, R2: float, k_max: float = 2.0
     h1 = np.sinh(t_ann) ** 2
     c2 = float(np.min(h1[:, None] / j_ann))
     sinh_R1_sq = np.sinh(R1) ** 2
-    k = 1.0
-    while k <= k_max:
+
+    def failure(k):
         with np.errstate(over="ignore"):
             scale_ok = np.sinh(np.sqrt(k) * R1) ** 2 >= k * sinh_R1_sq / c2
             pointwise_ok = np.all(hyperbolic_coefficient(k, t_ann)[:, None] >= j_ann)
         if scale_ok and pointwise_ok:
-            return k, c2
-        k *= 2.0
-    raise SearchExhaustedError(f"no k <= {k_max:g} dominates j on the annulus (c2 = {c2:.6g})")
+            return None
+        return f"no k <= {k_max:g} dominates j on the annulus (c2 = {c2:.6g})"
+
+    return _doubling_search(k_max, failure), c2
 
 
 def partition_profile(t, R1: float, R2: float):
@@ -279,38 +279,19 @@ def blend_metric(grid: PolarMetricGrid, k: float, R1: float, R2: float) -> Blend
 def save_metric_csv(path, grid: PolarMetricGrid, values: np.ndarray | None = None,
                     value_name: str = "j") -> None:
     """Write a polar metric grid as CSV ``t,theta,j`` (row-major by t)."""
-    values = grid.j if values is None else values
-    buf = io.StringIO()
-    buf.write(f"t,theta,{value_name}\n")
-    for i, t in enumerate(grid.t_grid):
-        for jj, th in enumerate(grid.theta_grid):
-            buf.write(f"{t:.17g},{th:.17g},{values[i, jj]:.17g}\n")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    values = np.asarray(grid.j if values is None else values, dtype=float)
+    n, m = grid.t_grid.size, grid.theta_grid.size
+    rows = np.column_stack([np.repeat(grid.t_grid, m), np.tile(grid.theta_grid, n), values.ravel()])
+    write_table(path, f"t,theta,{value_name}", (rows, "%.17g"))
 
 
 def load_metric_csv(path) -> PolarMetricGrid:
     """Load a polar metric grid from CSV with header ``t,theta,j``."""
-    if not os.path.exists(path):
-        raise UsageError(f"metric grid file not found: {path}")
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header.split(",")[:2] != ["t", "theta"] or len(header.split(",")) != 3:
-            raise UsageError(f"bad metric grid header {header!r}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise UsageError("metric grid rows need 3 comma-separated fields")
-            rows.append([float(x) for x in parts])
-    data = np.asarray(rows, dtype=float)
+    _, data, _ = read_table(path, "metric grid", "t,theta,[^,]*", columns=3)
     t_grid = np.unique(data[:, 0])
     theta_grid = np.unique(data[:, 1])
     if data.shape[0] != t_grid.size * theta_grid.size:
-        raise UsageError("metric grid rows do not form a full (t, theta) product")
+        raise UsageError(f"{path}: metric grid rows do not form a full (t, theta) product")
     order = np.lexsort((data[:, 1], data[:, 0]))
     j = data[order, 2].reshape(t_grid.size, theta_grid.size)
     return PolarMetricGrid(t_grid, theta_grid, j)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .warp import IdentityWarp, ModelManifold, WarpingFunction
 
-__all__ = ["TargetChart", "metric_at", "metric_jacobian_at", "dist_to_pole", "R_TINY"]
+__all__ = ["TargetChart", "R_TINY"]
 
 #: below this radius the series branch replaces the 0/0-prone formulas
 R_TINY = 1e-6
@@ -164,17 +164,3 @@ class TargetChart:
             dh[big] = (1.0 - w)[:, None, None, None] * dP + radial
         return dh[0] if squeeze else dh
 
-
-def metric_at(chart: TargetChart, x):
-    """Metric matrix at a single point."""
-    return chart.metric(np.asarray(x, dtype=float))
-
-
-def metric_jacobian_at(chart: TargetChart, x):
-    """Metric derivative array at a single point."""
-    return chart.metric_jacobian(np.asarray(x, dtype=float))
-
-
-def dist_to_pole(chart: TargetChart, x):
-    """Distance from the chart point to the pole."""
-    return chart.dist_to_pole(np.asarray(x, dtype=float))

@@ -1,8 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the doubling search.
 
-The command line front end maps these onto exit codes: usage and domain
-problems exit with 2, failed searches / constructions / certifications
-exit with 1.
+Usage and domain problems (bad arguments, malformed input files, numbers
+outside a domain) raise subclasses of ``ValueError``; failed searches,
+constructions and iterations raise subclasses of ``RuntimeError``.
 """
 
 
@@ -28,3 +28,20 @@ class ConstructionError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """An iteration produced a non-finite quantity."""
+
+
+def _doubling_search(k_max: float, failure) -> float:
+    """Smallest k in 1, 2, 4, ... <= k_max for which ``failure(k)`` is None.
+
+    ``failure(k)`` returns None when k passes, and otherwise the message to
+    raise should k be the last scale tried: past ``k_max`` the search raises
+    ``SearchExhaustedError`` with the message of the last failing k.
+    """
+    k = 1.0
+    message = f"no k <= {k_max:g} to try: the doubling search starts at k = 1"
+    while k <= k_max:
+        message = failure(k)
+        if message is None:
+            return k
+        k *= 2.0
+    raise SearchExhaustedError(message)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, InfeasibleError, SearchExhaustedError, UsageError
+from .errors import ConstructionError, DomainError, InfeasibleError, UsageError, _doubling_search
 from .warp import (
     CurvatureReport,
     ScaledWarp,
@@ -43,7 +43,6 @@ from .warp import (
     WarpingFunction,
     is_cartan_hadamard,
     is_hyperbolic_type,
-    scale_k,
 )
 
 __all__ = [
@@ -258,18 +257,18 @@ def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
         raise UsageError("find_k needs 0 < R1 < R2")
     if delta < 0.0 or 2.0 * delta >= R2 - R1:
         raise DomainError("find_k needs 0 <= delta < (R2-R1)/2")
-    k = 1.0
-    last = ""
-    while k <= k_max:
-        lower, chord, upper = _secant_conditions(rho, scale_k(sigma, k), R1, R2, delta)
+
+    def failure(k):
+        lower, chord, upper = _secant_conditions(rho, ScaledWarp(sigma, k), R1, R2, delta)
         if lower <= chord <= upper:
-            return k
+            return None
         if chord < lower:
             last = f"chord slope {chord:.6g} < rho'(R1+delta) = {lower:.6g} at k={k:g}"
         else:
             last = f"chord slope {chord:.6g} > sigma_k'(R2-delta) = {upper:.6g} at k={k:g}"
-        k *= 2.0
-    raise SearchExhaustedError(f"no k <= {k_max:g} satisfies the secant inequality; last failure: {last}")
+        return f"no k <= {k_max:g} satisfies the secant inequality; last failure: {last}"
+
+    return _doubling_search(k_max, failure)
 
 
 def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: float,
@@ -402,7 +401,7 @@ def glue_pipeline(spec: GlueSpec, cert_points: int = 4001):
     if not (0.0 < delta < (R2 - R1) / 2.0):
         raise UsageError("delta is too large for the chosen intermediate radii")
     k = find_k(spec.rho, spec.sigma, R1, R2, delta, spec.k_max)
-    gw = build_tau(spec.rho, scale_k(spec.sigma, k), R1, R2, delta, spec.value_tol)
+    gw = build_tau(spec.rho, ScaledWarp(spec.sigma, k), R1, R2, delta, spec.value_tol)
     cert = certify(gw, default_certification_grid(gw, cert_points))
     return gw, cert
 
@@ -482,27 +481,20 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
                 "the 2d metric is not nonpositively curved there"
             )
 
-    k = 1.0
-    feasible = False
-    worst = (0, -np.inf)
-    while k <= k_max:
+    def failure(k):
+        sigma_k = ScaledWarp(sigma, k)
         margins = []
-        for j, ray in enumerate(rays):
-            lower, chord, upper = _secant_conditions(ray, scale_k(sigma, k), R1, R2, band)
+        for ray in rays:
+            lower, chord, upper = _secant_conditions(ray, sigma_k, R1, R2, band)
             margins.append(max(lower - chord, chord - upper))
-        worst = (int(np.argmax(margins)), float(np.max(margins)))
-        if worst[1] <= 0.0:
-            feasible = True
-            break
-        k *= 2.0
-    if not feasible:
-        j = worst[0]
-        raise SearchExhaustedError(
-            f"no k <= {k_max:g} glues every ray; worst ray {j} (theta={theta_grid[j]:.6g}) "
-            f"violates the secant inequality by {worst[1]:.3g}"
-        )
+        j = int(np.argmax(margins))
+        if margins[j] <= 0.0:
+            return None
+        return (f"no k <= {k_max:g} glues every ray; worst ray {j} (theta={theta_grid[j]:.6g}) "
+                f"violates the secant inequality by {margins[j]:.3g}")
 
-    sigma_k = scale_k(sigma, k)
+    k = _doubling_search(k_max, failure)
+    sigma_k = ScaledWarp(sigma, k)
     glued = [build_tau(ray, sigma_k, R1, R2, band, value_tol) for ray in rays]
     certs = [certify(gw, default_certification_grid(gw, cert_points)) for gw in glued]
     slopes = np.array([gw.s for gw in glued])

@@ -5,17 +5,25 @@ and a plain-text file format.  The domain metric is Euclidean; it enters the
 solver solely through triangle areas and the constant gradients of the
 barycentric basis functions, which are cached per triangle.
 
+Every topological query reads one unique-edge table that ``TriMesh`` builds
+once with ``np.unique`` over the sorted vertex pairs of all triangle sides:
+``edges`` (sorted pairs, in order of first appearance over the triangles and
+their sides (a,b), (b,c), (c,a)), ``edge_counts`` (triangles per edge) and
+``triangle_edges`` (the edge index of each side).  Boundary flags, the edge
+set, counts, the mesh size and the Euler characteristic are views over it;
+``refine`` numbers the new midpoints by edge index, which reproduces the
+first-appearance order of a sequential walk over the triangles.
+
 Mesh file format: line 1 ``nv nt``; then nv lines ``x y b`` with boundary
 flag b in {0,1}; then nt lines ``i j k`` of 0-based CCW vertex indices.
 """
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ._table import read_table, write_table
 from .errors import UsageError
 
 __all__ = [
@@ -74,7 +82,15 @@ class TriMesh:
                 i, j = sorted(next(iter(pairs)))
                 raise UsageError(f"duplicate vertices {i} and {j} (closer than 1e-12)")
 
-        computed = self._boundary_from_edges(triangles, nv)
+        edges, counts, triangle_edges = _edge_table(triangles)
+        crowded = np.flatnonzero(counts > 2)
+        if crowded.size:
+            p, q = edges[crowded[0]]
+            raise UsageError(
+                f"edge ({p},{q}) belongs to {counts[crowded[0]]} triangles (non-manifold)"
+            )
+        computed = np.zeros(nv, dtype=bool)
+        computed[edges[counts == 1].ravel()] = True
         if boundary is None:
             boundary = computed
         else:
@@ -89,25 +105,11 @@ class TriMesh:
         self.boundary = boundary
         self.areas = areas
         self.grads = grads
-        self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
-        self.boundary.setflags(write=False)
-
-    @staticmethod
-    def _boundary_from_edges(triangles, nv):
-        edges = {}
-        for tri in triangles:
-            for p, q in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (int(p), int(q)) if p < q else (int(q), int(p))
-                edges[key] = edges.get(key, 0) + 1
-        flags = np.zeros(nv, dtype=bool)
-        for (p, q), count in edges.items():
-            if count == 1:
-                flags[p] = True
-                flags[q] = True
-            elif count > 2:
-                raise UsageError(f"edge ({p},{q}) belongs to {count} triangles (non-manifold)")
-        return flags
+        self.edges = edges
+        self.edge_counts = counts
+        self.triangle_edges = triangle_edges
+        for table in (vertices, triangles, boundary, edges, counts, triangle_edges):
+            table.setflags(write=False)
 
     @property
     def num_vertices(self):
@@ -124,29 +126,35 @@ class TriMesh:
         return np.flatnonzero(self.boundary)
 
     def edge_set(self):
-        edges = set()
-        for tri in self.triangles:
-            for p, q in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                edges.add((int(p), int(q)) if p < q else (int(q), int(p)))
-        return edges
+        """The edges as a set of sorted vertex pairs."""
+        return set(map(tuple, self.edges.tolist()))
 
     def boundary_edge_count(self):
-        counts = {}
-        for tri in self.triangles:
-            for p, q in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (int(p), int(q)) if p < q else (int(q), int(p))
-                counts[key] = counts.get(key, 0) + 1
-        return sum(1 for c in counts.values() if c == 1)
+        return int(np.count_nonzero(self.edge_counts == 1))
 
     def mesh_size(self):
         """Longest edge length."""
-        h = 0.0
-        for p, q in self.edge_set():
-            h = max(h, float(np.linalg.norm(self.vertices[p] - self.vertices[q])))
-        return h
+        d = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
+        return float(np.max(np.hypot(d[:, 0], d[:, 1]), initial=0.0))
 
     def euler_characteristic(self):
-        return self.num_vertices - len(self.edge_set()) + self.num_triangles
+        return self.num_vertices - self.edges.shape[0] + self.num_triangles
+
+
+def _edge_table(triangles):
+    """Unique edges in order of first appearance, their counts, and each side's edge.
+
+    Side m of triangle (a, b, c) is (a, b), (b, c), (c, a) for m = 0, 1, 2.
+    """
+    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    span = int(pairs.max()) + 1 if pairs.size else 1
+    _, first, inverse, counts = np.unique(
+        pairs[:, 0] * span + pairs[:, 1], return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return pairs[first[order]], counts[order], rank[inverse].reshape(-1, 3)
 
 
 def build_rect(width: float, height: float, nx: int, ny: int) -> TriMesh:
@@ -157,16 +165,12 @@ def build_rect(width: float, height: float, nx: int, ny: int) -> TriMesh:
         raise UsageError("cell counts must be at least 1")
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
-    verts = np.array([(x, y) for j, y in enumerate(ys) for i, x in enumerate(xs)])
-    tris = []
-    idx = lambda i, j: j * (nx + 1) + i  # noqa: E731
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return TriMesh(verts, np.array(tris, dtype=np.int64))
+    verts = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
+    v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v10, v01 = v00 + 1, v00 + nx + 1
+    v11 = v01 + 1
+    tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
+    return TriMesh(verts, tris)
 
 
 def build_polar(radii, ntheta: int) -> TriMesh:
@@ -179,21 +183,17 @@ def build_polar(radii, ntheta: int) -> TriMesh:
     if ntheta < 3:
         raise UsageError("polar mesh needs ntheta >= 3")
     thetas = 2.0 * np.pi * np.arange(ntheta) / ntheta
-    verts = np.empty((radii.size * ntheta, 2))
-    for i, r in enumerate(radii):
-        verts[i * ntheta : (i + 1) * ntheta, 0] = r * np.cos(thetas)
-        verts[i * ntheta : (i + 1) * ntheta, 1] = r * np.sin(thetas)
-    tris = []
-    for i in range(radii.size - 1):
-        for j in range(ntheta):
-            jn = (j + 1) % ntheta
-            a = i * ntheta + j
-            b = (i + 1) * ntheta + j
-            c = (i + 1) * ntheta + jn
-            d = i * ntheta + jn
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return TriMesh(verts, np.array(tris, dtype=np.int64))
+    verts = np.column_stack([
+        (radii[:, None] * np.cos(thetas)).ravel(),
+        (radii[:, None] * np.sin(thetas)).ravel(),
+    ])
+    ring = np.arange(radii.size - 1)[:, None] * ntheta
+    sector = np.arange(ntheta)
+    a = (ring + sector).ravel()
+    d = (ring + (sector + 1) % ntheta).ravel()
+    b, c = a + ntheta, d + ntheta
+    tris = np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
+    return TriMesh(verts, tris)
 
 
 def build_annulus(r0: float, r1: float, nr: int, ntheta: int) -> TriMesh:
@@ -206,53 +206,37 @@ def build_annulus(r0: float, r1: float, nr: int, ntheta: int) -> TriMesh:
 
 
 def refine(mesh: TriMesh) -> TriMesh:
-    """Midpoint 1-to-4 subdivision; boundary flags propagate to edge midpoints."""
-    verts = [tuple(v) for v in mesh.vertices]
-    midpoint = {}
+    """Midpoint 1-to-4 subdivision; boundary flags propagate to edge midpoints.
 
-    def mid(p, q):
-        key = (p, q) if p < q else (q, p)
-        if key not in midpoint:
-            midpoint[key] = len(verts)
-            verts.append(tuple(0.5 * (mesh.vertices[p] + mesh.vertices[q])))
-        return midpoint[key]
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-    return TriMesh(np.asarray(verts), np.asarray(tris, dtype=np.int64))
+    The midpoint of edge e becomes vertex nv + e, so new vertices follow the
+    edges' order of first appearance.
+    """
+    v, (p, q) = mesh.vertices, mesh.edges.T
+    verts = np.concatenate([v, 0.5 * (v[p] + v[q])])
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = (mesh.num_vertices + mesh.triangle_edges).T
+    tris = np.column_stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca]).reshape(-1, 3)
+    return TriMesh(verts, tris)
 
 
 def save_mesh(path, mesh: TriMesh) -> None:
-    buf = io.StringIO()
-    buf.write(f"{mesh.num_vertices} {mesh.num_triangles}\n")
-    for (x, y), b in zip(mesh.vertices, mesh.boundary):
-        buf.write(f"{x:.17g} {y:.17g} {int(b)}\n")
-    for i, j, k in mesh.triangles:
-        buf.write(f"{i} {j} {k}\n")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    write_table(
+        path,
+        f"{mesh.num_vertices} {mesh.num_triangles}",
+        (np.column_stack([mesh.vertices, mesh.boundary]), ["%.17g", "%.17g", "%d"]),
+        (mesh.triangles, "%d"),
+        delimiter=" ",
+    )
 
 
 def load_mesh(path) -> TriMesh:
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise UsageError("mesh file too short")
-    nv, nt = int(tokens[0]), int(tokens[1])
-    need = 2 + 3 * nv + 3 * nt
-    if len(tokens) != need:
-        raise UsageError(f"mesh file has {len(tokens)} fields, expected {need}")
-    data = tokens[2:]
-    verts = np.empty((nv, 2))
-    flags = np.empty(nv, dtype=bool)
-    for i in range(nv):
-        verts[i, 0] = float(data[3 * i])
-        verts[i, 1] = float(data[3 * i + 1])
-        flags[i] = bool(int(data[3 * i + 2]))
-    tris = np.empty((nt, 3), dtype=np.int64)
-    base = 3 * nv
-    for t in range(nt):
-        tris[t] = [int(data[base + 3 * t + m]) for m in range(3)]
-    return TriMesh(verts, tris, boundary=flags)
+    head, rows, error = read_table(path, "mesh", r"\d+\s+\d+", columns=3, delimiter=None)
+    nv, nt = (int(n) for n in head.split())
+    if rows.shape[0] != nv + nt:
+        raise UsageError(f"{path}: mesh file has {rows.shape[0]} rows, expected {nv + nt}")
+    integral = np.zeros(rows.shape, dtype=bool)
+    integral[:nv, 2] = integral[nv:] = True  # boundary flags and vertex indices
+    bad = np.flatnonzero(integral & (np.mod(rows, 1.0) != 0.0))
+    if bad.size:
+        raise error(bad[0] // 3, f"expected an integer, found {rows.flat[bad[0]]:g}")
+    return TriMesh(rows[:nv, :2], rows[nv:].astype(np.int64), boundary=rows[:nv, 2] != 0.0)

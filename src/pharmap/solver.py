@@ -47,6 +47,7 @@ comparison phi(a) <= phi(0) would read as rises.
 from __future__ import annotations
 
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -54,6 +55,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import spsolve
 
+from ._table import read_table, write_table
 from .chart import TargetChart
 from .errors import DivergenceError, DomainError, UsageError
 from .mesh import TriMesh
@@ -563,65 +565,45 @@ def uniqueness_probe(mesh: TriMesh, chart: TargetChart, boundary_values, config:
 # ---------------------------------------------------------------------------
 
 
+def _vertex_header(n: int) -> str:
+    return "vertex," + ",".join(f"x{i+1}" for i in range(n))
+
+
 def save_boundary_csv(path, mesh: TriMesh, values) -> None:
     """Write boundary rows as CSV ``vertex,x1,...,xn``."""
     values = np.asarray(values, dtype=float)
     n = values.shape[1]
-    header = "vertex," + ",".join(f"x{i+1}" for i in range(n))
-    lines = [header]
-    for v in mesh.boundary_indices():
-        lines.append(str(int(v)) + "," + ",".join(f"{c:.17g}" for c in values[v]))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    bidx = mesh.boundary_indices()
+    write_table(path, _vertex_header(n), (np.column_stack([bidx, values[bidx]]), ["%d"] + ["%.17g"] * n))
 
 
 def load_boundary_csv(path, mesh: TriMesh, dim: int) -> np.ndarray:
-    """Read boundary data; every boundary vertex must be covered."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        want = "vertex," + ",".join(f"x{i+1}" for i in range(dim))
-        if header != want:
-            raise UsageError(f"bad boundary header {header!r}, expected {want!r}")
-        values = np.zeros((mesh.num_vertices, dim))
-        seen = np.zeros(mesh.num_vertices, dtype=bool)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != dim + 1:
-                raise UsageError("boundary rows need vertex plus one column per coordinate")
-            v = int(parts[0])
-            if not (0 <= v < mesh.num_vertices):
-                raise UsageError(f"boundary row names vertex {v} outside the mesh")
-            values[v] = [float(x) for x in parts[1:]]
-            seen[v] = True
+    """Read boundary data; every boundary vertex must be covered (a repeated vertex keeps its last row)."""
+    _, rows, error = read_table(path, "boundary", re.escape(_vertex_header(dim)), columns=dim + 1)
+    vertex = rows[:, 0]
+    bad = np.flatnonzero((np.mod(vertex, 1.0) != 0.0) | (vertex < 0) | (vertex >= mesh.num_vertices))
+    if bad.size:
+        raise error(bad[0], f"boundary row names vertex {vertex[bad[0]]:g}, not a vertex of the mesh")
+    seen = np.zeros(mesh.num_vertices, dtype=bool)
+    seen[vertex.astype(np.int64)] = True
     missing = np.flatnonzero(mesh.boundary & ~seen)
     if missing.size:
-        raise UsageError(f"boundary data missing for vertex {int(missing[0])}")
+        raise UsageError(f"{path}: boundary data missing for vertex {int(missing[0])}")
+    last = rows.shape[0] - 1 - np.unique(vertex[::-1], return_index=True)[1]
+    values = np.zeros((mesh.num_vertices, dim))
+    values[vertex[last].astype(np.int64)] = rows[last, 1:]
     return values
 
 
 def save_solution_csv(path, state: MapState) -> None:
     pts = state.points
-    header = "vertex," + ",".join(f"x{i+1}" for i in range(pts.shape[1]))
-    lines = [header]
-    for v, row in enumerate(pts):
-        lines.append(str(v) + "," + ",".join(f"{c:.17g}" for c in row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    n = pts.shape[1]
+    rows = np.column_stack([np.arange(pts.shape[0]), pts])
+    write_table(path, _vertex_header(n), (rows, ["%d"] + ["%.17g"] * n))
 
 
 def load_solution_csv(path) -> MapState:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("vertex,x1"):
-            raise UsageError(f"bad solution header {header!r}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(x) for x in line.split(",")[1:]])
-    if not rows:
-        raise UsageError("solution file has no rows")
-    return MapState(np.asarray(rows, dtype=float))
+    _, rows, _ = read_table(path, "solution", "vertex,x1.*")
+    if not rows.size:
+        raise UsageError(f"{path}: solution file has no rows")
+    return MapState(np.ascontiguousarray(rows[:, 1:]))

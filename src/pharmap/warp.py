@@ -20,14 +20,13 @@ the outer geometry in the gluing construction of :mod:`pharmap.glue`.
 
 from __future__ import annotations
 
-import io
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import BPoly
 
+from ._table import read_table, write_table
 from .errors import DomainError, UsageError
 
 __all__ = [
@@ -40,11 +39,9 @@ __all__ = [
     "ModelManifold",
     "CurvatureReport",
     "HyperbolicTypeReport",
-    "eval_warp",
     "curvature_radial",
     "curvature_tangential",
     "is_cartan_hadamard",
-    "scale_k",
     "is_hyperbolic_type",
     "certification_grid",
     "parse_warp_spec",
@@ -314,12 +311,6 @@ class HyperbolicTypeReport:
         return self.is_hyperbolic
 
 
-def eval_warp(w: WarpingFunction, r: float):
-    """Evaluate ``(sigma, sigma', sigma'')`` at a single radius."""
-    s, d1, d2 = w.evaluate(float(r))
-    return float(s), float(d1), float(d2)
-
-
 def _positive_sigma(w, r, s):
     if np.any((np.atleast_1d(r) > 0.0) & (np.atleast_1d(s) <= 0.0)):
         raise DomainError(f"warp {w.kind} is nonpositive at some positive radius; curvature undefined")
@@ -387,11 +378,6 @@ def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
         is_nonpositive=nonpos,
         worst_violation=float(np.max(curv)),
     )
-
-
-def scale_k(w: WarpingFunction, k: float) -> WarpingFunction:
-    """Rescaled warp ``sigma_k(r) = k^{-1/2} sigma(k^{1/2} r)``; needs k > 0."""
-    return ScaledWarp(w, k)
 
 
 def is_hyperbolic_type(w: WarpingFunction, grid=None, k_list=None) -> HyperbolicTypeReport:
@@ -485,33 +471,12 @@ def save_warp_csv(path, w: WarpingFunction, grid) -> None:
     grid = _as_radii(np.asarray(grid, dtype=float))
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0.0):
         raise UsageError("warp sample grid must be strictly increasing")
-    s, d1, d2 = w.evaluate(grid)
-    buf = io.StringIO()
-    buf.write("r,sigma,dsigma,ddsigma\n")
-    for row in zip(grid, s, d1, d2):
-        buf.write(",".join(f"{x:.17g}" for x in row) + "\n")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    write_table(path, "r,sigma,dsigma,ddsigma", (np.column_stack([grid, *w.evaluate(grid)]), "%.17g"))
 
 
 def load_warp_csv(path) -> SplineWarp:
     """Load a warp sample CSV (header ``r,sigma,dsigma,ddsigma``)."""
-    if not os.path.exists(path):
-        raise UsageError(f"warp sample file not found: {path}")
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "r,sigma,dsigma,ddsigma":
-            raise UsageError(f"bad warp sample header {header!r}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise UsageError("warp sample rows need 4 comma-separated fields")
-            rows.append([float(x) for x in parts])
-    if len(rows) < 2:
-        raise UsageError("warp sample file needs at least two knots")
-    data = np.asarray(rows, dtype=float)
+    _, data, _ = read_table(path, "warp sample", "r,sigma,dsigma,ddsigma", columns=4)
+    if data.shape[0] < 2:
+        raise UsageError(f"{path}: warp sample file needs at least two knots")
     return SplineWarp(data[:, 0], data[:, 1], data[:, 2], data[:, 3])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pharmap.chart import TargetChart, dist_to_pole, metric_at, metric_jacobian_at
+from pharmap.chart import TargetChart
 from pharmap.errors import DomainError
 from pharmap.warp import IdentityWarp, ModelManifold, SinhWarp, SplineWarp
 
@@ -14,30 +14,30 @@ FLAT2 = TargetChart.from_warp(IdentityWarp(), 2)
 
 def test_metric_euclidean_identity():
     x = np.array([0.3, -1.2])
-    assert np.array_equal(metric_at(FLAT2, x), np.eye(2))
+    assert np.array_equal(FLAT2.metric(x), np.eye(2))
     line = TargetChart.euclidean_line()
-    assert np.array_equal(metric_at(line, np.array([2.0])), np.eye(1))
+    assert np.array_equal(line.metric(np.array([2.0])), np.eye(1))
 
 
 def test_metric_radial_tangential_split():
-    h = metric_at(SINH2, np.array([1.0, 0.0]))
+    h = SINH2.metric(np.array([1.0, 0.0]))
     want = np.diag([1.0, math.sinh(1.0) ** 2])
     assert np.allclose(h, want, atol=1e-14)
     # radial eigenvector has eigenvalue 1 at any point
     x = np.array([0.6, -0.8])
-    h = metric_at(SINH2, x)
+    h = SINH2.metric(x)
     assert np.allclose(h @ x, x, atol=1e-14)
 
 
 def test_metric_pole_limit():
     for chart in (SINH2, SINH3):
-        assert np.allclose(metric_at(chart, np.zeros(chart.dim)), np.eye(chart.dim), atol=1e-15)
+        assert np.allclose(chart.metric(np.zeros(chart.dim)), np.eye(chart.dim), atol=1e-15)
         x = np.full(chart.dim, 1e-8)
-        h = metric_at(chart, x)
+        h = chart.metric(x)
         assert np.allclose(h, np.eye(chart.dim), atol=1e-14)
     sampled = TargetChart.from_warp(SplineWarp.sample(SinhWarp(), np.linspace(0, 2, 40)), 2)
     with pytest.raises(DomainError):
-        metric_at(sampled, np.array([1e-8, 0.0]))
+        sampled.metric(np.array([1e-8, 0.0]))
 
 
 def test_metric_spd_bound():
@@ -63,8 +63,8 @@ def test_metric_rotational_equivariance():
             A = rng.normal(size=(n, n))
             Q, _ = np.linalg.qr(A)
             x = rng.normal(size=n) * 2.0
-            left = metric_at(chart, Q @ x)
-            right = Q @ metric_at(chart, x) @ Q.T
+            left = chart.metric(Q @ x)
+            right = Q @ chart.metric(x) @ Q.T
             assert np.allclose(left, right, atol=1e-12)
 
 
@@ -79,39 +79,39 @@ def test_metric_jacobian_symmetry_and_fd():
             r = np.linalg.norm(x)
             if not (0.1 <= r <= 5.0):
                 x = x / r * rng.uniform(0.1, 5.0)
-            dh = metric_jacobian_at(chart, x)
+            dh = chart.metric_jacobian(x)
             assert np.allclose(dh, np.swapaxes(dh, 0, 1))  # dh_ijk == dh_jik exactly
             fd = np.empty_like(dh)
             for k in range(n):
                 e = np.zeros(n)
                 e[k] = step
-                fd[:, :, k] = (metric_at(chart, x + e) - metric_at(chart, x - e)) / (2 * step)
+                fd[:, :, k] = (chart.metric(x + e) - chart.metric(x - e)) / (2 * step)
             scale = max(1.0, np.max(np.abs(dh)))
             worst = max(worst, np.max(np.abs(fd - dh)) / scale)
     assert worst <= 1e-6
 
 
 def test_metric_jacobian_flat_zero():
-    assert np.array_equal(metric_jacobian_at(FLAT2, np.array([0.4, 0.7])), np.zeros((2, 2, 2)))
+    assert np.array_equal(FLAT2.metric_jacobian(np.array([0.4, 0.7])), np.zeros((2, 2, 2)))
 
 
 def test_metric_jacobian_series_branch_continuity():
     # series branch (r < R_TINY) agrees with the direct formula just above it
     x_dir = np.array([1.2e-6, 0.9e-6])
     x_ser = x_dir * 0.8
-    dh_dir = metric_jacobian_at(SINH2, x_dir)
-    dh_ser = metric_jacobian_at(SINH2, x_ser)
+    dh_dir = SINH2.metric_jacobian(x_dir)
+    dh_ser = SINH2.metric_jacobian(x_ser)
     assert np.max(np.abs(dh_ser / 0.8 - dh_dir)) < 1e-8
 
 
 def test_dist_to_pole():
-    assert dist_to_pole(SINH2, np.array([3.0, 4.0])) == 5.0
-    assert dist_to_pole(SINH2, np.zeros(2)) == 0.0
+    assert SINH2.dist_to_pole(np.array([3.0, 4.0])) == 5.0
+    assert SINH2.dist_to_pole(np.zeros(2)) == 0.0
     rng = np.random.default_rng(5)
     x = rng.normal(size=2)
     th = 1.234
     Q = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    assert dist_to_pole(SINH2, Q @ x) == pytest.approx(dist_to_pole(SINH2, x), rel=1e-15)
+    assert SINH2.dist_to_pole(Q @ x) == pytest.approx(SINH2.dist_to_pole(x), rel=1e-15)
 
 
 def test_radial_polyline_length():

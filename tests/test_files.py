@@ -1,0 +1,52 @@
+import numpy as np
+import pytest
+
+from pharmap.blend import PolarMetricGrid, load_metric_csv, save_metric_csv
+from pharmap.errors import UsageError
+from pharmap.mesh import build_annulus, load_mesh, save_mesh
+from pharmap.solver import MapState, load_boundary_csv, load_solution_csv, save_boundary_csv, save_solution_csv
+from pharmap.warp import SinhWarp, load_warp_csv, save_warp_csv
+
+MESH = build_annulus(1.0, 2.0, 2, 8)  # file lines 2-25 are vertices, 26-57 triangles
+GRID = PolarMetricGrid.from_generator(lambda t, h: t**2, np.linspace(0.5, 2.0, 7), 5)
+
+
+def set_field(index, value, sep=","):
+    def edit(line):
+        fields = line.split(sep)
+        fields[index] = value
+        return sep.join(fields)
+
+    return edit
+
+
+# writer, line to corrupt, how, loader
+CASES = {
+    "mesh triangle index": (lambda p: save_mesh(p, MESH), 30, set_field(2, "2.5", " "), load_mesh),
+    "mesh coordinate": (lambda p: save_mesh(p, MESH), 5, set_field(0, "x", " "), load_mesh),
+    "solution ragged row": (lambda p: save_solution_csv(p, MapState(MESH.vertices)), 4,
+                            lambda line: line.rsplit(",", 1)[0], load_solution_csv),
+    "warp field": (lambda p: save_warp_csv(p, SinhWarp(), np.linspace(0.0, 2.0, 9)), 3,
+                   set_field(1, "abc"), load_warp_csv),
+    "metric field": (lambda p: save_metric_csv(p, GRID), 6, set_field(2, "abc"), load_metric_csv),
+    "boundary vertex": (lambda p: save_boundary_csv(p, MESH, MESH.vertices), 2, set_field(0, "0.5"),
+                        lambda p: load_boundary_csv(p, MESH, 2)),
+}
+
+
+@pytest.mark.parametrize("blank", [False, True], ids=["", "after-blank-line"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_malformed_file_names_path_and_line(tmp_path, case, blank):
+    write, line, edit, load = CASES[case]
+    path = tmp_path / "data.txt"
+    write(path)
+    load(path)  # the file as written is well formed
+    lines = path.read_text().splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    if blank:
+        lines.insert(1, "")  # blank lines are skipped, but the line number counts them
+        line += 1
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UsageError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}, line {line}: ")

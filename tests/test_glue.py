@@ -16,7 +16,7 @@ from pharmap.glue import (
     glue_pipeline,
     rays_from_polar_samples,
 )
-from pharmap.warp import IdentityWarp, OddPolynomialWarp, SinhWarp, scale_k
+from pharmap.warp import IdentityWarp, OddPolynomialWarp, ScaledWarp, SinhWarp
 
 RHO = OddPolynomialWarp([1.0, 1.0])  # r + r^3
 SIGMA = SinhWarp()
@@ -43,7 +43,7 @@ def test_find_k_matches_direct_secant_evaluation():
     # oracle: scan the doubling sequence with an independent inequality check
     for delta in (0.0, 0.05):
         ks = [1.0, 2.0, 4.0, 8.0]
-        feasible = [k for k in ks if secant_ok(RHO, scale_k(SIGMA, k), 2.0, 3.0, delta)]
+        feasible = [k for k in ks if secant_ok(RHO, ScaledWarp(SIGMA, k), 2.0, 3.0, delta)]
         assert feasible and feasible[0] == 2.0  # k=1 fails, k=2 works
         assert find_k(RHO, SIGMA, 2.0, 3.0, delta) == 2.0
 
@@ -82,7 +82,7 @@ def test_build_tau_identity_self_glue():
 
 
 def test_build_tau_matches_tail_to_tolerance():
-    gw = build_tau(RHO, scale_k(SIGMA, 2.0), 2.0, 3.0, 0.05)
+    gw = build_tau(RHO, ScaledWarp(SIGMA, 2.0), 2.0, 3.0, 0.05)
     d = gw.R2 + gw.delta
     tau_d = gw.evaluate(np.asarray(d))[0]
     sig_d = gw.sigma_k.evaluate(np.asarray(d))[0]
@@ -92,7 +92,7 @@ def test_build_tau_matches_tail_to_tolerance():
 def test_build_tau_plateau_slope_by_simpson_quadrature():
     # oracle: integrate tau' with composite Simpson from the head anchor and
     # compare with the closed-form values used by the implementation
-    gw = build_tau(RHO, scale_k(SIGMA, 2.0), 2.0, 3.0, 0.05)
+    gw = build_tau(RHO, ScaledWarp(SIGMA, 2.0), 2.0, 3.0, 0.05)
     a, b, c, d = gw.edges
 
     def simpson(lo, hi, n=2001):
@@ -115,7 +115,7 @@ def test_build_tau_plateau_slope_by_simpson_quadrature():
 def test_build_tau_infeasible_k():
     # k=1 fails the secant inequality for rho = r + r^3 on (2,3)
     with pytest.raises(InfeasibleError):
-        build_tau(RHO, scale_k(SIGMA, 1.0), 2.0, 3.0, 0.05)
+        build_tau(RHO, ScaledWarp(SIGMA, 1.0), 2.0, 3.0, 0.05)
 
 
 def test_certify_full_pipeline_passes():
@@ -180,7 +180,7 @@ def test_glue_spec_validation():
 
 def test_glued_warp_band_misuse():
     with pytest.raises(DomainError):
-        GluedWarp(RHO, scale_k(SIGMA, 2.0), 2.0, 3.0, 0.6, 2.0, 14.0)
+        GluedWarp(RHO, ScaledWarp(SIGMA, 2.0), 2.0, 3.0, 0.6, 2.0, 14.0)
 
 
 def test_glue2d_flat_disk_reduces_to_identity_case():

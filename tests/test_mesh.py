@@ -1,8 +1,47 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pharmap.errors import UsageError
 from pharmap.mesh import TriMesh, build_annulus, build_polar, build_rect, load_mesh, refine, save_mesh
+
+
+def reference_edges(triangles):
+    """Plain-Python edge walk: sorted pair -> number of triangles, in first-appearance order."""
+    counts = {}
+    for a, b, c in triangles.tolist():
+        for p, q in ((a, b), (b, c), (c, a)):
+            key = (min(p, q), max(p, q))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def reference_boundary(triangles, nv):
+    flags = np.zeros(nv, dtype=bool)
+    for (p, q), count in reference_edges(triangles).items():
+        if count == 1:
+            flags[[p, q]] = True
+    return flags
+
+
+def reference_refine(mesh):
+    """Midpoint subdivision with a dict of midpoints, numbered as first met."""
+    verts = [tuple(v) for v in mesh.vertices]
+    midpoint = {}
+
+    def mid(p, q):
+        key = (min(p, q), max(p, q))
+        if key not in midpoint:
+            midpoint[key] = len(verts)
+            verts.append(tuple(0.5 * (mesh.vertices[p] + mesh.vertices[q])))
+        return midpoint[key]
+
+    tris = []
+    for a, b, c in mesh.triangles.tolist():
+        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+        tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
+    return np.asarray(verts), np.asarray(tris, dtype=np.int64), reference_boundary(np.asarray(tris), len(verts))
 
 
 def test_build_annulus_counts_and_flags():
@@ -61,7 +100,7 @@ def test_refine_counts_areas_flags():
 
 def test_refine_boundary_flags_follow_topology():
     m = refine(build_annulus(1.0, 2.0, 2, 6))
-    flags = TriMesh._boundary_from_edges(m.triangles, m.num_vertices)
+    flags = reference_boundary(m.triangles, m.num_vertices)
     assert np.array_equal(m.boundary, flags)
 
 
@@ -111,3 +150,45 @@ def test_build_polar_custom_radii():
 def test_mesh_size():
     m = build_rect(2.0, 1.0, 2, 1)
     assert m.mesh_size() == pytest.approx(np.hypot(1.0, 1.0))
+
+
+def test_edge_shared_by_three_triangles_rejected():
+    verts = [(0, 0), (1, 0), (0.5, 1), (0.2, 2), (0.8, 3)]
+    with pytest.raises(UsageError, match=r"edge \(0,1\) belongs to 3 triangles"):
+        TriMesh(verts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+
+
+@st.composite
+def relabelled_meshes(draw):
+    """A small rect or annulus mesh, refined 0-2 times, with shuffled vertices and triangles."""
+    if draw(st.booleans()):
+        m = build_rect(2.0, 1.0, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    else:
+        m = build_annulus(1.0, 2.0, draw(st.integers(1, 3)), draw(st.integers(3, 8)))
+    for _ in range(draw(st.integers(0, 2))):
+        m = refine(m)
+    nv, nt = m.num_vertices, m.num_triangles
+    label = np.asarray(draw(st.permutations(range(nv))), dtype=np.int64)
+    order = np.asarray(draw(st.permutations(range(nt))), dtype=np.int64)
+    verts = np.empty_like(m.vertices)
+    verts[label] = m.vertices
+    return TriMesh(verts, label[m.triangles][order])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(relabelled_meshes())
+def test_edge_table_matches_plain_walk(m):
+    counts = reference_edges(m.triangles)
+    assert np.array_equal(m.boundary, reference_boundary(m.triangles, m.num_vertices))
+    assert [tuple(e) for e in m.edges.tolist()] == list(counts)
+    assert m.edge_counts.tolist() == list(counts.values())
+    assert m.edge_set() == set(counts)
+    assert m.boundary_edge_count() == sum(1 for c in counts.values() if c == 1)
+    assert m.euler_characteristic() == m.num_vertices - len(counts) + m.num_triangles
+    for side in range(3):
+        p, q = m.triangles[:, side], m.triangles[:, (side + 1) % 3]
+        assert np.array_equal(m.edges[m.triangle_edges[:, side]],
+                              np.column_stack([np.minimum(p, q), np.maximum(p, q)]))
+    r = refine(m)
+    for got, want in zip((r.vertices, r.triangles, r.boundary), reference_refine(m)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -7,6 +7,7 @@ from pharmap.chart import TargetChart
 from pharmap.errors import UsageError
 from pharmap.mesh import build_annulus, build_rect
 from pharmap.solver import (
+    _CHUNK,
     MapState,
     SolveConfig,
     _total,
@@ -274,6 +275,21 @@ def test_solver_determinism_across_threads():
         state, report = solve(mesh, SINH2, bvals, config)
         results.append((state.points.tobytes(), tuple(report.energy_trace), report.residual))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("quadrature", [1, 3])
+def test_thread_pool_assembly_is_byte_identical(quadrature):
+    # 4608 triangles: two assembly chunks, so threads > 1 runs the pool
+    mesh = build_annulus(1.0, 2.0, 16, 144)
+    assert mesh.num_triangles > _CHUNK
+    rng = np.random.default_rng(4)
+    state = MapState(0.5 * mesh.vertices + 0.05 * rng.normal(size=mesh.vertices.shape))
+    results = []
+    for threads in (1, 2, 4):
+        e = energy(mesh, SINH2, state, 3.0, quadrature=quadrature, threads=threads)
+        g = energy_gradient(mesh, SINH2, state, 3.0, quadrature=quadrature, threads=threads)
+        results.append((np.float64(e).tobytes(), g.tobytes()))
+    assert results[0] == results[1] == results[2]
 
 
 def test_boundary_csv_round_trip(tmp_path):

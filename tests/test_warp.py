@@ -14,30 +14,28 @@ from pharmap.warp import (
     certification_grid,
     curvature_radial,
     curvature_tangential,
-    eval_warp,
     is_cartan_hadamard,
     is_hyperbolic_type,
     load_warp_csv,
     parse_warp_spec,
     save_warp_csv,
-    scale_k,
 )
 
 R_PLUS_R3 = OddPolynomialWarp([1.0, 1.0])
 
 
 def test_eval_analytic_values():
-    s, d1, d2 = eval_warp(SinhWarp(), 1.0)
+    s, d1, d2 = SinhWarp().evaluate(1.0)
     assert s == pytest.approx(math.sinh(1.0), abs=1e-15)
     assert d1 == pytest.approx(math.cosh(1.0), abs=1e-15)
     assert d2 == pytest.approx(math.sinh(1.0), abs=1e-15)
-    assert eval_warp(IdentityWarp(), 5.0) == (5.0, 1.0, 0.0)
-    assert eval_warp(R_PLUS_R3, 2.0) == (10.0, 13.0, 12.0)
+    assert IdentityWarp().evaluate(5.0) == (5.0, 1.0, 0.0)
+    assert R_PLUS_R3.evaluate(2.0) == (10.0, 13.0, 12.0)
 
 
 def test_eval_at_pole_and_negative_radius():
     for w in (IdentityWarp(), SinhWarp(), R_PLUS_R3):
-        s, d1, _ = eval_warp(w, 0.0)
+        s, d1, _ = w.evaluate(0.0)
         assert s == 0.0 and d1 == 1.0
         with pytest.raises(DomainError):
             w.evaluate(-0.1)
@@ -121,32 +119,32 @@ def test_sign_theorem_convexity_implies_tangential_nonpositive():
 
 
 def test_scale_k_values():
-    sk = scale_k(SinhWarp(), 4.0)
-    s, d1, d2 = eval_warp(sk, 1.0)
+    sk = ScaledWarp(SinhWarp(), 4.0)
+    s, d1, d2 = sk.evaluate(1.0)
     assert s == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-15)
     assert d1 == pytest.approx(math.cosh(2.0), rel=1e-15)
     assert d2 == pytest.approx(2.0 * math.sinh(2.0), rel=1e-15)
-    trivial = scale_k(R_PLUS_R3, 1.0)
+    trivial = ScaledWarp(R_PLUS_R3, 1.0)
     r = np.linspace(0.0, 3.0, 17)
     for got, ref in zip(trivial.evaluate(r), R_PLUS_R3.evaluate(r)):
         assert np.allclose(got, ref, rtol=1e-15)
     with pytest.raises(DomainError):
-        scale_k(SinhWarp(), 0.0)
+        ScaledWarp(SinhWarp(), 0.0)
 
 
 def test_curvature_scaling_law():
-    # sec(scale_k(w))(r) = k * sec(w)(sqrt(k) r), both flavours, rel 1e-10.
+    # sec(ScaledWarp(w, k))(r) = k * sec(w)(sqrt(k) r), both flavours, rel 1e-10.
     r = np.linspace(0.2, 3.0, 29)
     for w in (SinhWarp(), R_PLUS_R3):
         for k in (2.0, 4.0, 9.0):
-            sk = scale_k(w, k)
+            sk = ScaledWarp(w, k)
             lhs_rad = curvature_radial(sk, r)
             rhs_rad = k * curvature_radial(w, np.sqrt(k) * r)
             assert np.allclose(lhs_rad, rhs_rad, rtol=1e-10)
             lhs_tg = curvature_tangential(sk, r)
             rhs_tg = k * curvature_tangential(w, np.sqrt(k) * r)
             assert np.allclose(lhs_tg, rhs_tg, rtol=1e-10)
-    assert curvature_radial(scale_k(SinhWarp(), 4.0), 1.0) == pytest.approx(-4.0, rel=1e-12)
+    assert curvature_radial(ScaledWarp(SinhWarp(), 4.0), 1.0) == pytest.approx(-4.0, rel=1e-12)
 
 
 def test_is_hyperbolic_type():
@@ -217,7 +215,7 @@ def test_parse_warp_spec_and_csv_round_trip(tmp_path):
     assert isinstance(parse_warp_spec("identity"), IdentityWarp)
     assert isinstance(parse_warp_spec("sinh"), SinhWarp)
     poly = parse_warp_spec("poly:1,1")
-    assert eval_warp(poly, 2.0) == (10.0, 13.0, 12.0)
+    assert poly.evaluate(2.0) == (10.0, 13.0, 12.0)
     with pytest.raises(UsageError):
         parse_warp_spec("banana")
 

@@ -13,10 +13,17 @@ gradient carries both the |du|^{p-2} du part and the metric-derivative part
 through d h_ij / d x^k; for p >= 2 the integrand is C^1 also where du = 0.
 
 Minimization is monotone descent: limited-memory quasi-Newton directions
-(memory 10, initial scaling by the Barzilai-Borwein quotient) with a
-backtracking line search, and Dirichlet rows pinned bit-exactly.  With
-phi(a) = E(x + a d) along the direction d, a trial step a is accepted by
-one of two tests, chosen by whether the energy can still resolve it:
+(memory 10) with a backtracking line search, and Dirichlet rows pinned
+bit-exactly.  The initial inverse Hessian of L-BFGS is gamma K_ii^{-1}, with
+K_ii the interior block of the P1 stiffness matrix (factored once per solve)
+and gamma = s^T y / y^T K_ii^{-1} y: the Sobolev-gradient, or
+weighted-Laplacian, preconditioning of Huang, Li & Liu (J. Sci. Comput. 32
+(2007)).  K_ii is the exact Hessian of the Euclidean p=2 energy and the
+metric of the H^1 seminorm, so iteration counts do not grow with the mesh.
+The first direction, and the direction after a restart, is -K_ii^{-1} g
+with step 1.  With phi(a) = E(x + a d) along the direction d, a trial step
+a is accepted by one of two tests, chosen by whether the energy can still
+resolve it:
 
 * while the Armijo margin c1 a |phi'(0)| is at least one rounding unit
   eps |E|, the Armijo test phi(a) <= phi(0) + c1 a phi'(0);
@@ -29,12 +36,18 @@ one of two tests, chosen by whether the energy can still resolve it:
   of the configured factor, trying more points of the Wolfe window.
 
 The derivative stays accurate after energy differences have vanished, so
-``grad_tol`` can lie far below the floor.  A solve stops as ``"converged"``
-(sup-norm residual at most ``grad_tol``), ``"max_iter"``, or ``"stalled"``
-when no trial step passes: at the floor, the first step whose energy rounds
-to at most the current one is too short for the curvature side, or 60 trials
-run out.  A non-finite energy or gradient at an accepted step raises
-``DivergenceError``.
+``grad_tol`` can lie far below the floor.  A line search fails when no trial
+step passes: at the floor, the first step whose energy rounds to at most the
+current one is too short for the curvature side, or 60 trials run out.  A
+failed search with a nonempty memory drops the memory and retries the
+iteration once along -K_ii^{-1} g (the usual L-BFGS restart).  A solve stops
+as ``"converged"`` (sup-norm residual at most ``grad_tol``), ``"max_iter"``,
+or ``"stalled"`` when a search fails with an empty memory.  A non-finite
+energy or gradient at an accepted step raises ``DivergenceError``.
+
+The first trial of each line search assembles energy and gradient together,
+since it is accepted in most iterations; later trials assemble the energy
+alone.  Both give the same energy bytes.
 
 Assembly is evaluated in fixed-size triangle chunks whose results land in
 preallocated slots and are reduced in index order, so energies and gradients
@@ -53,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from ._table import read_table, write_table
 from .chart import TargetChart
@@ -133,8 +146,12 @@ class SolveReport:
 
     ``stop_reason`` says why the run ended: ``"converged"`` (the sup-norm
     residual reached ``grad_tol``; ``converged`` is true exactly then),
-    ``"max_iter"``, or ``"stalled"`` (no trial step passed the line search;
-    see the module docstring).
+    ``"max_iter"``, or ``"stalled"`` (no trial step passed the line search,
+    also after a restart; see the module docstring).
+
+    Counters: ``n_f`` energy-only and ``n_fg`` energy+gradient assemblies,
+    ``n_backtracks`` rejected trial steps, ``n_restarts`` failed line
+    searches that dropped the L-BFGS memory and retried.
     """
 
     final_energy: float
@@ -144,6 +161,10 @@ class SolveReport:
     mp_margin: float
     converged: bool
     stop_reason: str
+    n_f: int = 0
+    n_fg: int = 0
+    n_backtracks: int = 0
+    n_restarts: int = 0
 
     def to_json_dict(self):
         return {
@@ -154,6 +175,10 @@ class SolveReport:
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
             "stop_reason": self.stop_reason,
+            "n_f": int(self.n_f),
+            "n_fg": int(self.n_fg),
+            "n_backtracks": int(self.n_backtracks),
+            "n_restarts": int(self.n_restarts),
         }
 
 
@@ -321,6 +346,28 @@ def _stiffness(mesh: TriMesh):
     return K.tocsr()
 
 
+def _interior_stiffness(mesh: TriMesh):
+    """``splu`` factor of the interior block K_ii of the stiffness matrix and
+    the block K_ib, or None for a mesh without interior vertices."""
+    iidx = mesh.interior_indices()
+    if not iidx.size:
+        return None
+    K_i = _stiffness(mesh)[iidx]
+    return splu(K_i[:, iidx].tocsc()), K_i[:, mesh.boundary_indices()]
+
+
+def _harmonic_extension(mesh: TriMesh, bvals, factor) -> MapState:
+    bidx = mesh.boundary_indices()
+    if not np.all(np.isfinite(bvals[bidx])):
+        raise UsageError("boundary values must be finite on boundary vertices")
+    pts = np.zeros_like(bvals)
+    pts[bidx] = bvals[bidx]
+    if factor is not None:
+        lu, K_ib = factor
+        pts[mesh.interior_indices()] = lu.solve(-K_ib @ bvals[bidx])
+    return MapState(pts)
+
+
 def harmonic_init(mesh: TriMesh, boundary_values) -> MapState:
     """Componentwise discrete 2-harmonic extension of the boundary data.
 
@@ -331,21 +378,9 @@ def harmonic_init(mesh: TriMesh, boundary_values) -> MapState:
     if bvals.ndim != 2 or bvals.shape[0] != mesh.num_vertices:
         raise UsageError("boundary values need shape (nv, n)")
     bidx = mesh.boundary_indices()
-    iidx = mesh.interior_indices()
     if bidx.size == 0:
         raise UsageError("mesh has no boundary; the Dirichlet problem is empty")
-    if not np.all(np.isfinite(bvals[bidx])):
-        raise UsageError("boundary values must be finite on boundary vertices")
-    pts = np.zeros_like(bvals)
-    pts[bidx] = bvals[bidx]
-    if iidx.size:
-        K = _stiffness(mesh)
-        K_ii = K[iidx][:, iidx].tocsc()
-        K_ib = K[iidx][:, bidx]
-        rhs = -K_ib @ bvals[bidx]
-        sol = spsolve(K_ii, rhs)
-        pts[iidx] = sol.reshape(iidx.size, -1)
-    return MapState(pts)
+    return _harmonic_extension(mesh, bvals, _interior_stiffness(mesh))
 
 
 def check_max_principle(mesh: TriMesh, chart: TargetChart, state) -> float:
@@ -373,14 +408,15 @@ def max_principle_tolerance(mesh: TriMesh, chart: TargetChart, state) -> float:
     return 2.0 * r0 * mesh.mesh_size() + 1e-8
 
 
-def _two_loop(mem, g, gamma):
+def _two_loop(mem, g, gamma, h0):
+    """L-BFGS inverse-Hessian product with the initial inverse Hessian gamma * h0."""
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(mem):
         a = rho * np.dot(s, q)
         alphas.append(a)
         q -= a * y
-    q *= gamma
+    q = gamma * h0(q)
     for (s, y, rho), a in zip(mem, reversed(alphas)):
         b = rho * np.dot(y, q)
         q += (a - b) * s
@@ -393,8 +429,9 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
 
     Starts from ``harmonic_init`` unless an initial state is given.  The
     energy trace is non-increasing and boundary rows are never modified.
-    Steps are accepted by the Armijo test while the energy can resolve it and
-    by the approximate Wolfe conditions at its floating-point floor (module
+    Directions are L-BFGS with the stiffness preconditioner K_ii^{-1}; steps
+    are accepted by the Armijo test while the energy can resolve it and by
+    the approximate Wolfe conditions at its floating-point floor (module
     docstring); ``report.stop_reason`` is ``"converged"``, ``"max_iter"`` or
     ``"stalled"``.
     """
@@ -405,15 +442,17 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     iidx = mesh.interior_indices()
     if bidx.size == 0:
         raise UsageError("the Dirichlet problem needs a nonempty boundary")
+    factor = _interior_stiffness(mesh)
 
     if initial is None:
-        state0 = harmonic_init(mesh, bvals)
+        state0 = _harmonic_extension(mesh, bvals, factor)
     else:
         state0 = initial
     pts = _points_of(state0).copy()
     _check_shapes(mesh, chart, pts)
     pts[bidx] = bvals[bidx]  # boundary rows pinned bit-exactly
     n = chart.dim
+    counts = {"n_f": 0, "n_fg": 0, "n_backtracks": 0, "n_restarts": 0}
 
     def split(x):
         full = pts.copy()
@@ -421,14 +460,19 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
         return full
 
     def f_only(x):
+        counts["n_f"] += 1
         total, _ = _assemble(mesh, chart, split(x), config.p, config.quadrature,
                              need_grad=False, threads=config.threads)
         return total
 
     def f_and_g(x):
+        counts["n_fg"] += 1
         total, grad = _assemble(mesh, chart, split(x), config.p, config.quadrature,
                                 need_grad=True, threads=config.threads)
         return total, grad[iidx].ravel()
+
+    def precondition(v):
+        return factor[0].solve(v.reshape(iidx.size, n)).ravel()
 
     x = pts[iidx].ravel().copy()
     f, g = f_and_g(x)
@@ -441,6 +485,34 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
             return 0.0
         return float(np.max(np.linalg.norm(gvec.reshape(-1, n), axis=1)))
 
+    def line_search(x, f, d, gd):
+        """Accepted (x, f, g) along d from step 1, or None; the first trial
+        also assembles the gradient."""
+        floor = np.finfo(float).eps * abs(f) / config.armijo_c1
+        step = 1.0
+        for trial in range(60):
+            x_new = x + step * d
+            # a NaN or inf energy fails both tests below
+            f_new, g_new = f_and_g(x_new) if trial == 0 else (f_only(x_new), None)
+            at_floor = -step * gd <= floor
+            if not at_floor:
+                if f_new <= f + config.armijo_c1 * step * gd:
+                    if g_new is None:
+                        f_new, g_new = f_and_g(x_new)
+                    return x_new, f_new, g_new
+            elif f_new <= f:
+                if g_new is None:
+                    f_new, g_new = f_and_g(x_new)
+                slope = float(np.dot(g_new, d))
+                if slope < _WOLFE_SIGMA * gd:
+                    counts["n_backtracks"] += 1
+                    return None  # too short for the curvature side, and so is every shorter step
+                if slope <= (2.0 * config.armijo_c1 - 1.0) * gd:
+                    return x_new, f_new, g_new
+            counts["n_backtracks"] += 1
+            step *= _FLOOR_BACKTRACK if at_floor else config.backtrack
+        return None
+
     mem: list = []
     gamma = 1.0
     iterations = 0
@@ -450,38 +522,21 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
             stop_reason = "max_iter"
             break
         iterations += 1
-        if mem:
-            d = -_two_loop(mem, g, gamma)
-        else:
-            d = -g
-        gd = float(np.dot(g, d))
-        if gd >= 0.0:
-            d = -g
+        while True:
+            d = -_two_loop(mem, g, gamma, precondition) if mem else -precondition(g)
             gd = float(np.dot(g, d))
-        step = 1.0 if mem else 1.0 / max(1.0, float(np.linalg.norm(g)))
-        floor = np.finfo(float).eps * abs(f) / config.armijo_c1
-        accepted = None
-        for _ in range(60):
-            x_new = x + step * d
-            f_new = f_only(x_new)  # a NaN or inf energy fails both tests below
-            at_floor = -step * gd <= floor
-            if not at_floor:
-                if f_new <= f + config.armijo_c1 * step * gd:
-                    accepted = f_and_g(x_new)
-                    break
-            elif f_new <= f:
-                f_new, g_new = f_and_g(x_new)
-                slope = float(np.dot(g_new, d))
-                if slope < _WOLFE_SIGMA * gd:
-                    break  # too short for the curvature side, and so is every shorter step
-                if slope <= (2.0 * config.armijo_c1 - 1.0) * gd:
-                    accepted = f_new, g_new
-                    break
-            step *= _FLOOR_BACKTRACK if at_floor else config.backtrack
+            if gd >= 0.0:
+                d = -precondition(g)
+                gd = float(np.dot(g, d))
+            accepted = line_search(x, f, d, gd)
+            if accepted is not None or not mem:
+                break
+            mem.clear()  # the L-BFGS restart: retry once along -K_ii^{-1} g
+            counts["n_restarts"] += 1
         if accepted is None:
             stop_reason = "stalled"
             break
-        f_new, g_new = accepted
+        x_new, f_new, g_new = accepted
         if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
             raise DivergenceError("non-finite energy or gradient during descent")
         s = x_new - x
@@ -491,7 +546,7 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
             mem.append((s, y, 1.0 / sy))
             if len(mem) > config.memory:
                 mem.pop(0)
-            gamma = sy / float(np.dot(y, y))
+            gamma = sy / float(np.dot(y, precondition(y)))
         x, f, g = x_new, f_new, g_new
         trace.append(f)
         if sup_res(g) <= config.grad_tol:
@@ -506,6 +561,7 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
         mp_margin=check_max_principle(mesh, chart, final),
         converged=stop_reason == "converged",
         stop_reason=stop_reason,
+        **counts,
     )
     return final, report
 

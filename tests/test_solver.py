@@ -352,3 +352,114 @@ def test_solve_stop_reasons():
     assert report.iterations < 3000
     assert np.all(np.diff(np.asarray(report.energy_trace)) <= 0.0)
     assert report.to_json_dict()["stop_reason"] == "stalled"
+
+
+def wavy_ring_problem(nr, nt):
+    # each boundary circle of radius r goes to the ring 0.5 r (1 + 0.1 cos 3 theta)
+    mesh = build_annulus(1.0, 2.0, nr, nt)
+    bvals = np.zeros((mesh.num_vertices, 2))
+    bidx = mesh.boundary_indices()
+    v = mesh.vertices[bidx]
+    theta = np.arctan2(v[:, 1], v[:, 0])
+    bvals[bidx] = (0.5 * (1.0 + 0.1 * np.cos(3 * theta)))[:, None] * v
+    return mesh, bvals
+
+
+@pytest.mark.parametrize("cells", [(4, 16), (8, 32), (16, 64)])
+def test_solve_iterations_do_not_grow_with_the_mesh(cells):
+    # stiffness-preconditioned L-BFGS: 7 to 12 iterations on every mesh
+    mesh, bvals = wavy_ring_problem(*cells)
+    for p in (2.0, 3.0, 4.0):
+        _, report = solve(mesh, SINH2, bvals, SolveConfig(p=p, grad_tol=1e-8))
+        assert report.converged
+        assert report.iterations <= 20
+
+
+def test_solve_euclidean_p2_is_one_newton_step():
+    # K_ii is the exact Hessian of the Euclidean p=2 energy
+    mesh, bvals = wavy_ring_problem(8, 32)
+    init = harmonic_init(mesh, bvals)
+    iidx = mesh.interior_indices()
+    pts = init.points.copy()
+    pts[iidx] += 0.1 * np.random.default_rng(5).normal(size=(iidx.size, 2))
+    state, report = solve(mesh, EUCL2, bvals, SolveConfig(p=2.0, grad_tol=1e-10),
+                          initial=MapState(pts))
+    assert report.converged
+    assert report.iterations <= 2
+    assert np.max(np.abs(state.points - init.points)) <= 1e-12
+
+
+def test_solve_restart_after_failed_line_search():
+    # at p=3 the line search fails once at the energy floor with a full
+    # memory; dropping the memory and stepping along -K_ii^{-1} g goes on
+    mesh, bvals = sin3_ring_problem()
+    _, report = solve(mesh, SINH2, bvals, SolveConfig(p=3.0, grad_tol=1e-9))
+    assert report.stop_reason == "converged"
+    assert report.n_restarts >= 1
+    assert report.to_json_dict()["n_restarts"] == report.n_restarts
+
+
+def test_solve_counters_match_assembly_calls(monkeypatch):
+    import pharmap.solver as solver_module
+
+    calls = {True: 0, False: 0}
+    assemble = solver_module._assemble
+
+    def counting(*args, need_grad=True, **kwargs):
+        calls[need_grad] += 1
+        return assemble(*args, need_grad=need_grad, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_assemble", counting)
+    mesh, bvals = sin3_ring_problem()
+    _, report = solve(mesh, SINH2, bvals, SolveConfig(p=3.0, grad_tol=1e-30))
+    assert report.n_fg == calls[True] and report.n_f == calls[False]
+    assert report.n_f > 0 and report.n_backtracks > 0 and report.n_restarts > 0
+    doc = report.to_json_dict()
+    assert [doc[k] for k in ("n_f", "n_fg", "n_backtracks", "n_restarts")] == [
+        report.n_f, report.n_fg, report.n_backtracks, report.n_restarts]
+
+
+def test_fused_line_search_energy_equals_energy_only_assembly(monkeypatch):
+    # the accepted energies come from energy+gradient assemblies; an
+    # energy-only call at each of those states gives the same bytes
+    import pharmap.solver as solver_module
+
+    states = []
+    assemble = solver_module._assemble
+
+    def recording(mesh, chart, pts, p, rule=1, need_grad=True, threads=1):
+        total, grad = assemble(mesh, chart, pts, p, rule, need_grad=need_grad, threads=threads)
+        if need_grad:
+            states.append((pts.copy(), total))
+        return total, grad
+
+    monkeypatch.setattr(solver_module, "_assemble", recording)
+    mesh, bvals = sin3_ring_problem()
+    config = SolveConfig(p=3.0, grad_tol=1e-9, quadrature=3)
+    state, report = solve(mesh, SINH2, bvals, config)
+    monkeypatch.undo()
+    assert report.converged and len(states) == report.n_fg
+    for pts, total in states:
+        assert np.float64(energy(mesh, SINH2, pts, 3.0, quadrature=3)).tobytes() == np.float64(total).tobytes()
+    totals = iter(total for _, total in states)
+    assert all(any(t == e for t in totals) for e in report.energy_trace)  # in order
+    assert energy(mesh, SINH2, state, 3.0, quadrature=3) == report.final_energy
+
+
+def test_harmonic_init_equals_direct_sparse_solve():
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
+    for cells in ((2, 8), (4, 16), (8, 32)):
+        mesh = build_annulus(1.0, 2.0, *cells)
+        bvals = np.random.default_rng(6).normal(size=(mesh.num_vertices, 2))
+        iidx, bidx = mesh.interior_indices(), mesh.boundary_indices()
+        tris = mesh.triangles
+        local = np.einsum("t,tva,twa->tvw", mesh.areas, mesh.grads, mesh.grads)
+        rows = np.repeat(tris, 3, axis=1).reshape(-1)
+        cols = np.tile(tris[:, None, :], (1, 3, 1)).reshape(-1)
+        K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.num_vertices,) * 2).tocsr()
+        want = spsolve(K[iidx][:, iidx].tocsc(), -K[iidx][:, bidx] @ bvals[bidx])
+        got = harmonic_init(mesh, bvals).points
+        assert got[iidx].tobytes() == want.tobytes()
+        assert np.array_equal(got[bidx], bvals[bidx])

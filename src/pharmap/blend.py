@@ -47,29 +47,24 @@ __all__ = [
 ]
 
 
-def _derivative_weights(t: np.ndarray) -> np.ndarray:
+def _derivative_weights(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sparse 5-point Lagrange differentiation weights for each grid point.
 
-    Returns (n, 5) weights and (n, 5) column indices packed as a pair; works
-    on nonuniform grids and falls back to one-sided stencils at the ends.
+    Returns (n, 5) weights and (n, 5) column indices; works on nonuniform
+    grids and falls back to one-sided stencils at the ends.  With the nodes
+    z_m = t[col_m] - t_i (one of them 0), the weight of node j is L_j'(0) =
+    sum_{q != j} prod_{m != j, q} (-z_m) / prod_{m != j} (z_j - z_m).
     """
     n = t.size
     width = min(5, n)
-    weights = np.zeros((n, width))
-    cols = np.zeros((n, width), dtype=np.int64)
-    for i in range(n):
-        lo = min(max(i - width // 2, 0), n - width)
-        nodes = t[lo : lo + width] - t[i]
-        for j in range(width):
-            # L_j'(0) for the Lagrange basis on `nodes` (0 is always a node)
-            others = [m for m in range(width) if m != j]
-            denom = np.prod([nodes[j] - nodes[m] for m in others])
-            num = 0.0
-            for kk in others:
-                num += np.prod([-nodes[m] for m in others if m != kk])
-            weights[i, j] = num / denom
-        cols[i] = np.arange(lo, lo + width)
-    return weights, cols
+    lo = np.clip(np.arange(n) - width // 2, 0, n - width)
+    cols = lo[:, None] + np.arange(width)
+    z = t[cols] - t[:, None]
+    eye = np.eye(width, dtype=bool)
+    denom = np.prod(np.where(eye, 1.0, z[:, :, None] - z[:, None, :]), axis=2)
+    skip = eye[:, None, :] | eye[None, :, :]  # [j, q, m]: m is j or q
+    terms = np.prod(np.where(skip, 1.0, -z[:, None, None, :]), axis=3)
+    return np.sum(np.where(eye, 0.0, terms), axis=2) / denom, cols
 
 
 def _d_dt(t: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -183,6 +178,11 @@ def _annulus_mask(t_grid, R1, R2):
     return mask
 
 
+def _c2(grid, mask):
+    """Annulus minimum of h_1/j = sinh(t)^2 / j."""
+    return float(np.min((np.sinh(grid.t_grid[mask]) ** 2)[:, None] / grid.j[mask]))
+
+
 def find_k_blend(grid: PolarMetricGrid, R1: float, R2: float, k_max: float = 2.0**40):
     """Doubling search for the hyperbolic scale that dominates j on the annulus.
 
@@ -193,8 +193,7 @@ def find_k_blend(grid: PolarMetricGrid, R1: float, R2: float, k_max: float = 2.0
     mask = _annulus_mask(grid.t_grid, R1, R2)
     t_ann = grid.t_grid[mask]
     j_ann = grid.j[mask]
-    h1 = np.sinh(t_ann) ** 2
-    c2 = float(np.min(h1[:, None] / j_ann))
+    c2 = _c2(grid, mask)
     sinh_R1_sq = np.sinh(R1) ** 2
 
     def failure(k):
@@ -229,7 +228,7 @@ def blend_metric(grid: PolarMetricGrid, k: float, R1: float, R2: float) -> Blend
     A failing certificate is returned with ``passed=False`` rather than
     raised; callers inspect the result.
     """
-    _annulus_mask(grid.t_grid, R1, R2)
+    mask = _annulus_mask(grid.t_grid, R1, R2)
     t = grid.t_grid
     phi_j, phi_h, dphi_j = partition_profile(t, R1, R2)
     h_col = hyperbolic_coefficient(k, t)
@@ -262,12 +261,9 @@ def blend_metric(grid: PolarMetricGrid, k: float, R1: float, R2: float) -> Blend
     blended = PolarMetricGrid(t, grid.theta_grid, jhat, generator, generator_dt)
     djhat = blended.d_dt()
     min_dt = float(np.min(djhat))
-    # annulus minimum of h_1/j, recorded for the certificate
-    mask = _annulus_mask(t, R1, R2)
-    c2 = float(np.min((np.sinh(t[mask]) ** 2)[:, None] / grid.j[mask]))
     return BlendResult(
         k=float(k),
-        c2=c2,
+        c2=_c2(grid, mask),
         blended=blended,
         phi_j=phi_j,
         phi_h=phi_h,

@@ -3,18 +3,18 @@
 A model space with warp ``sigma`` is covered by the single chart ``x = r * Theta``
 on R^n (r = |x| is the geodesic distance to the pole).  In these coordinates
 the metric splits into the radial eigendirection x/r with eigenvalue 1 and
-the tangential eigenspace with eigenvalue ``(sigma(r)/r)^2``:
+the tangential eigenspace with eigenvalue ``w(r) = (sigma(r)/r)^2``, so two
+scalar radial coefficients fix the metric and its derivatives:
 
-    h(x) = w(r) I + (1 - w(r)) x x^T / r^2,      w(r) = (sigma(r)/r)^2.
+    h(x)   = w I + c x x^T,                                  c = (1 - w)/r^2,
+    dh_ijk = (w'/r) delta_ij x_k + (c'/r) x_i x_j x_k + c (delta_ik x_j + delta_jk x_i),
 
-Near the pole the naive formula is 0/0; for analytic warps we switch to the
-series ``w = 1 + sigma'''(0) r^2 / 3 + O(r^4)`` below ``R_TINY``, which gives
-
-    h      = (1 + c r^2) I - c x x^T,
-    dh_ijk = c (2 x_k delta_ij - delta_ik x_j - delta_jk x_i),   c = sigma'''(0)/3,
-
-with no divisions at all.  Sampled warps cannot certify the cancellation and
-refuse evaluation inside the pole neighborhood.
+with w'/r = 2 sigma (r sigma' - sigma)/r^4 and c'/r = -(w'/r + 2c)/r^2.
+Near the pole these are 0/0; for analytic warps we switch to the series
+``w = 1 + kappa r^2 + O(r^4)``, kappa = sigma'''(0)/3, below ``R_TINY``:
+c = -kappa, w'/r = 2 kappa and c'/r = 0, with no divisions at all.  The flat
+warp gives w = 1 and c = w'/r = c'/r = 0 exactly.  Sampled warps cannot
+certify the cancellation and refuse evaluation inside the pole neighborhood.
 
 Dimension 1 targets (the Euclidean line, h = 1) are supported so that scalar
 p-harmonic oracles can run through the same solver.
@@ -44,7 +44,6 @@ class TargetChart:
             self._dim = manifold.dim
             self._warp = manifold.warp
         self.manifold = manifold
-        self._flat = isinstance(self._warp, IdentityWarp)
 
     @classmethod
     def euclidean_line(cls) -> "TargetChart":
@@ -82,85 +81,56 @@ class TargetChart:
         r = np.linalg.norm(x, axis=1)
         return float(r[0]) if squeeze else r
 
-    def _radial_factor(self, r):
-        """w(r) = (sigma(r)/r)^2 and the coefficient (1-w)/r^2, series-safe."""
+    def _radial(self, r, derivatives=False):
+        """w, c = (1-w)/r^2 and, with ``derivatives``, w'/r and c'/r; series-safe."""
         w = np.ones_like(r)
-        coef = np.zeros_like(r)
+        c = np.zeros_like(r)
+        dw = np.zeros_like(r)
+        dc = np.zeros_like(r)
         small = r < R_TINY
-        big = ~small
-        if np.any(big):
-            rb = r[big]
-            s, _, _ = self._warp.evaluate(rb)
-            if np.any(s <= 0.0):
-                raise DomainError("warp must be positive away from the pole")
-            wb = (s / rb) ** 2
-            w[big] = wb
-            coef[big] = (1.0 - wb) / rb**2
         if np.any(small):
             third = self._warp.third_at_zero
             if third is None:
                 raise DomainError(
                     f"chart metric within r < {R_TINY:g} of the pole needs an analytic warp"
                 )
-            c = third / 3.0
+            kappa = third / 3.0
             rs = r[small]
-            w[small] = 1.0 + c * rs * rs
-            coef[small] = -c
-        return w, coef
-
-    def metric(self, x):
-        """Metric matrices h(x); shape (m, n, n) for batched points."""
-        x, squeeze = self._points(x)
-        m, n = x.shape
-        eye = np.eye(n)
-        if self._flat:
-            h = np.broadcast_to(eye, (m, n, n)).copy()
-            return h[0] if squeeze else h
-        r = np.linalg.norm(x, axis=1)
-        w, coef = self._radial_factor(r)
-        h = w[:, None, None] * eye + coef[:, None, None] * (x[:, :, None] * x[:, None, :])
-        return h[0] if squeeze else h
-
-    def metric_jacobian(self, x):
-        """Derivatives dh[i,j,k] = d h_ij / d x^k; shape (m, n, n, n)."""
-        x, squeeze = self._points(x)
-        m, n = x.shape
-        if self._flat:
-            dh = np.zeros((m, n, n, n))
-            return dh[0] if squeeze else dh
-        r = np.linalg.norm(x, axis=1)
-        dh = np.empty((m, n, n, n))
-        eye = np.eye(n)
-        small = r < R_TINY
+            w[small] = 1.0 + kappa * rs * rs
+            c[small] = -kappa
+            dw[small] = 2.0 * kappa
         big = ~small
-        if np.any(small):
-            third = self._warp.third_at_zero
-            if third is None:
-                raise DomainError(
-                    f"chart metric jacobian within r < {R_TINY:g} of the pole needs an analytic warp"
-                )
-            c = third / 3.0
-            xs = x[small]
-            term = np.einsum("mk,ij->mijk", 2.0 * xs, eye)
-            term -= np.einsum("ik,mj->mijk", eye, xs)
-            term -= np.einsum("jk,mi->mijk", eye, xs)
-            dh[small] = c * term
         if np.any(big):
-            xb = x[big]
             rb = r[big]
             s, d1, _ = self._warp.evaluate(rb)
             if np.any(s <= 0.0):
                 raise DomainError("warp must be positive away from the pole")
-            w = (s / rb) ** 2
-            wprime = 2.0 * s * (d1 * rb - s) / rb**3
-            P = xb[:, :, None] * xb[:, None, :] / (rb**2)[:, None, None]
-            dP = (
-                np.einsum("ik,mj->mijk", eye, xb) + np.einsum("jk,mi->mijk", eye, xb)
-            ) / (rb**2)[:, None, None, None]
-            dP -= 2.0 * np.einsum("mi,mj,mk->mijk", xb, xb, xb) / (rb**4)[:, None, None, None]
-            radial = (wprime / rb)[:, None, None, None] * np.einsum(
-                "mij,mk->mijk", eye[None, :, :] - P, xb
-            )
-            dh[big] = (1.0 - w)[:, None, None, None] * dP + radial
-        return dh[0] if squeeze else dh
+            wb = (s / rb) ** 2
+            cb = (1.0 - wb) / rb**2
+            w[big] = wb
+            c[big] = cb
+            if derivatives:
+                dwb = 2.0 * s * (d1 * rb - s) / rb**4
+                dw[big] = dwb
+                dc[big] = -(dwb + 2.0 * cb) / rb**2
+        return (w, c, dw, dc) if derivatives else (w, c)
 
+    def metric(self, x):
+        """Metric matrices h = w I + c x x^T; shape (m, n, n) for batched points."""
+        x, squeeze = self._points(x)
+        w, c = self._radial(np.linalg.norm(x, axis=1))
+        h = w[:, None, None] * np.eye(x.shape[1]) + c[:, None, None] * (x[:, :, None] * x[:, None, :])
+        return h[0] if squeeze else h
+
+    def metric_jacobian(self, x):
+        """Derivatives dh[i,j,k] = d h_ij / d x^k (closed form in the module
+        docstring); shape (m, n, n, n)."""
+        x, squeeze = self._points(x)
+        _, c, dw, dc = self._radial(np.linalg.norm(x, axis=1), derivatives=True)
+        eye = np.eye(x.shape[1])
+        xk = x[:, None, None, :]
+        cx = c[:, None, None, None] * eye[None, :, None, :] * x[:, None, :, None]  # c delta_ik x_j
+        dh = (dw[:, None, None, None] * eye[None, :, :, None] * xk
+              + (dc[:, None, None] * (x[:, :, None] * x[:, None, :]))[..., None] * xk
+              + (cx + cx.swapaxes(1, 2)))
+        return dh[0] if squeeze else dh

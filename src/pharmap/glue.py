@@ -18,9 +18,15 @@ nonnegative second derivative - enough regularity for every downstream
 numerical check, and certifiable.
 
 The free plateau slope ``s`` is fixed by matching ``tau = sigma_k`` at the
-outer band edge, found by bisection (the mismatch is strictly increasing in
-``s``).  ``certify`` measures the convexity margin, the slope margin, head
-and tail mismatches and the curvatures of ``tau`` and emits a certificate.
+outer band edge.  That mismatch is affine in ``s``,
+
+    tau(R2+delta; s) - sigma_k(R2+delta) = mismatch(0) + (R2 - R1) s,
+    mismatch(0) = rho(R1-delta) + delta (rho'(R1-delta) + sigma_k'(R2+delta)) - sigma_k(R2+delta),
+
+so ``s = -mismatch(0)/(R2 - R1)``, clipped to the monotone bracket
+[rho'(R1-delta), sigma_k'(R2+delta)].  ``certify`` measures the convexity
+margin, the slope margin, head and tail mismatches and the curvatures of
+``tau`` and emits a certificate.
 
 The same surgery applies per ray to a 2-dimensional metric given by angular
 samples ``nu(., theta)``: one (k, R1, R2) is chosen to satisfy the secant
@@ -124,6 +130,14 @@ class GluedWarp(WarpingFunction):
         self.s = float(s)
         self.value_tol = float(value_tol)
         self.third_at_zero = rho.third_at_zero
+        # values and slopes at the band edges, which anchor the pieces
+        a, b, c, d = self.edges
+        rho_a, drho_a, _ = (float(v) for v in rho.evaluate(np.asarray(a)))
+        sig_d, dsig_d, _ = (float(v) for v in sigma_k.evaluate(np.asarray(d)))
+        tau_b = rho_a + self.delta * (drho_a + self.s)
+        tau_c = tau_b + self.s * (c - b)
+        tau_d = tau_c + self.delta * (self.s + dsig_d)
+        self._anchors = (rho_a, drho_a, sig_d, dsig_d, tau_b, tau_c, tau_d)
 
     # band edges
     @property
@@ -131,20 +145,11 @@ class GluedWarp(WarpingFunction):
         d = self.delta
         return (self.R1 - d, self.R1 + d, self.R2 - d, self.R2 + d)
 
-    def _anchors(self):
-        a, b, c, d = self.edges
-        rho_a, drho_a, _ = self.rho.evaluate(np.asarray(a))
-        sig_d, dsig_d, _ = self.sigma_k.evaluate(np.asarray(d))
-        tau_b = float(rho_a) + self.delta * (float(drho_a) + self.s)
-        tau_c = tau_b + self.s * (c - b)
-        tau_d = tau_c + self.delta * (self.s + float(dsig_d))
-        return (float(rho_a), float(drho_a), float(sig_d), float(dsig_d), tau_b, tau_c, tau_d)
-
     def _eval(self, r):
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
         a, b, c, d = self.edges
-        rho_a, drho_a, sig_d, dsig_d, tau_b, tau_c, tau_d = self._anchors()
+        rho_a, drho_a, sig_d, dsig_d, tau_b, tau_c, tau_d = self._anchors
         ramp1 = (self.s - drho_a) / (2.0 * self.delta)
         ramp2 = (dsig_d - self.s) / (2.0 * self.delta)
 
@@ -273,12 +278,12 @@ def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
 
 def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: float,
               delta: float, value_tol: float = 1e-10) -> GluedWarp:
-    """Assemble the glued warp; the plateau slope comes from a bisection root-find.
+    """Assemble the glued warp with the plateau slope that matches the tail.
 
-    The mismatch ``tau(R2+delta; s) - sigma_k(R2+delta)`` is strictly
-    increasing in s, bracketed by the monotonicity bounds
-    [rho'(R1-delta), sigma_k'(R2+delta)]; an empty bracket means the chosen k
-    is infeasible.
+    The mismatch ``tau(R2+delta; s) - sigma_k(R2+delta)`` is affine in s with
+    slope R2 - R1, so its root is solved for directly and clipped to the
+    monotonicity bracket [rho'(R1-delta), sigma_k'(R2+delta)]; a root outside
+    that bracket means the chosen k is infeasible.
     """
     if not (0.0 < R1 < R2):
         raise UsageError("build_tau needs 0 < R1 < R2")
@@ -288,14 +293,11 @@ def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: flo
 
     rho_a, drho_a, _ = (float(v) for v in rho.evaluate(np.asarray(R1 - delta)))
     sig_d, dsig_d, _ = (float(v) for v in sigma_k.evaluate(np.asarray(R2 + delta)))
-
-    def mismatch(s):
-        # closed form of tau(R2+delta; s) - sigma_k(R2+delta)
-        return rho_a + delta * (drho_a + s) + s * (R2 - R1 - 2.0 * delta) + delta * (s + dsig_d) - sig_d
+    mismatch0 = rho_a + delta * (drho_a + dsig_d) - sig_d
 
     lo, hi = drho_a, dsig_d
     scale = max(1.0, abs(sig_d))
-    f_lo, f_hi = mismatch(lo), mismatch(hi)
+    f_lo, f_hi = mismatch0 + (R2 - R1) * lo, mismatch0 + (R2 - R1) * hi
     if f_lo > 1e-12 * scale:
         raise InfeasibleError(
             f"plateau slope root lies below the monotone bracket (mismatch at rho'(R1-delta): {f_lo:.3g})"
@@ -304,20 +306,7 @@ def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: flo
         raise InfeasibleError(
             f"plateau slope root lies above the monotone bracket (mismatch at sigma_k'(R2+delta): {f_hi:.3g})"
         )
-    if hi <= lo:
-        s = lo
-    else:
-        for _ in range(200):
-            s = 0.5 * (lo + hi)
-            fm = mismatch(s)
-            if abs(fm) <= 1e-13 * scale or (hi - lo) <= 1e-16 * max(1.0, abs(lo) + abs(hi)):
-                break
-            if fm > 0.0:
-                hi = s
-            else:
-                lo = s
-        else:  # pragma: no cover - bisection always terminates earlier
-            raise ConstructionError("plateau slope bisection failed to converge")
+    s = max(min(-mismatch0 / (R2 - R1), hi), lo)
 
     gw = GluedWarp(rho, sigma_k, R1, R2, delta, k, s, value_tol)
     # defence in depth: the derivative profile must be monotone

@@ -171,6 +171,28 @@ class ScaledWarp(WarpingFunction):
         return f"<ScaledWarp k={self.k} of {self.base!r}>"
 
 
+def _hermite_bernstein(radii, values, derivs, second_derivs=None):
+    """Bernstein coefficients, shape (degree + 1, intervals), of the Hermite pieces.
+
+    On [x0, x1] with h = x1 - x0 the q-th derivative at x0 is d!/(d-q)! h^-q
+    times the q-th forward difference of the first coefficients (backward
+    differences of the last ones at x1): the recurrence of
+    ``BPoly.from_derivatives``, for all intervals at once.
+    """
+    h = np.diff(radii)
+    degree = 3 if second_derivs is None else 5
+    c = np.empty((degree + 1, h.size))
+    c[0] = values[:-1]
+    c[-1] = values[1:]
+    c[1] = derivs[:-1] / degree * h + c[0]
+    c[-2] = c[-1] - derivs[1:] / degree * h
+    if second_derivs is not None:
+        scale = degree * (degree - 1.0)
+        c[2] = (second_derivs[:-1] / scale * h**2 - c[0]) + 2.0 * c[1]
+        c[-3] = (second_derivs[1:] / scale * h**2 + 2.0 * c[-2]) - c[-1]
+    return c
+
+
 class SplineWarp(WarpingFunction):
     """Piecewise-polynomial warp interpolating sampled derivative data.
 
@@ -202,18 +224,15 @@ class SplineWarp(WarpingFunction):
         if radii[0] == 0.0:
             if abs(values[0]) > 1e-9 or abs(derivs[0] - 1.0) > 1e-9:
                 raise UsageError("a warp sampled from r=0 must have sigma(0)=0 and sigma'(0)=1")
-        cols = [values, derivs]
         if second_derivs is not None:
             second_derivs = np.asarray(second_derivs, dtype=float)
             if second_derivs.shape != radii.shape or not np.all(np.isfinite(second_derivs)):
                 raise UsageError("second-derivative knots must match the radii and be finite")
-            cols.append(second_derivs)
         self.radii = radii
         self.values = values
         self.derivs = derivs
         self.second_derivs = second_derivs
-        data = np.stack(cols, axis=1)
-        self._poly = BPoly.from_derivatives(radii, data)
+        self._poly = BPoly(_hermite_bernstein(radii, values, derivs, second_derivs), radii)
         self._dpoly = self._poly.derivative()
         self._ddpoly = self._dpoly.derivative()
         # Taylor tail data at the last knot (one-sided limits of the spline).

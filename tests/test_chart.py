@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pharmap.chart import TargetChart
+from pharmap.chart import R_TINY, TargetChart
 from pharmap.errors import DomainError
-from pharmap.warp import IdentityWarp, ModelManifold, SinhWarp, SplineWarp
+from pharmap.warp import IdentityWarp, ModelManifold, OddPolynomialWarp, ScaledWarp, SinhWarp, SplineWarp
 
 SINH2 = TargetChart.from_warp(SinhWarp(), 2)
 SINH3 = TargetChart.from_warp(SinhWarp(), 3)
@@ -131,3 +133,81 @@ def test_radial_polyline_length():
 def test_manifold_dim_validation():
     with pytest.raises(Exception):
         ModelManifold(1, SinhWarp())
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def admissible_warps(draw):
+    """Sinh, an odd polynomial with nonnegative coefficients, or a rescaling of either."""
+    base = draw(st.sampled_from(["sinh", "poly"]))
+    if base == "sinh":
+        warp = SinhWarp()
+    else:
+        coeffs = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3))
+        warp = OddPolynomialWarp([1.0, *coeffs])
+    if draw(st.booleans()):
+        warp = ScaledWarp(warp, draw(st.floats(0.25, 4.0)))
+    return warp
+
+
+@st.composite
+def chart_points(draw):
+    """A chart of dimension 2 or 3 and a point on either side of R_TINY (r <= 3)."""
+    chart = TargetChart.from_warp(draw(admissible_warps()), draw(st.sampled_from([2, 3])))
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=chart.dim, max_size=chart.dim)))
+    assume(np.linalg.norm(u) > 0.1)
+    exponent = draw(st.one_of(st.floats(-8.0, -5.0), st.floats(-3.0, math.log10(3.0))))
+    return chart, u / np.linalg.norm(u) * 10.0**exponent
+
+
+def rounding_bound(chart, x, dh):
+    # c = (1 - w)/r^2 cancels above R_TINY: its absolute rounding error is
+    # about eps/r^2, which reaches dh through c x as about eps/r
+    r = np.linalg.norm(x)
+    return 1e-13 * max(1.0, np.max(np.abs(dh))) + (16.0 * EPS / r if r >= R_TINY else 0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(chart_points(), st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))
+def test_metric_jacobian_properties(case, rotation_seed):
+    chart, x = case
+    n = chart.dim
+    dh = chart.metric_jacobian(x)
+    assert np.array_equal(dh, np.swapaxes(dh, 0, 1))
+    A = np.array(rotation_seed[: n * n]).reshape(n, n) + 3.0 * np.eye(n)
+    Q, _ = np.linalg.qr(A)
+    rotated = np.einsum("ia,jb,kc,abc->ijk", Q, Q, Q, dh)
+    assert np.max(np.abs(chart.metric_jacobian(Q @ x) - rotated)) <= rounding_bound(chart, x, dh)
+    if np.linalg.norm(x) >= 1e-3:
+        step = 1e-5
+        fd = np.stack([(chart.metric(x + step * e) - chart.metric(x - step * e)) / (2 * step)
+                       for e in np.eye(n)], axis=-1)
+        assert np.max(np.abs(fd - dh)) <= 1e-6 * max(1.0, np.max(np.abs(dh)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(admissible_warps(), st.sampled_from([2, 3]), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi))
+def test_metric_jacobian_continuous_across_r_tiny(warp, n, phi, theta):
+    chart = TargetChart.from_warp(warp, n)
+    u = np.array([math.cos(phi), math.sin(phi)]) if n == 2 else np.array(
+        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+    below = chart.metric_jacobian(u * R_TINY * (1.0 - 2.0**-20))
+    above = chart.metric_jacobian(u * R_TINY * (1.0 + 2.0**-20))
+    kappa = warp.third_at_zero / 3.0
+    # the jump is rounding (see rounding_bound) plus the change of dh ~ kappa x over the gap
+    assert np.max(np.abs(above - below)) <= 16.0 * EPS / R_TINY + 8.0 * abs(kappa) * R_TINY * 2.0**-19
+
+
+def test_metric_jacobian_at_pole_is_zero():
+    for chart in (SINH2, SINH3, TargetChart.from_warp(OddPolynomialWarp([1.0, 0.5, 0.1]), 3)):
+        assert np.array_equal(chart.metric_jacobian(np.zeros(chart.dim)), np.zeros((chart.dim,) * 3))
+
+
+def test_sampled_warp_metric_jacobian_refuses_the_pole():
+    sampled = TargetChart.from_warp(SplineWarp.sample(SinhWarp(), np.linspace(0, 2, 40)), 2)
+    with pytest.raises(DomainError):
+        sampled.metric_jacobian(np.array([1e-8, 0.0]))
+    with pytest.raises(DomainError):
+        sampled.metric_jacobian(np.array([[0.5, 0.0], [0.0, 1e-8]]))

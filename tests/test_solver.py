@@ -389,9 +389,26 @@ def test_solve_euclidean_p2_is_one_newton_step():
     assert np.max(np.abs(state.points - init.points)) <= 1e-12
 
 
-def test_solve_restart_after_failed_line_search():
-    # at p=3 the line search fails once at the energy floor with a full
-    # memory; dropping the memory and stepping along -K_ii^{-1} g goes on
+def test_solve_restart_after_failed_line_search(monkeypatch):
+    # one whole line search mid-solve (the third iteration's, on this data)
+    # is rejected: its energies read +inf.  With a nonempty memory the solver
+    # must drop the memory and retry along -K_ii^{-1} g, not stop as "stalled"
+    import pharmap.solver as solver_module
+
+    assemble = solver_module._assemble
+    fg_calls = [0]
+
+    def rejecting(*args, need_grad=True, **kwargs):
+        total, grad = assemble(*args, need_grad=need_grad, **kwargs)
+        if need_grad:
+            fg_calls[0] += 1
+        # energy+gradient call 1 is the initial state; a line search starts
+        # with one such call, and one that accepts nothing makes no other
+        if fg_calls[0] == 4:
+            total = np.inf
+        return total, grad
+
+    monkeypatch.setattr(solver_module, "_assemble", rejecting)
     mesh, bvals = sin3_ring_problem()
     _, report = solve(mesh, SINH2, bvals, SolveConfig(p=3.0, grad_tol=1e-9))
     assert report.stop_reason == "converged"

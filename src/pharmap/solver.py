@@ -2,13 +2,14 @@
 
 The unknown is a per-vertex chart point q_v in R^n on a flat triangulated
 domain; the affine interpolant has a constant differential D on each
-triangle, and the discrete p-energy with one quadrature point at the image
-centroid qbar is
+triangle, and the discrete p-energy is
 
-    E = sum_T (area_T / p) * e_T^{p/2},
-    e_T = sum_{alpha=1,2} h_ij(qbar_T) D_alpha^i D_alpha^j,
+    E = sum_T (area_T / p) * sum_q w_q e_T(x_q)^{p/2},
+    e_T(x) = sum_{alpha=1,2} h_ij(x) D_alpha^i D_alpha^j,
 
-which is exact for affine maps into Euclidean targets.  The analytic
+over the quadrature points x_q of the image triangle: rule 1 is the image
+centroid (weight 1), which is exact for affine maps into Euclidean targets,
+and rule 3 the three image edge midpoints (weight 1/3 each).  The analytic
 gradient carries both the |du|^{p-2} du part and the metric-derivative part
 through d h_ij / d x^k; for p >= 2 the integrand is C^1 also where du = 0.
 
@@ -49,12 +50,17 @@ The first trial of each line search assembles energy and gradient together,
 since it is accepted in most iterations; later trials assemble the energy
 alone.  Both give the same energy bytes.
 
-Assembly is evaluated in fixed-size triangle chunks whose results land in
-preallocated slots and are reduced in index order, so energies and gradients
-are byte-reproducible for any thread count.  The energy total is a
-faithful rounding of the exact sum of the per-triangle terms (``_total``):
-a plain pairwise sum would add a few ulps of noise, which at the floor the
-comparison phi(a) <= phi(0) would read as rises.
+Assembly is evaluated in fixed-size triangle chunks.  A chunk stacks all of
+its quadrature points and queries the chart once for them: one ``metric``
+call and, for the gradient, one ``metric_jacobian`` call.  The contractions
+with D are batched matrix products, and energy-only and energy+gradient
+assemblies share the energy code.  Chunk results land in preallocated slots
+and are reduced in index order; the gradient is scattered to the vertices
+with one ``np.bincount`` per component, which adds in triangle order.  So
+energies and gradients are byte-reproducible for any thread count.  The
+energy total is a faithful rounding of the exact sum of the per-triangle
+terms (``_total``): a plain pairwise sum would add a few ulps of noise,
+which at the floor the comparison phi(a) <= phi(0) would read as rises.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
+from scipy.spatial.distance import pdist
 
 from ._table import read_table, write_table
 from .chart import TargetChart
@@ -210,44 +217,37 @@ def _check_shapes(mesh: TriMesh, chart: TargetChart, pts: np.ndarray):
         )
 
 
-_QUAD_WEIGHTS = {
-    # quadrature id -> list of (barycentric weights of the evaluation point, rule weight)
-    1: [(np.array([1.0, 1.0, 1.0]) / 3.0, 1.0)],
-    3: [
-        (np.array([0.5, 0.5, 0.0]), 1.0 / 3.0),
-        (np.array([0.0, 0.5, 0.5]), 1.0 / 3.0),
-        (np.array([0.5, 0.0, 0.5]), 1.0 / 3.0),
-    ],
+_QUAD_RULES = {
+    # quadrature id -> (barycentric coordinates of the points (nq, 3), rule weights (nq,))
+    1: (np.full((1, 3), 1.0 / 3.0), np.array([1.0])),
+    3: (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]), np.full(3, 1.0 / 3.0)),
 }
 
 
 def _assemble_chunk(mesh, chart, pts, p, rule, sl, e_out, g_out):
     tris = mesh.triangles[sl]
-    G = mesh.grads[sl]
+    G = mesh.grads[sl]  # (m, 3, 2)
     areas = mesh.areas[sl]
     Q = pts[tris]  # (m, 3, n)
-    D = np.einsum("tva,tvi->tai", G, Q)
-    half = 0.5 * (p - 2.0)
-    dens = np.zeros(tris.shape[0])
-    grad = np.zeros_like(Q) if g_out is not None else None
-    for bary, weight in _QUAD_WEIGHTS[rule]:
-        xq = np.einsum("v,tvi->ti", bary, Q)
-        H = chart.metric(xq)
-        DH = np.einsum("tai,tij->taj", D, H)
-        e = np.einsum("tai,tai->t", DH, D)
-        np.maximum(e, 0.0, out=e)  # clip the roundoff of the quadratic form
-        epow = e**half if p != 2.0 else np.ones_like(e)
-        dens += weight * epow * e
-        if grad is not None:
-            dH = chart.metric_jacobian(xq)
-            Jc = np.einsum("tai,tijc,taj->tc", D, dH, D)
-            w = (0.5 * weight) * areas * epow
-            term_d = 2.0 * np.einsum("tva,tac->tvc", G, DH)
-            term_m = bary[None, :, None] * Jc[:, None, :]
-            grad += w[:, None, None] * (term_d + term_m)
-    e_out[sl] = (areas / p) * dens
-    if g_out is not None:
-        g_out[sl] = grad
+    m, n = Q.shape[0], Q.shape[2]
+    bary, weights = _QUAD_RULES[rule]
+    nq = weights.size
+    D = G.transpose(0, 2, 1) @ Q  # (m, 2, n)
+    xq = (bary @ Q).reshape(m * nq, n)  # every quadrature point of the chunk
+    H = chart.metric(xq).reshape(m, nq, n, n)
+    DH = D[:, None] @ H  # (m, nq, 2, n)
+    e = np.sum(DH * D[:, None], axis=(2, 3))  # (m, nq)
+    np.maximum(e, 0.0, out=e)  # clip the roundoff of the quadratic form
+    epow = e ** (0.5 * (p - 2.0)) if p != 2.0 else np.ones_like(e)
+    e_out[sl] = (areas / p) * ((epow * e) @ weights)
+    if g_out is None:
+        return
+    dH = chart.metric_jacobian(xq).reshape(m, nq, n * n, n)
+    DtD = (D.transpose(0, 2, 1) @ D).reshape(m, 1, 1, n * n)
+    Jc = (DtD @ dH).reshape(m, nq, n)  # D_ai dh_ijc D_aj
+    w = (0.5 * weights) * areas[:, None] * epow  # (m, nq)
+    wDH = (w[:, None, :] @ DH.reshape(m, nq, 2 * n)).reshape(m, 2, n)
+    g_out[sl] = 2.0 * (G @ wDH) + bary.T @ (w[:, :, None] * Jc)
 
 
 def _total(terms):
@@ -294,8 +294,10 @@ def _assemble(mesh, chart, pts, p, rule=1, need_grad=True, threads=1):
     total = _total(e_out)
     if not need_grad:
         return total, None
-    grad_full = np.zeros_like(pts)
-    np.add.at(grad_full, mesh.triangles.reshape(-1), g_out.reshape(-1, chart.dim))
+    idx = mesh.triangles.reshape(-1)
+    flat = g_out.reshape(-1, chart.dim)
+    grad_full = np.column_stack([np.bincount(idx, weights=flat[:, c], minlength=pts.shape[0])
+                                 for c in range(chart.dim)])
     return total, grad_full
 
 
@@ -581,9 +583,7 @@ def uniqueness_probe(mesh: TriMesh, chart: TargetChart, boundary_values, config:
     bidx = mesh.boundary_indices()
     iidx = mesh.interior_indices()
     bdata = bvals[bidx]
-    diam = 0.0
-    for i in range(bdata.shape[0]):
-        diam = max(diam, float(np.max(np.linalg.norm(bdata[i + 1 :] - bdata[i], axis=1), initial=0.0)))
+    diam = float(pdist(bdata).max(initial=0.0))
     rng = np.random.default_rng(config.seed)
     base = harmonic_init(mesh, bvals)
     states = []

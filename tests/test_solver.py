@@ -26,6 +26,7 @@ from pharmap.warp import IdentityWarp, SinhWarp
 
 EUCL2 = TargetChart.from_warp(IdentityWarp(), 2)
 SINH2 = TargetChart.from_warp(SinhWarp(), 2)
+SINH3 = TargetChart.from_warp(SinhWarp(), 3)
 LINE = TargetChart.euclidean_line()
 
 
@@ -97,7 +98,7 @@ def test_gradient_matches_finite_differences(quadrature):
     mesh_r = build_rect(1.0, 1.0, 2, 2)
     mesh_a = build_annulus(1.0, 2.0, 2, 6)
     step = 1e-5
-    for mesh, chart in ((mesh_r, EUCL2), (mesh_a, SINH2), (mesh_a, LINE)):
+    for mesh, chart in ((mesh_r, EUCL2), (mesh_a, SINH2), (mesh_a, SINH3), (mesh_a, LINE)):
         n = chart.dim
         for p in (2.0, 2.5, 3.0, 4.0):
             pts = 0.5 * rng.normal(size=(mesh.num_vertices, n))
@@ -290,6 +291,37 @@ def test_thread_pool_assembly_is_byte_identical(quadrature):
         g = energy_gradient(mesh, SINH2, state, 3.0, quadrature=quadrature, threads=threads)
         results.append((np.float64(e).tobytes(), g.tobytes()))
     assert results[0] == results[1] == results[2]
+
+
+class CountingChart(TargetChart):
+    def __init__(self, manifold):
+        super().__init__(manifold)
+        self.calls = {"metric": 0, "metric_jacobian": 0}
+
+    def metric(self, x):
+        self.calls["metric"] += 1
+        return super().metric(x)
+
+    def metric_jacobian(self, x):
+        self.calls["metric_jacobian"] += 1
+        return super().metric_jacobian(x)
+
+
+@pytest.mark.parametrize("quadrature", [1, 3])
+def test_assembly_queries_the_chart_once_per_chunk(quadrature):
+    # every quadrature point of a chunk goes into one metric call (and, for
+    # the gradient, one metric_jacobian call), whatever the rule
+    rng = np.random.default_rng(7)
+    for cells, chunks in (((3, 12), 1), ((16, 144), 2)):
+        mesh = build_annulus(1.0, 2.0, *cells)
+        assert -(-mesh.num_triangles // _CHUNK) == chunks
+        state = MapState(0.5 * mesh.vertices + 0.05 * rng.normal(size=mesh.vertices.shape))
+        chart = CountingChart(SINH2.manifold)
+        energy(mesh, chart, state, 3.0, quadrature=quadrature)
+        assert chart.calls == {"metric": chunks, "metric_jacobian": 0}
+        chart = CountingChart(SINH2.manifold)
+        energy_gradient(mesh, chart, state, 3.0, quadrature=quadrature)
+        assert chart.calls == {"metric": chunks, "metric_jacobian": chunks}
 
 
 def test_boundary_csv_round_trip(tmp_path):

@@ -26,7 +26,6 @@ estimate actually consumes.  The partition uses the quintic smoothstep, so
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,9 +149,6 @@ class BlendResult:
             "pass": bool(self.passed),
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 def hess_T_coefficient(grid: PolarMetricGrid) -> np.ndarray:
     """The field (1/2) d_t j whose positivity makes T strictly convex off the rays."""
@@ -234,28 +230,25 @@ def blend_metric(grid: PolarMetricGrid, k: float, R1: float, R2: float) -> Blend
     h_col = hyperbolic_coefficient(k, t)
     jhat = phi_j[:, None] * grid.j + phi_h[:, None] * h_col[:, None]
 
-    generator = None
-    generator_dt = None
-    if grid.generator is not None:
-        base = grid.generator
+    base, base_dt = grid.generator, grid.generator_dt
+    generator = generator_dt = None
+    if base is not None:
 
-        def generator(tt, hh, _base=base, _k=k, _R1=R1, _R2=R2):
-            pj, ph, _ = partition_profile(tt, _R1, _R2)
-            return pj * np.asarray(_base(tt, hh)) + ph * hyperbolic_coefficient(_k, tt)
+        def generator(tt, hh):
+            pj, ph, _ = partition_profile(tt, R1, R2)
+            return pj * np.asarray(base(tt, hh)) + ph * hyperbolic_coefficient(k, tt)
 
-    if grid.generator is not None and grid.generator_dt is not None:
-        base = grid.generator
-        base_dt = grid.generator_dt
+    if base is not None and base_dt is not None:
 
-        def generator_dt(tt, hh, _b=base, _bdt=base_dt, _k=k, _R1=R1, _R2=R2):
-            pj, ph, dpj = partition_profile(tt, _R1, _R2)
-            sq = np.sqrt(_k)
+        def generator_dt(tt, hh):
+            pj, ph, dpj = partition_profile(tt, R1, R2)
+            sq = np.sqrt(k)
             dh = np.sinh(2.0 * sq * tt) / sq
             return (
-                pj * np.asarray(_bdt(tt, hh))
+                pj * np.asarray(base_dt(tt, hh))
                 + ph * dh
-                + dpj * np.asarray(_b(tt, hh))
-                - dpj * hyperbolic_coefficient(_k, tt)
+                + dpj * np.asarray(base(tt, hh))
+                - dpj * hyperbolic_coefficient(k, tt)
             )
 
     blended = PolarMetricGrid(t, grid.theta_grid, jhat, generator, generator_dt)

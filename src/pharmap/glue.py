@@ -36,7 +36,6 @@ joint certificate additionally reports a Lipschitz bound on s(theta).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +68,7 @@ __all__ = [
 CONVEXITY_TOL = 1e-9
 SLOPE_TOL = 1e-12
 CURVATURE_TOL = 1e-9
+_RAY_CERT_POINTS = 2001  # certification grid size of each glued ray in ``glue2d``
 
 
 @dataclass
@@ -132,8 +132,8 @@ class GluedWarp(WarpingFunction):
         self.third_at_zero = rho.third_at_zero
         # values and slopes at the band edges, which anchor the pieces
         a, b, c, d = self.edges
-        rho_a, drho_a, _ = (float(v) for v in rho.evaluate(np.asarray(a)))
-        sig_d, dsig_d, _ = (float(v) for v in sigma_k.evaluate(np.asarray(d)))
+        rho_a, drho_a, _ = (float(v) for v in rho.evaluate(a))
+        sig_d, dsig_d, _ = (float(v) for v in sigma_k.evaluate(d))
         tau_b = rho_a + self.delta * (drho_a + self.s)
         tau_c = tau_b + self.s * (c - b)
         tau_d = tau_c + self.delta * (self.s + dsig_d)
@@ -146,8 +146,6 @@ class GluedWarp(WarpingFunction):
         return (self.R1 - d, self.R1 + d, self.R2 - d, self.R2 + d)
 
     def _eval(self, r):
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
         a, b, c, d = self.edges
         rho_a, drho_a, sig_d, dsig_d, tau_b, tau_c, tau_d = self._anchors
         ramp1 = (self.s - drho_a) / (2.0 * self.delta)
@@ -184,12 +182,7 @@ class GluedWarp(WarpingFunction):
             s_out[tail] = tau_d + (sv - sig_d)
             d1_out[tail] = dv
             d2_out[tail] = ddv
-        if scalar:
-            return s_out[0], d1_out[0], d2_out[0]
         return s_out, d1_out, d2_out
-
-    def tau_prime(self, r):
-        return self.evaluate(r)[1]
 
     def with_slope(self, s: float) -> "GluedWarp":
         """Copy with a replaced plateau slope (for adversarial checks)."""
@@ -224,9 +217,6 @@ class GlueCertificate:
             doc.update({"R1": gw.R1, "R2": gw.R2, "delta": gw.delta, "k": gw.k, "s": gw.s})
         return doc
 
-    def to_json(self, gw: GluedWarp | None = None):
-        return json.dumps(self.to_json_dict(gw), indent=2)
-
 
 def choose_radii(spec: GlueSpec):
     """Intermediate radii at the interior thirds of (R_bar, R)."""
@@ -241,10 +231,10 @@ def _secant_conditions(rho, sigma_k, R1, R2, delta):
     With delta = 0 this reduces to the plain secant inequality at (R1, R2).
     The shifted form bounds the plateau-slope root of ``build_tau``.
     """
-    rho_lo, _, _ = rho.evaluate(np.asarray(R1 - delta))
-    _, drho_hi, _ = rho.evaluate(np.asarray(R1 + delta))
-    sig_hi, _, _ = sigma_k.evaluate(np.asarray(R2 + delta))
-    _, dsig_lo, _ = sigma_k.evaluate(np.asarray(R2 - delta))
+    rho_lo, _, _ = rho.evaluate(R1 - delta)
+    _, drho_hi, _ = rho.evaluate(R1 + delta)
+    sig_hi, _, _ = sigma_k.evaluate(R2 + delta)
+    _, dsig_lo, _ = sigma_k.evaluate(R2 - delta)
     denom = (R2 - delta) - (R1 + delta)
     quotient = (float(sig_hi) - float(rho_lo) - 2.0 * delta * float(drho_hi)) / denom
     return float(drho_hi), quotient, float(dsig_lo)
@@ -291,8 +281,8 @@ def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: flo
         raise DomainError("build_tau needs 0 < delta < (R2-R1)/2")
     k = sigma_k.k if isinstance(sigma_k, ScaledWarp) else 1.0
 
-    rho_a, drho_a, _ = (float(v) for v in rho.evaluate(np.asarray(R1 - delta)))
-    sig_d, dsig_d, _ = (float(v) for v in sigma_k.evaluate(np.asarray(R2 + delta)))
+    rho_a, drho_a, _ = (float(v) for v in rho.evaluate(R1 - delta))
+    sig_d, dsig_d, _ = (float(v) for v in sigma_k.evaluate(R2 + delta))
     mismatch0 = rho_a + delta * (drho_a + dsig_d) - sig_d
 
     lo, hi = drho_a, dsig_d
@@ -382,16 +372,25 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
     )
 
 
-def glue_pipeline(spec: GlueSpec, cert_points: int = 4001):
-    """Full pipeline: validate, choose radii, search k, build tau, certify."""
+def _glue_plan(spec: GlueSpec):
+    """Validate ``spec`` and return the intermediate radii and band (R1, R2, delta).
+
+    Every band is narrower than the (R2-R1)/2 that ``build_tau`` needs: the
+    default is at most (R2-R1)/10 and ``validate`` keeps a given one below
+    (R - R_bar)/8 = 3(R2-R1)/8.
+    """
     spec.validate()
     R1, R2 = choose_radii(spec)
     delta = spec.delta if spec.delta is not None else min(0.05, (R2 - R1) / 10.0)
-    if not (0.0 < delta < (R2 - R1) / 2.0):
-        raise UsageError("delta is too large for the chosen intermediate radii")
+    return R1, R2, delta
+
+
+def glue_pipeline(spec: GlueSpec):
+    """Full pipeline: validate, choose radii, search k, build tau, certify on the default grid."""
+    R1, R2, delta = _glue_plan(spec)
     k = find_k(spec.rho, spec.sigma, R1, R2, delta, spec.k_max)
     gw = build_tau(spec.rho, ScaledWarp(spec.sigma, k), R1, R2, delta, spec.value_tol)
-    cert = certify(gw, default_certification_grid(gw, cert_points))
+    cert = certify(gw, default_certification_grid(gw))
     return gw, cert
 
 
@@ -442,24 +441,22 @@ def rays_from_polar_samples(t_grid, nu, dnu=None) -> list[SplineWarp]:
 
 
 def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
-           delta: float | None = None, k_max: float = 2.0**40, value_tol: float = 1e-10,
-           cert_points: int = 2001) -> Glue2DResult:
+           delta: float | None = None, k_max: float = 2.0**40, value_tol: float = 1e-10) -> Glue2DResult:
     """Glue a hyperbolic-type infinity onto a 2d metric given per ray.
 
     Each ray (the angular sample nu(., theta_j), a warping function of the
     radius) must be convex on the checking window: the single curvature of
     the 2d metric is -nu_rr/nu, so convexity is the nonpositive-curvature
     precondition.  A single (k, R1, R2) is chosen so the secant inequality
-    holds for the worst ray; the plateau slope is solved ray by ray.
+    holds for the worst ray; the plateau slope is solved ray by ray.  Each
+    glued ray is certified on a coarser default grid than ``glue_pipeline`` uses.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     rays = list(rays)
     if theta_grid.ndim != 1 or len(rays) != theta_grid.size or not rays:
         raise UsageError("need one ray per theta sample")
-    spec = GlueSpec(rays[0], sigma, R_bar, R, delta=delta, k_max=k_max, value_tol=value_tol)
-    spec.validate()
-    R1, R2 = choose_radii(spec)
-    band = delta if delta is not None else min(0.05, (R2 - R1) / 10.0)
+    R1, R2, band = _glue_plan(GlueSpec(rays[0], sigma, R_bar, R, delta=delta, k_max=k_max,
+                                       value_tol=value_tol))
 
     check = np.linspace(band * 1e-3, R1 + 2.0 * band, 256)
     for j, ray in enumerate(rays):
@@ -485,7 +482,7 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
     k = _doubling_search(k_max, failure)
     sigma_k = ScaledWarp(sigma, k)
     glued = [build_tau(ray, sigma_k, R1, R2, band, value_tol) for ray in rays]
-    certs = [certify(gw, default_certification_grid(gw, cert_points)) for gw in glued]
+    certs = [certify(gw, default_certification_grid(gw, _RAY_CERT_POINTS)) for gw in glued]
     slopes = np.array([gw.s for gw in glued])
     dtheta = 2.0 * np.pi / theta_grid.size
     steps = np.abs(np.diff(np.concatenate([slopes, slopes[:1]])))

@@ -26,15 +26,16 @@ with step 1.  With phi(a) = E(x + a d) along the direction d, a trial step
 a is accepted by one of two tests, chosen by whether the energy can still
 resolve it:
 
-* while the Armijo margin c1 a |phi'(0)| is at least one rounding unit
-  eps |E|, the Armijo test phi(a) <= phi(0) + c1 a phi'(0);
+* while the Armijo margin c1 a |phi'(0)| (c1 = 1e-4) is at least one
+  rounding unit eps |E|, the Armijo test phi(a) <= phi(0) + c1 a phi'(0),
+  halving the step after a rejection;
 * below that, at the energy's floating-point floor, energy differences are
   rounding, and the directional derivative decides instead: the approximate
   Wolfe conditions (2 c1 - 1) phi'(0) >= phi'(a) >= 0.9 phi'(0) of Hager &
   Zhang (SIAM J. Optim. 16 (2005); ACM TOMS 32 (2006)), together with
   phi(a) <= phi(0) so that the energy trace never rises.  There a rise of
   phi is rounding rather than overshoot, so the step shrinks by 0.8 instead
-  of the configured factor, trying more points of the Wolfe window.
+  of 0.5, trying more points of the Wolfe window.
 
 The derivative stays accurate after energy differences have vanished, so
 ``grad_tol`` can lie far below the floor.  A line search fails when no trial
@@ -100,6 +101,9 @@ __all__ = [
 ]
 
 _CHUNK = 4096  # triangles per assembly chunk; fixed so results never depend on threading
+_ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the Armijo test
+_BACKTRACK = 0.5  # step factor after an Armijo rejection
+_MEMORY = 10  # (s, y) pairs kept by L-BFGS
 _WOLFE_SIGMA = 0.9  # curvature side of the approximate Wolfe test at the energy floor
 _FLOOR_BACKTRACK = 0.8  # step factor at the floor, where a rise of f is rounding, not overshoot
 
@@ -122,27 +126,21 @@ class MapState:
 
 @dataclass
 class SolveConfig:
-    """Solver knobs; p >= 2 is a hard requirement of the energy."""
+    """Solver knobs; 2 <= p < inf is a hard requirement of the energy."""
 
     p: float
     grad_tol: float = 1e-8
     max_iter: int = 1000
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
     quadrature: int = 1
     seed: int = 0
-    memory: int = 10
     threads: int = 1
 
     def __post_init__(self):
-        if self.p < 2.0:
-            raise UsageError("p must be >= 2")
-        if self.grad_tol <= 0.0:
+        _check_p_and_quadrature(self.p, self.quadrature)
+        if not self.grad_tol > 0.0:  # written so that NaN fails
             raise UsageError("grad_tol must be positive")
         if self.max_iter < 1:
             raise UsageError("max_iter must be at least 1")
-        if self.quadrature not in (1, 3):
-            raise UsageError("quadrature rule id must be 1 (centroid) or 3 (edge midpoints)")
         if self.threads < 1:
             raise UsageError("threads must be at least 1")
 
@@ -222,6 +220,13 @@ _QUAD_RULES = {
     1: (np.full((1, 3), 1.0 / 3.0), np.array([1.0])),
     3: (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]), np.full(3, 1.0 / 3.0)),
 }
+
+
+def _check_p_and_quadrature(p, quadrature):
+    if not 2.0 <= p < math.inf:  # written so that NaN fails
+        raise UsageError("p must be finite and >= 2")
+    if quadrature not in (1, 3):
+        raise UsageError("quadrature rule id must be 1 (centroid) or 3 (edge midpoints)")
 
 
 def _assemble_chunk(mesh, chart, pts, p, rule, sl, e_out, g_out):
@@ -304,8 +309,7 @@ def _assemble(mesh, chart, pts, p, rule=1, need_grad=True, threads=1):
 def energy(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadrature: int = 1,
            threads: int = 1) -> float:
     """Discrete p-energy of the map; nonnegative, zero iff du vanishes."""
-    if p < 2.0:
-        raise UsageError("p must be >= 2")
+    _check_p_and_quadrature(p, quadrature)
     pts = _points_of(state)
     _check_shapes(mesh, chart, pts)
     total, _ = _assemble(mesh, chart, pts, p, quadrature, need_grad=False, threads=threads)
@@ -318,8 +322,7 @@ def energy_gradient(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadr
 
     Rows follow ``mesh.interior_indices()``.
     """
-    if p < 2.0:
-        raise UsageError("p must be >= 2")
+    _check_p_and_quadrature(p, quadrature)
     pts = _points_of(state)
     _check_shapes(mesh, chart, pts)
     _, grad = _assemble(mesh, chart, pts, p, quadrature, need_grad=True, threads=threads)
@@ -490,7 +493,7 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     def line_search(x, f, d, gd):
         """Accepted (x, f, g) along d from step 1, or None; the first trial
         also assembles the gradient."""
-        floor = np.finfo(float).eps * abs(f) / config.armijo_c1
+        floor = np.finfo(float).eps * abs(f) / _ARMIJO_C1
         step = 1.0
         for trial in range(60):
             x_new = x + step * d
@@ -498,7 +501,7 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
             f_new, g_new = f_and_g(x_new) if trial == 0 else (f_only(x_new), None)
             at_floor = -step * gd <= floor
             if not at_floor:
-                if f_new <= f + config.armijo_c1 * step * gd:
+                if f_new <= f + _ARMIJO_C1 * step * gd:
                     if g_new is None:
                         f_new, g_new = f_and_g(x_new)
                     return x_new, f_new, g_new
@@ -509,10 +512,10 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
                 if slope < _WOLFE_SIGMA * gd:
                     counts["n_backtracks"] += 1
                     return None  # too short for the curvature side, and so is every shorter step
-                if slope <= (2.0 * config.armijo_c1 - 1.0) * gd:
+                if slope <= (2.0 * _ARMIJO_C1 - 1.0) * gd:
                     return x_new, f_new, g_new
             counts["n_backtracks"] += 1
-            step *= _FLOOR_BACKTRACK if at_floor else config.backtrack
+            step *= _FLOOR_BACKTRACK if at_floor else _BACKTRACK
         return None
 
     mem: list = []
@@ -546,7 +549,7 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
         sy = float(np.dot(s, y))
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             mem.append((s, y, 1.0 / sy))
-            if len(mem) > config.memory:
+            if len(mem) > _MEMORY:
                 mem.pop(0)
             gamma = sy / float(np.dot(y, precondition(y)))
         x, f, g = x_new, f_new, g_new

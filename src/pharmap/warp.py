@@ -20,7 +20,6 @@ the outer geometry in the gluing construction of :mod:`pharmap.glue`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +64,11 @@ def _as_radii(r):
 class WarpingFunction:
     """Base class: a warp evaluates to a consistent (sigma, sigma', sigma'') triple.
 
+    Subclasses implement ``_eval(r)``, which receives validated radii as a
+    float array with ``ndim >= 1`` and returns three arrays of its shape.
+    ``evaluate`` alone handles scalars: a scalar radius gives three numpy
+    float64 scalars, those of the one-element evaluation.
+
     ``third_at_zero`` holds sigma'''(0) when it is analytically known; it is
     the ingredient for pole limits (curvature at r=0, chart metric series).
     Sampled warps leave it as None and refuse those limits.
@@ -76,7 +80,9 @@ class WarpingFunction:
     def evaluate(self, r):
         """Return ``(sigma, dsigma, ddsigma)`` at ``r`` (scalar or array)."""
         r = _as_radii(r)
-        return self._eval(r)
+        if r.ndim:
+            return self._eval(r)
+        return tuple(v[0] for v in self._eval(r[None]))
 
     def _eval(self, r):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -240,8 +246,6 @@ class SplineWarp(WarpingFunction):
         self._tail = (rN, float(self._poly(rN)), float(self._dpoly(rN)), float(self._ddpoly(rN - 1e-12)))
 
     def _eval(self, r):
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
         if np.any(r < self.radii[0] - 1e-12):
             raise DomainError(
                 f"spline warp evaluated below first knot r={self.radii[0]:g} (no analytic head)"
@@ -261,8 +265,6 @@ class SplineWarp(WarpingFunction):
             s[out] = v + dv * dr + 0.5 * ddv * dr * dr
             d1[out] = dv + ddv * dr
             d2[out] = ddv
-        if scalar:
-            return s[0], d1[0], d2[0]
         return s, d1, d2
 
     @classmethod
@@ -304,9 +306,6 @@ class CurvatureReport:
             "worst_violation": float(self.worst_violation),
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
 
 @dataclass
 class HyperbolicTypeReport:
@@ -330,45 +329,40 @@ class HyperbolicTypeReport:
         return self.is_hyperbolic
 
 
-def _positive_sigma(w, r, s):
-    if np.any((np.atleast_1d(r) > 0.0) & (np.atleast_1d(s) <= 0.0)):
+def _sectional_curvatures(w: WarpingFunction, r):
+    """``(sec_rad, sec_tg, sigma'')`` of the model generated by ``w`` at ``r``.
+
+    At r=0 both curvatures take the limit -sigma'''(0), which only analytic
+    warps know; elsewhere sigma must be positive.  A scalar radius gives floats.
+    """
+    r = np.asarray(r, dtype=float)
+    radii = np.atleast_1d(r)
+    s, d1, d2 = w.evaluate(radii)  # validates the radii
+    sec_rad = np.empty_like(s)
+    sec_tg = np.empty_like(s)
+    pole = radii == 0.0
+    if np.any(pole):
+        if w.third_at_zero is None:
+            raise DomainError("curvature at r=0 is 0/0; only analytic warps know the limit -sigma'''(0)")
+        sec_rad[pole] = sec_tg[pole] = -w.third_at_zero
+    body = ~pole
+    if np.any(body & (s <= 0.0)):
         raise DomainError(f"warp {w.kind} is nonpositive at some positive radius; curvature undefined")
+    np.divide(-d2, s, out=sec_rad, where=body)
+    np.divide(1.0 - d1 * d1, s * s, out=sec_tg, where=body)
+    if r.ndim:
+        return sec_rad, sec_tg, d2
+    return float(sec_rad[0]), float(sec_tg[0]), float(d2[0])
 
 
 def curvature_radial(w: WarpingFunction, r):
     """Radial sectional curvature ``-sigma''/sigma`` (limit -sigma'''(0) at r=0)."""
-    r = _as_radii(r)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    s, _, d2 = w.evaluate(r)
-    out = np.empty_like(s)
-    pole = r == 0.0
-    if np.any(pole):
-        if w.third_at_zero is None:
-            raise DomainError("radial curvature at r=0 needs an analytic warp (sigma'''(0) unknown)")
-        out[pole] = -w.third_at_zero
-    body = ~pole
-    _positive_sigma(w, r[body], s[body])
-    out[body] = -d2[body] / s[body]
-    return float(out[0]) if scalar else out
+    return _sectional_curvatures(w, r)[0]
 
 
 def curvature_tangential(w: WarpingFunction, r):
     """Tangential sectional curvature ``(1 - sigma'^2)/sigma^2`` (limit -sigma'''(0) at r=0)."""
-    r = _as_radii(r)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    s, d1, _ = w.evaluate(r)
-    out = np.empty_like(s)
-    pole = r == 0.0
-    if np.any(pole):
-        if w.third_at_zero is None:
-            raise DomainError("tangential curvature at r=0 is 0/0; only analytic warps have the limit")
-        out[pole] = -w.third_at_zero
-    body = ~pole
-    _positive_sigma(w, r[body], s[body])
-    out[body] = (1.0 - d1[body] ** 2) / s[body] ** 2
-    return float(out[0]) if scalar else out
+    return _sectional_curvatures(w, r)[1]
 
 
 def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
@@ -383,10 +377,7 @@ def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
         raise UsageError("certification grid must be a nonempty 1d array")
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise UsageError("certification grid must be strictly increasing and positive")
-    s, d1, d2 = w.evaluate(grid)
-    _positive_sigma(w, grid, s)
-    sec_rad = -d2 / s
-    sec_tg = (1.0 - d1 * d1) / (s * s)
+    sec_rad, sec_tg, d2 = _sectional_curvatures(w, grid)
     convex = np.all(d2 >= -SIGN_TOL * (1.0 + np.abs(d2)))
     curv = np.maximum(sec_rad, sec_tg)
     nonpos = bool(convex and np.all(curv <= SIGN_TOL * (1.0 + np.abs(curv))))

@@ -97,7 +97,7 @@ def test_build_tau_plateau_slope_by_simpson_quadrature():
 
     def simpson(lo, hi, n=2001):
         xs = np.linspace(lo, hi, n)
-        dvals = gw.tau_prime(xs)
+        dvals = gw.evaluate(xs)[1]
         return (xs[1] - xs[0]) / 3.0 * (
             dvals[0] + dvals[-1] + 4 * dvals[1:-1:2].sum() + 2 * dvals[2:-1:2].sum()
         )

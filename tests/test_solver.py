@@ -71,6 +71,14 @@ def test_energy_p_validation_and_shape_mismatch():
         energy(mesh, EUCL2, identity_state(mesh), 1.5)
     with pytest.raises(UsageError):
         energy(mesh, LINE, identity_state(mesh), 2.0)
+    for fn in (energy, energy_gradient, residual):
+        for p, quadrature in ((math.nan, 1), (math.inf, 1), (3.0, 2), (3.0, 0)):
+            with pytest.raises(UsageError):
+                fn(mesh, EUCL2, identity_state(mesh), p, quadrature=quadrature)
+    for bad in ({"p": math.nan}, {"p": math.inf}, {"grad_tol": math.nan}, {"quadrature": 2},
+                {"max_iter": 0}, {"threads": 0}):
+        with pytest.raises(UsageError):
+            SolveConfig(**{"p": 3.0, **bad})
 
 
 def test_gradient_matches_quadratic_assembly_p2_euclidean():

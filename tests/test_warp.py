@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pharmap.errors import DomainError, UsageError
+from pharmap.glue import GlueSpec, glue_pipeline
 from pharmap.warp import (
     CurvatureReport,
     IdentityWarp,
@@ -86,6 +87,32 @@ def test_curvature_pole_limits():
         curvature_radial(sampled, 0.0)
     with pytest.raises(DomainError):
         curvature_tangential(sampled, 0.0)
+
+
+def test_scalar_radius_and_curvature_array_contract():
+    # a scalar radius gives three np.float64 with the bytes of the one-element
+    # evaluation, for every warp class and every piece of a glued warp
+    glued, _ = glue_pipeline(GlueSpec(R_PLUS_R3, SinhWarp(), 1.0, 4.0))  # R1 = 2, R2 = 3
+    sampled = SplineWarp.sample(SinhWarp(), np.linspace(0.0, 6.0, 61))
+    warps = [IdentityWarp(), SinhWarp(), R_PLUS_R3, ScaledWarp(SinhWarp(), 4.0), sampled, glued]
+    for w in warps:
+        for r in (0.0, 0.7, 2.0, 2.5, 3.0, 3.5, 7.0):
+            got = w.evaluate(r)
+            want = w.evaluate(np.array([r]))
+            assert len(got) == 3 and all(type(v) is np.float64 for v in got)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    # arrays through the pole: the limit -sigma'''(0) at r = 0, the formulas elsewhere
+    r = np.array([0.0, 0.5, 2.0])
+    for w in (IdentityWarp(), SinhWarp(), R_PLUS_R3, ScaledWarp(R_PLUS_R3, 2.0), glued):
+        s, d1, d2 = w.evaluate(r)
+        rad = curvature_radial(w, r)
+        tg = curvature_tangential(w, r)
+        assert rad[0] == tg[0] == -w.third_at_zero
+        assert np.array_equal(rad[1:], -d2[1:] / s[1:])
+        assert np.array_equal(tg[1:], (1.0 - d1[1:] ** 2) / s[1:] ** 2)
+    for curvature in (curvature_radial, curvature_tangential):
+        with pytest.raises(DomainError):
+            curvature(sampled, r)
 
 
 def test_is_cartan_hadamard():

@@ -46,6 +46,7 @@ from .warp import (
     ScaledWarp,
     SplineWarp,
     WarpingFunction,
+    _is_convex,
     is_cartan_hadamard,
     is_hyperbolic_type,
 )
@@ -68,6 +69,7 @@ __all__ = [
 CONVEXITY_TOL = 1e-9
 SLOPE_TOL = 1e-12
 CURVATURE_TOL = 1e-9
+VALUE_TOL = 1e-10  # admissible tail mismatch |tau - sigma_k| of a certified glued warp
 _RAY_CERT_POINTS = 2001  # certification grid size of each glued ray in ``glue2d``
 
 
@@ -75,28 +77,22 @@ _RAY_CERT_POINTS = 2001  # certification grid size of each glued ray in ``glue2d
 class GlueSpec:
     """Inputs of the gluing pipeline.
 
-    ``delta`` is the corner-band half-width (None picks the default
-    min(0.05, (R2-R1)/10) once the intermediate radii are chosen);
-    ``value_tol`` bounds the admissible tail mismatch |tau - sigma_k|.
+    The corner bands are fixed by the radii: their half-width is
+    min(0.05, (R2-R1)/10) for the intermediate radii R1, R2 of ``choose_radii``.
+    A certified glued warp matches sigma_k on its tail to within ``VALUE_TOL``.
     """
 
     rho: WarpingFunction
     sigma: WarpingFunction
     R_bar: float
     R: float
-    delta: float | None = None
     k_max: float = 2.0**40
-    value_tol: float = 1e-10
 
     def validate(self, check_sigma: bool = True) -> None:
         if not (0.0 < self.R_bar < self.R):
             raise UsageError("glue spec needs 0 < R_bar < R")
-        if self.delta is not None and not (0.0 < self.delta < (self.R - self.R_bar) / 8.0):
-            raise UsageError("glue spec needs 0 < delta < (R - R_bar)/8")
-        if self.k_max < 1.0:
+        if not self.k_max >= 1.0:  # written so that NaN fails
             raise UsageError("glue spec needs k_max >= 1")
-        if self.value_tol <= 0.0:
-            raise UsageError("glue spec needs value_tol > 0")
         if check_sigma:
             grid = np.geomspace(1e-2, max(2.0 * self.R, 4.0), 512)
             if not is_hyperbolic_type(self.sigma, grid).is_hyperbolic:
@@ -116,7 +112,7 @@ class GluedWarp(WarpingFunction):
     kind = "Glued"
 
     def __init__(self, rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: float,
-                 delta: float, k: float, s: float, value_tol: float = 1e-10):
+                 delta: float, k: float, s: float):
         if not (0.0 < R1 < R2):
             raise UsageError("glued warp needs 0 < R1 < R2")
         if not (0.0 < delta < (R2 - R1) / 2.0):
@@ -128,16 +124,21 @@ class GluedWarp(WarpingFunction):
         self.delta = float(delta)
         self.k = float(k)
         self.s = float(s)
-        self.value_tol = float(value_tol)
         self.third_at_zero = rho.third_at_zero
-        # values and slopes at the band edges, which anchor the pieces
+        # the ramps and the plateau as (value, slope, curvature) at their left
+        # edges a, b, c; the tail is sigma_k shifted to meet tau at d
         a, b, c, d = self.edges
         rho_a, drho_a, _ = (float(v) for v in rho.evaluate(a))
         sig_d, dsig_d, _ = (float(v) for v in sigma_k.evaluate(d))
         tau_b = rho_a + self.delta * (drho_a + self.s)
         tau_c = tau_b + self.s * (c - b)
         tau_d = tau_c + self.delta * (self.s + dsig_d)
-        self._anchors = (rho_a, drho_a, sig_d, dsig_d, tau_b, tau_c, tau_d)
+        self._pieces = (
+            (rho_a, drho_a, (self.s - drho_a) / (2.0 * self.delta)),
+            (tau_b, self.s, 0.0),
+            (tau_c, self.s, (dsig_d - self.s) / (2.0 * self.delta)),
+        )
+        self._tail = (sig_d, tau_d)
 
     # band edges
     @property
@@ -146,38 +147,24 @@ class GluedWarp(WarpingFunction):
         return (self.R1 - d, self.R1 + d, self.R2 - d, self.R2 + d)
 
     def _eval(self, r):
-        a, b, c, d = self.edges
-        rho_a, drho_a, sig_d, dsig_d, tau_b, tau_c, tau_d = self._anchors
-        ramp1 = (self.s - drho_a) / (2.0 * self.delta)
-        ramp2 = (dsig_d - self.s) / (2.0 * self.delta)
-
+        edges = self.edges
         s_out = np.empty_like(r)
         d1_out = np.empty_like(r)
         d2_out = np.empty_like(r)
 
-        head = r < a
+        head = r < edges[0]
         if np.any(head):
             s_out[head], d1_out[head], d2_out[head] = self.rho.evaluate(r[head])
-        m1 = (r >= a) & (r < b)
-        if np.any(m1):
-            t = r[m1] - a
-            s_out[m1] = rho_a + drho_a * t + 0.5 * ramp1 * t * t
-            d1_out[m1] = drho_a + ramp1 * t
-            d2_out[m1] = ramp1
-        m2 = (r >= b) & (r < c)
-        if np.any(m2):
-            t = r[m2] - b
-            s_out[m2] = tau_b + self.s * t
-            d1_out[m2] = self.s
-            d2_out[m2] = 0.0
-        m3 = (r >= c) & (r < d)
-        if np.any(m3):
-            t = r[m3] - c
-            s_out[m3] = tau_c + self.s * t + 0.5 * ramp2 * t * t
-            d1_out[m3] = self.s + ramp2 * t
-            d2_out[m3] = ramp2
-        tail = r >= d
+        for left, right, (value, slope, curv) in zip(edges, edges[1:], self._pieces):
+            on = (r >= left) & (r < right)
+            if np.any(on):
+                t = r[on] - left
+                s_out[on] = value + slope * t + 0.5 * curv * t * t
+                d1_out[on] = slope + curv * t
+                d2_out[on] = curv
+        tail = r >= edges[3]
         if np.any(tail):
+            sig_d, tau_d = self._tail
             sv, dv, ddv = self.sigma_k.evaluate(r[tail])
             s_out[tail] = tau_d + (sv - sig_d)
             d1_out[tail] = dv
@@ -186,7 +173,7 @@ class GluedWarp(WarpingFunction):
 
     def with_slope(self, s: float) -> "GluedWarp":
         """Copy with a replaced plateau slope (for adversarial checks)."""
-        return GluedWarp(self.rho, self.sigma_k, self.R1, self.R2, self.delta, self.k, s, self.value_tol)
+        return GluedWarp(self.rho, self.sigma_k, self.R1, self.R2, self.delta, self.k, s)
 
 
 @dataclass
@@ -199,7 +186,6 @@ class GlueCertificate:
     tail_mismatch: float
     curvature: CurvatureReport
     passed: bool
-    value_tol: float
 
     def to_json_dict(self, gw: GluedWarp | None = None):
         doc = {
@@ -211,7 +197,7 @@ class GlueCertificate:
             "max_sec_rad": float(np.max(self.curvature.sec_rad)),
             "max_sec_tg": float(np.max(self.curvature.sec_tg)),
             "curvature_nonpositive": bool(self.curvature.is_nonpositive),
-            "value_tol": float(self.value_tol),
+            "value_tol": VALUE_TOL,
         }
         if gw is not None:
             doc.update({"R1": gw.R1, "R2": gw.R2, "delta": gw.delta, "k": gw.k, "s": gw.s})
@@ -225,19 +211,34 @@ def choose_radii(spec: GlueSpec):
     return spec.R_bar + step, spec.R_bar + 2.0 * step
 
 
-def _secant_conditions(rho, sigma_k, R1, R2, delta):
-    """Delta-shifted secant inequality data: (lower slope, chord slope, upper slope).
+def _secant_search(rays, sigma, R1, R2, delta, k_max):
+    """Smallest doubling scale k at which every ray meets the delta-shifted secant inequality.
 
-    With delta = 0 this reduces to the plain secant inequality at (R1, R2).
-    The shifted form bounds the plateau-slope root of ``build_tau``.
+    Per ray: rho'(R1+delta) <= chord <= sigma_k'(R2-delta), the chord running
+    from (R1+delta, rho(R1-delta) + 2 delta rho'(R1+delta)) to
+    (R2-delta, sigma_k(R2+delta)).  With delta = 0 this is the plain secant
+    inequality at (R1, R2); the shifted form bounds the plateau-slope root of
+    ``build_tau``.  The rays do not depend on k and are evaluated once.
     """
-    rho_lo, _, _ = rho.evaluate(R1 - delta)
-    _, drho_hi, _ = rho.evaluate(R1 + delta)
-    sig_hi, _, _ = sigma_k.evaluate(R2 + delta)
-    _, dsig_lo, _ = sigma_k.evaluate(R2 - delta)
+    inner = np.array([R1 - delta, R1 + delta])
+    outer = np.array([R2 - delta, R2 + delta])
+    heads = [ray.evaluate(inner) for ray in rays]
+    rho_lo = np.array([v[0] for v, _, _ in heads])
+    lower = np.array([dv[1] for _, dv, _ in heads])
     denom = (R2 - delta) - (R1 + delta)
-    quotient = (float(sig_hi) - float(rho_lo) - 2.0 * delta * float(drho_hi)) / denom
-    return float(drho_hi), quotient, float(dsig_lo)
+
+    def failure(k):
+        sig, dsig, _ = ScaledWarp(sigma, k).evaluate(outer)
+        chord = (sig[1] - rho_lo - 2.0 * delta * lower) / denom
+        upper = dsig[0]
+        if np.all((lower <= chord) & (chord <= upper)):
+            return None
+        j = int(np.argmax(np.maximum(lower - chord, chord - upper)))
+        return (f"no k <= {k_max:g} satisfies the secant inequality on every ray; worst ray {j} at "
+                f"k={k:g}: rho'(R1+delta) = {lower[j]:.6g}, chord slope {chord[j]:.6g}, "
+                f"sigma_k'(R2-delta) = {upper:.6g}")
+
+    return _doubling_search(k_max, failure)
 
 
 def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
@@ -245,35 +246,26 @@ def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
     """Smallest doubling scale k with the (delta-shifted) secant inequality.
 
     Scans k = 1, 2, 4, ... <= k_max and returns the first k for which
-    lower <= chord <= upper holds; raises with the last violated inequality
-    when the cap is reached.
+    rho'(R1+delta) <= chord <= sigma_k'(R2-delta) holds; past the cap it
+    raises ``SearchExhaustedError`` with the three slopes at the last k.
     """
     if not (0.0 < R1 < R2):
         raise UsageError("find_k needs 0 < R1 < R2")
     if delta < 0.0 or 2.0 * delta >= R2 - R1:
         raise DomainError("find_k needs 0 <= delta < (R2-R1)/2")
-
-    def failure(k):
-        lower, chord, upper = _secant_conditions(rho, ScaledWarp(sigma, k), R1, R2, delta)
-        if lower <= chord <= upper:
-            return None
-        if chord < lower:
-            last = f"chord slope {chord:.6g} < rho'(R1+delta) = {lower:.6g} at k={k:g}"
-        else:
-            last = f"chord slope {chord:.6g} > sigma_k'(R2-delta) = {upper:.6g} at k={k:g}"
-        return f"no k <= {k_max:g} satisfies the secant inequality; last failure: {last}"
-
-    return _doubling_search(k_max, failure)
+    return _secant_search([rho], sigma, R1, R2, delta, k_max)
 
 
 def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: float,
-              delta: float, value_tol: float = 1e-10) -> GluedWarp:
+              delta: float) -> GluedWarp:
     """Assemble the glued warp with the plateau slope that matches the tail.
 
     The mismatch ``tau(R2+delta; s) - sigma_k(R2+delta)`` is affine in s with
     slope R2 - R1, so its root is solved for directly and clipped to the
     monotonicity bracket [rho'(R1-delta), sigma_k'(R2+delta)]; a root outside
-    that bracket means the chosen k is infeasible.
+    that bracket means the chosen k is infeasible.  The band half-width
+    ``delta`` is explicit here; ``certify`` then holds the tail mismatch to
+    ``VALUE_TOL``.
     """
     if not (0.0 < R1 < R2):
         raise UsageError("build_tau needs 0 < R1 < R2")
@@ -298,7 +290,7 @@ def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: flo
         )
     s = max(min(-mismatch0 / (R2 - R1), hi), lo)
 
-    gw = GluedWarp(rho, sigma_k, R1, R2, delta, k, s, value_tol)
+    gw = GluedWarp(rho, sigma_k, R1, R2, delta, k, s)
     # defence in depth: the derivative profile must be monotone
     if s < drho_a - 1e-12 * max(1.0, abs(drho_a)) or dsig_d < s - 1e-12 * max(1.0, abs(dsig_d)):
         raise ConstructionError("glued derivative profile is not monotone")
@@ -357,7 +349,7 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
         min_second >= -CONVEXITY_TOL
         and min_slope >= -SLOPE_TOL
         and head_mismatch == 0.0
-        and tail_mismatch <= gw.value_tol
+        and tail_mismatch <= VALUE_TOL
         and report.is_nonpositive
         and float(np.max(np.maximum(report.sec_rad, report.sec_tg))) <= CURVATURE_TOL
     )
@@ -368,28 +360,25 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
         tail_mismatch=tail_mismatch,
         curvature=report,
         passed=passed,
-        value_tol=gw.value_tol,
     )
 
 
 def _glue_plan(spec: GlueSpec):
     """Validate ``spec`` and return the intermediate radii and band (R1, R2, delta).
 
-    Every band is narrower than the (R2-R1)/2 that ``build_tau`` needs: the
-    default is at most (R2-R1)/10 and ``validate`` keeps a given one below
-    (R - R_bar)/8 = 3(R2-R1)/8.
+    The band half-width is min(0.05, (R2-R1)/10), well inside the (R2-R1)/2
+    that ``build_tau`` needs.
     """
     spec.validate()
     R1, R2 = choose_radii(spec)
-    delta = spec.delta if spec.delta is not None else min(0.05, (R2 - R1) / 10.0)
-    return R1, R2, delta
+    return R1, R2, min(0.05, (R2 - R1) / 10.0)
 
 
 def glue_pipeline(spec: GlueSpec):
     """Full pipeline: validate, choose radii, search k, build tau, certify on the default grid."""
     R1, R2, delta = _glue_plan(spec)
     k = find_k(spec.rho, spec.sigma, R1, R2, delta, spec.k_max)
-    gw = build_tau(spec.rho, ScaledWarp(spec.sigma, k), R1, R2, delta, spec.value_tol)
+    gw = build_tau(spec.rho, ScaledWarp(spec.sigma, k), R1, R2, delta)
     cert = certify(gw, default_certification_grid(gw))
     return gw, cert
 
@@ -441,47 +430,35 @@ def rays_from_polar_samples(t_grid, nu, dnu=None) -> list[SplineWarp]:
 
 
 def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
-           delta: float | None = None, k_max: float = 2.0**40, value_tol: float = 1e-10) -> Glue2DResult:
+           k_max: float = 2.0**40) -> Glue2DResult:
     """Glue a hyperbolic-type infinity onto a 2d metric given per ray.
 
     Each ray (the angular sample nu(., theta_j), a warping function of the
     radius) must be convex on the checking window: the single curvature of
     the 2d metric is -nu_rr/nu, so convexity is the nonpositive-curvature
     precondition.  A single (k, R1, R2) is chosen so the secant inequality
-    holds for the worst ray; the plateau slope is solved ray by ray.  Each
-    glued ray is certified on a coarser default grid than ``glue_pipeline`` uses.
+    holds for the worst ray; the plateau slope is solved ray by ray.  The
+    band half-width is that of ``glue_pipeline``, min(0.05, (R2-R1)/10), and
+    each glued ray must match sigma_k on its tail to within ``VALUE_TOL``; it
+    is certified on a coarser default grid than ``glue_pipeline`` uses.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     rays = list(rays)
     if theta_grid.ndim != 1 or len(rays) != theta_grid.size or not rays:
         raise UsageError("need one ray per theta sample")
-    R1, R2, band = _glue_plan(GlueSpec(rays[0], sigma, R_bar, R, delta=delta, k_max=k_max,
-                                       value_tol=value_tol))
+    R1, R2, band = _glue_plan(GlueSpec(rays[0], sigma, R_bar, R, k_max=k_max))
 
     check = np.linspace(band * 1e-3, R1 + 2.0 * band, 256)
     for j, ray in enumerate(rays):
-        _, _, dd = ray.evaluate(check)
-        if np.any(dd < -1e-9 * (1.0 + np.abs(dd))):
+        if not _is_convex(ray.evaluate(check)[2]):
             raise UsageError(
                 f"ray {j} (theta={theta_grid[j]:.6g}) is concave on the checking window; "
                 "the 2d metric is not nonpositively curved there"
             )
 
-    def failure(k):
-        sigma_k = ScaledWarp(sigma, k)
-        margins = []
-        for ray in rays:
-            lower, chord, upper = _secant_conditions(ray, sigma_k, R1, R2, band)
-            margins.append(max(lower - chord, chord - upper))
-        j = int(np.argmax(margins))
-        if margins[j] <= 0.0:
-            return None
-        return (f"no k <= {k_max:g} glues every ray; worst ray {j} (theta={theta_grid[j]:.6g}) "
-                f"violates the secant inequality by {margins[j]:.3g}")
-
-    k = _doubling_search(k_max, failure)
+    k = _secant_search(rays, sigma, R1, R2, band, k_max)
     sigma_k = ScaledWarp(sigma, k)
-    glued = [build_tau(ray, sigma_k, R1, R2, band, value_tol) for ray in rays]
+    glued = [build_tau(ray, sigma_k, R1, R2, band) for ray in rays]
     certs = [certify(gw, default_certification_grid(gw, _RAY_CERT_POINTS)) for gw in glued]
     slopes = np.array([gw.s for gw in glued])
     dtheta = 2.0 * np.pi / theta_grid.size

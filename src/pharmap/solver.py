@@ -150,7 +150,7 @@ class SolveReport:
     """Outcome of a minimization run.
 
     ``stop_reason`` says why the run ended: ``"converged"`` (the sup-norm
-    residual reached ``grad_tol``; ``converged`` is true exactly then),
+    residual reached ``grad_tol``; the property ``converged`` reads this),
     ``"max_iter"``, or ``"stalled"`` (no trial step passed the line search,
     also after a restart; see the module docstring).
 
@@ -164,12 +164,15 @@ class SolveReport:
     residual: float
     iterations: int
     mp_margin: float
-    converged: bool
     stop_reason: str
     n_f: int = 0
     n_fg: int = 0
     n_backtracks: int = 0
     n_restarts: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def to_json_dict(self):
         return {
@@ -564,7 +567,6 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
         residual=sup_res(g),
         iterations=iterations,
         mp_margin=check_max_principle(mesh, chart, final),
-        converged=stop_reason == "converged",
         stop_reason=stop_reason,
         **counts,
     )

@@ -127,6 +127,8 @@ class OddPolynomialWarp(WarpingFunction):
         coeffs = np.asarray(coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise UsageError("odd-polynomial warp needs a 1d coefficient list")
+        if not np.isfinite(coeffs).all():
+            raise UsageError("odd-polynomial coefficients must be finite")
         if coeffs[0] != 1.0:
             raise UsageError("odd-polynomial warp must have leading term r (first coefficient 1)")
         self.coefficients = coeffs
@@ -329,6 +331,11 @@ class HyperbolicTypeReport:
         return self.is_hyperbolic
 
 
+def _is_convex(d2) -> bool:
+    """``sigma'' >= -SIGN_TOL * (1 + |sigma''|)`` at every sample; NaN fails."""
+    return bool(np.all(d2 >= -SIGN_TOL * (1.0 + np.abs(d2))))
+
+
 def _sectional_curvatures(w: WarpingFunction, r):
     """``(sec_rad, sec_tg, sigma'')`` of the model generated by ``w`` at ``r``.
 
@@ -378,9 +385,8 @@ def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise UsageError("certification grid must be strictly increasing and positive")
     sec_rad, sec_tg, d2 = _sectional_curvatures(w, grid)
-    convex = np.all(d2 >= -SIGN_TOL * (1.0 + np.abs(d2)))
     curv = np.maximum(sec_rad, sec_tg)
-    nonpos = bool(convex and np.all(curv <= SIGN_TOL * (1.0 + np.abs(curv))))
+    nonpos = _is_convex(d2) and bool(np.all(curv <= SIGN_TOL * (1.0 + np.abs(curv))))
     return CurvatureReport(
         grid=grid,
         sec_rad=sec_rad,
@@ -411,7 +417,7 @@ def is_hyperbolic_type(w: WarpingFunction, grid=None, k_list=None) -> Hyperbolic
 
     _, _, d2 = w.evaluate(grid)
     min_dd = float(np.min(d2))
-    convex_ok = bool(np.all(d2 >= -SIGN_TOL * (1.0 + np.abs(d2))))
+    convex_ok = _is_convex(d2)
 
     worst_gap = np.inf
     min_growth = np.inf

@@ -55,8 +55,12 @@ def test_find_k_identity_interior():
 
 
 def test_find_k_exhausts_for_flat_outer():
-    with pytest.raises(SearchExhaustedError):
+    # sigma_k = r for every k: rho'(2) = 13, chord (3 - rho(2))/1 = -7, sigma_k'(3) = 1
+    with pytest.raises(SearchExhaustedError) as err:
         find_k(RHO, IdentityWarp(), 2.0, 3.0, 0.0, k_max=2.0**20)
+    message = str(err.value)
+    assert f"worst ray 0 at k={2.0**20:g}:" in message
+    assert "rho'(R1+delta) = 13, chord slope -7, sigma_k'(R2-delta) = 1" in message
 
 
 def test_find_k_deterministic_under_larger_cap():
@@ -173,9 +177,10 @@ def test_tail_identification_constant_offset():
 
 def test_glue_spec_validation():
     with pytest.raises(UsageError):
-        GlueSpec(RHO, SIGMA, 1.0, 4.0, delta=1.0).validate()  # delta >= (R-R_bar)/8
-    with pytest.raises(UsageError):
         GlueSpec(RHO, IdentityWarp(), 1.0, 4.0).validate()  # outer warp not hyperbolic
+    for k_max in (0.5, math.nan):
+        with pytest.raises(UsageError):
+            glue_pipeline(GlueSpec(RHO, SIGMA, 1.0, 4.0, k_max=k_max))
 
 
 def test_glued_warp_band_misuse():
@@ -226,7 +231,15 @@ def test_glue2d_infeasible_names_worst_ray():
     rays = [OddPolynomialWarp([1.0, 2.0 + math.sin(t)]) for t in theta]
     with pytest.raises(SearchExhaustedError) as err:
         glue2d(rays, theta, SIGMA, 1.0, 4.0, k_max=1.0)
-    assert "ray" in str(err.value)
+    # ray 1 (r + 3 r^3) is the steepest; R1, R2 = 2, 3 and delta = 0.05 at k = 1
+    lower = 1.0 + 9.0 * 2.05**2
+    chord = (math.sinh(3.05) - (1.95 + 3.0 * 1.95**3) - 0.1 * lower) / 0.9
+    upper = math.cosh(2.95)
+    assert chord < lower
+    message = str(err.value)
+    assert "worst ray 1 at k=1:" in message
+    assert (f"rho'(R1+delta) = {lower:.6g}, chord slope {chord:.6g}, "
+            f"sigma_k'(R2-delta) = {upper:.6g}") in message
 
 
 def test_glue2d_sampled_rays_match_analytic():

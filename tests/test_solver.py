@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pharmap.chart import TargetChart
-from pharmap.errors import UsageError
+from pharmap.errors import DivergenceError, UsageError
 from pharmap.mesh import build_annulus, build_rect
 from pharmap.solver import (
     _CHUNK,
@@ -392,6 +392,9 @@ def test_solve_stop_reasons():
     assert report.iterations < 3000
     assert np.all(np.diff(np.asarray(report.energy_trace)) <= 0.0)
     assert report.to_json_dict()["stop_reason"] == "stalled"
+    assert report.to_json_dict()["converged"] is False
+    with pytest.raises(AttributeError):
+        report.converged = True  # derived from stop_reason, not stored
 
 
 def wavy_ring_problem(nr, nt):
@@ -454,6 +457,41 @@ def test_solve_restart_after_failed_line_search(monkeypatch):
     assert report.stop_reason == "converged"
     assert report.n_restarts >= 1
     assert report.to_json_dict()["n_restarts"] == report.n_restarts
+
+
+def test_solve_divergence_at_initial_state():
+    # interior points 1600 times too far out: cosh overflows in the sinh
+    # metric and the initial energy is NaN
+    mesh = build_annulus(1.0, 2.0, 2, 8)
+    pts = mesh.vertices.copy()
+    iidx = mesh.interior_indices()
+    pts[iidx] *= 1600.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="at the initial state"):
+            solve(mesh, SINH2, mesh.vertices, SolveConfig(p=2.0), initial=MapState(pts))
+
+
+def test_solve_divergence_during_descent(monkeypatch):
+    # the first trial step reads a lower finite energy, which the line search
+    # accepts, and a NaN gradient, which the solver must refuse
+    import pharmap.solver as solver_module
+
+    assemble = solver_module._assemble
+    fg_calls = [0]
+
+    def poisoned(*args, need_grad=True, **kwargs):
+        total, grad = assemble(*args, need_grad=need_grad, **kwargs)
+        if need_grad:
+            fg_calls[0] += 1
+            if fg_calls[0] == 2:
+                total, grad = 0.0, np.full_like(grad, np.nan)
+        return total, grad
+
+    monkeypatch.setattr(solver_module, "_assemble", poisoned)
+    mesh, bvals = sin3_ring_problem()
+    with pytest.raises(DivergenceError, match="during descent"):
+        solve(mesh, SINH2, bvals, SolveConfig(p=3.0, grad_tol=1e-9))
+    assert fg_calls[0] == 2
 
 
 def test_solve_counters_match_assembly_calls(monkeypatch):

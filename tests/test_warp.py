@@ -256,6 +256,15 @@ def test_parse_warp_spec_and_csv_round_trip(tmp_path):
     assert np.max(np.abs(d_got - d_ref)) < 1e-8
 
 
+def test_odd_polynomial_rejects_non_finite_coefficients():
+    for bad in ([1.0, math.nan], [1.0, math.inf], [1.0, 0.5, -math.inf]):
+        with pytest.raises(UsageError, match="finite"):
+            OddPolynomialWarp(bad)
+    for spec in ("poly:1,nan", "poly:1,inf", "poly:1,1,-inf"):
+        with pytest.raises(UsageError, match="finite"):
+            parse_warp_spec(spec)
+
+
 def test_curvature_report_json_fields():
     report = is_cartan_hadamard(SinhWarp(), np.linspace(0.1, 1.0, 5))
     doc = report.to_json_dict()

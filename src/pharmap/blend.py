@@ -47,11 +47,12 @@ __all__ = [
 
 
 def _derivative_weights(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse 5-point Lagrange differentiation weights for each grid point.
+    """Sparse Lagrange differentiation weights on w = min(5, n) nodes for each grid point.
 
-    Returns (n, 5) weights and (n, 5) column indices; works on nonuniform
-    grids and falls back to one-sided stencils at the ends.  With the nodes
-    z_m = t[col_m] - t_i (one of them 0), the weight of node j is L_j'(0) =
+    Returns (n, w) weights and (n, w) column indices, exact on polynomials of
+    degree w - 1; works on nonuniform grids and falls back to one-sided
+    stencils at the ends.  With the nodes z_m = t[col_m] - t_i (one of them
+    0), the weight of node j is L_j'(0) =
     sum_{q != j} prod_{m != j, q} (-z_m) / prod_{m != j} (z_j - z_m).
     """
     n = t.size
@@ -70,8 +71,6 @@ def _d_dt(t: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Derivative of F (shape (nt, ...)) along the first axis on grid t."""
     if t.size < 3:
         raise UsageError("radial derivative needs at least 3 samples (or an analytic generator)")
-    if t.size < 5:
-        return np.gradient(F, t, axis=0, edge_order=2)
     weights, cols = _derivative_weights(t)
     return np.einsum("iw,iw...->i...", weights, F[cols])
 

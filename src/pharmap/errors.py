@@ -35,10 +35,12 @@ def _doubling_search(k_max: float, failure) -> float:
 
     ``failure(k)`` returns None when k passes, and otherwise the message to
     raise should k be the last scale tried: past ``k_max`` the search raises
-    ``SearchExhaustedError`` with the message of the last failing k.
+    ``SearchExhaustedError`` with the message of the last failing k.  A
+    ``k_max`` below 1 (or NaN) leaves no scale to try and raises ``UsageError``.
     """
+    if not k_max >= 1.0:  # written so that NaN fails
+        raise UsageError(f"the doubling search needs k_max >= 1, got {k_max:g}")
     k = 1.0
-    message = f"no k <= {k_max:g} to try: the doubling search starts at k = 1"
     while k <= k_max:
         message = failure(k)
         if message is None:

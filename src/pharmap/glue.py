@@ -24,9 +24,10 @@ outer band edge.  That mismatch is affine in ``s``,
     mismatch(0) = rho(R1-delta) + delta (rho'(R1-delta) + sigma_k'(R2+delta)) - sigma_k(R2+delta),
 
 so ``s = -mismatch(0)/(R2 - R1)``, clipped to the monotone bracket
-[rho'(R1-delta), sigma_k'(R2+delta)].  ``certify`` measures the convexity
-margin, the slope margin, head and tail mismatches and the curvatures of
-``tau`` and emits a certificate.
+[rho'(R1-delta), sigma_k'(R2+delta)].  ``GluedWarp`` owns this solve, the
+two anchors it reads and the scale k of its sigma_k.  ``certify`` evaluates
+``tau`` once on its grid and reads from those samples the convexity margin,
+the slope margin, head and tail mismatches and the curvatures.
 
 The same surgery applies per ray to a 2-dimensional metric given by angular
 samples ``nu(., theta)``: one (k, R1, R2) is chosen to satisfy the secant
@@ -46,8 +47,8 @@ from .warp import (
     ScaledWarp,
     SplineWarp,
     WarpingFunction,
+    _curvature_report,
     _is_convex,
-    is_cartan_hadamard,
     is_hyperbolic_type,
 )
 
@@ -88,15 +89,15 @@ class GlueSpec:
     R: float
     k_max: float = 2.0**40
 
-    def validate(self, check_sigma: bool = True) -> None:
+    def __post_init__(self):
         if not (0.0 < self.R_bar < self.R):
             raise UsageError("glue spec needs 0 < R_bar < R")
-        if not self.k_max >= 1.0:  # written so that NaN fails
-            raise UsageError("glue spec needs k_max >= 1")
-        if check_sigma:
-            grid = np.geomspace(1e-2, max(2.0 * self.R, 4.0), 512)
-            if not is_hyperbolic_type(self.sigma, grid).is_hyperbolic:
-                raise UsageError("outer warp fails the hyperbolic-type check on the glue grid")
+
+    def validate(self) -> None:
+        """Check that the outer warp is of hyperbolic type on the glue grid."""
+        grid = np.geomspace(1e-2, max(2.0 * self.R, 4.0), 512)
+        if not is_hyperbolic_type(self.sigma, grid).is_hyperbolic:
+            raise UsageError("outer warp fails the hyperbolic-type check on the glue grid")
 
 
 class GluedWarp(WarpingFunction):
@@ -107,12 +108,16 @@ class GluedWarp(WarpingFunction):
     linear ramp to sigma_k'(R2+delta), and sigma_k' beyond.  Values integrate
     this profile exactly (the ramp and plateau pieces are polynomials, the
     tail integral telescopes to sigma_k), anchored so tau == rho on the head.
+
+    It owns its anchors rho(R1-delta) and sigma_k(R2+delta), evaluated once,
+    and its scale ``k`` (that of a ``ScaledWarp`` sigma_k, else 1).  Unless
+    ``s`` is given (``with_slope``), it solves the tail-matching plateau slope.
     """
 
     kind = "Glued"
 
     def __init__(self, rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: float,
-                 delta: float, k: float, s: float):
+                 delta: float, s: float | None = None):
         if not (0.0 < R1 < R2):
             raise UsageError("glued warp needs 0 < R1 < R2")
         if not (0.0 < delta < (R2 - R1) / 2.0):
@@ -122,14 +127,16 @@ class GluedWarp(WarpingFunction):
         self.R1 = float(R1)
         self.R2 = float(R2)
         self.delta = float(delta)
-        self.k = float(k)
-        self.s = float(s)
+        self.k = sigma_k.k if isinstance(sigma_k, ScaledWarp) else 1.0
         self.third_at_zero = rho.third_at_zero
-        # the ramps and the plateau as (value, slope, curvature) at their left
-        # edges a, b, c; the tail is sigma_k shifted to meet tau at d
         a, b, c, d = self.edges
         rho_a, drho_a, _ = (float(v) for v in rho.evaluate(a))
         sig_d, dsig_d, _ = (float(v) for v in sigma_k.evaluate(d))
+        if s is None:
+            s = self._plateau_slope(rho_a, drho_a, sig_d, dsig_d)
+        self.s = float(s)
+        # the ramps and the plateau as (value, slope, curvature) at their left
+        # edges a, b, c; the tail is sigma_k shifted to meet tau at d
         tau_b = rho_a + self.delta * (drho_a + self.s)
         tau_c = tau_b + self.s * (c - b)
         tau_d = tau_c + self.delta * (self.s + dsig_d)
@@ -140,7 +147,25 @@ class GluedWarp(WarpingFunction):
         )
         self._tail = (sig_d, tau_d)
 
-    # band edges
+    def _plateau_slope(self, rho_a, lo, sig_d, hi):
+        """Root of the affine tail mismatch in the monotone bracket [lo, hi] = [rho'(a), sigma_k'(d)]."""
+        span = self.R2 - self.R1
+        mismatch0 = rho_a + self.delta * (lo + hi) - sig_d
+        f_lo, f_hi = mismatch0 + span * lo, mismatch0 + span * hi
+        if f_lo > 1e-12 * max(1.0, abs(sig_d)):
+            raise InfeasibleError(
+                f"plateau slope root lies below the monotone bracket (mismatch at rho'(R1-delta): {f_lo:.3g})"
+            )
+        if f_hi < -1e-12 * max(1.0, abs(sig_d)):
+            raise InfeasibleError(
+                f"plateau slope root lies above the monotone bracket (mismatch at sigma_k'(R2+delta): {f_hi:.3g})"
+            )
+        s = max(min(-mismatch0 / span, hi), lo)
+        # defence in depth: the derivative profile must be monotone (s >= lo by the clip)
+        if hi < s - 1e-12 * max(1.0, abs(hi)):
+            raise ConstructionError("glued derivative profile is not monotone")
+        return s
+
     @property
     def edges(self):
         d = self.delta
@@ -173,7 +198,7 @@ class GluedWarp(WarpingFunction):
 
     def with_slope(self, s: float) -> "GluedWarp":
         """Copy with a replaced plateau slope (for adversarial checks)."""
-        return GluedWarp(self.rho, self.sigma_k, self.R1, self.R2, self.delta, self.k, s)
+        return GluedWarp(self.rho, self.sigma_k, self.R1, self.R2, self.delta, s)
 
 
 @dataclass
@@ -206,7 +231,6 @@ class GlueCertificate:
 
 def choose_radii(spec: GlueSpec):
     """Intermediate radii at the interior thirds of (R_bar, R)."""
-    spec.validate(check_sigma=False)
     step = (spec.R - spec.R_bar) / 3.0
     return spec.R_bar + step, spec.R_bar + 2.0 * step
 
@@ -258,56 +282,25 @@ def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
 
 def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: float,
               delta: float) -> GluedWarp:
-    """Assemble the glued warp with the plateau slope that matches the tail.
+    """The glued warp whose plateau slope ``GluedWarp`` solves to match the tail.
 
-    The mismatch ``tau(R2+delta; s) - sigma_k(R2+delta)`` is affine in s with
-    slope R2 - R1, so its root is solved for directly and clipped to the
-    monotonicity bracket [rho'(R1-delta), sigma_k'(R2+delta)]; a root outside
-    that bracket means the chosen k is infeasible.  The band half-width
-    ``delta`` is explicit here; ``certify`` then holds the tail mismatch to
-    ``VALUE_TOL``.
+    A root outside the monotone bracket raises ``InfeasibleError``: the chosen
+    k is infeasible.  ``certify`` then holds the tail mismatch to ``VALUE_TOL``.
     """
-    if not (0.0 < R1 < R2):
-        raise UsageError("build_tau needs 0 < R1 < R2")
-    if not (0.0 < delta < (R2 - R1) / 2.0):
-        raise DomainError("build_tau needs 0 < delta < (R2-R1)/2")
-    k = sigma_k.k if isinstance(sigma_k, ScaledWarp) else 1.0
-
-    rho_a, drho_a, _ = (float(v) for v in rho.evaluate(R1 - delta))
-    sig_d, dsig_d, _ = (float(v) for v in sigma_k.evaluate(R2 + delta))
-    mismatch0 = rho_a + delta * (drho_a + dsig_d) - sig_d
-
-    lo, hi = drho_a, dsig_d
-    scale = max(1.0, abs(sig_d))
-    f_lo, f_hi = mismatch0 + (R2 - R1) * lo, mismatch0 + (R2 - R1) * hi
-    if f_lo > 1e-12 * scale:
-        raise InfeasibleError(
-            f"plateau slope root lies below the monotone bracket (mismatch at rho'(R1-delta): {f_lo:.3g})"
-        )
-    if f_hi < -1e-12 * scale:
-        raise InfeasibleError(
-            f"plateau slope root lies above the monotone bracket (mismatch at sigma_k'(R2+delta): {f_hi:.3g})"
-        )
-    s = max(min(-mismatch0 / (R2 - R1), hi), lo)
-
-    gw = GluedWarp(rho, sigma_k, R1, R2, delta, k, s)
-    # defence in depth: the derivative profile must be monotone
-    if s < drho_a - 1e-12 * max(1.0, abs(drho_a)) or dsig_d < s - 1e-12 * max(1.0, abs(dsig_d)):
-        raise ConstructionError("glued derivative profile is not monotone")
-    return gw
+    return GluedWarp(rho, sigma_k, R1, R2, delta)
 
 
 def default_certification_grid(gw: GluedWarp, n: int = 4001) -> np.ndarray:
     """Uniform grid on [0, R2+4*delta] with the band edges inserted."""
     top = gw.R2 + 4.0 * gw.delta
     grid = np.linspace(0.0, top, max(n, 2000))
-    grid = np.unique(np.concatenate([grid, np.asarray(gw.edges)]))
-    return grid
+    return np.unique(np.concatenate([grid, np.asarray(gw.edges)]))
 
 
 def certify(gw: GluedWarp, grid) -> GlueCertificate:
-    """Measure the contract margins of a glued warp on a grid.
+    """Measure the contract margins of a glued warp from one evaluation on a grid.
 
+    The curvature report is read from those samples at the positive radii.
     ``min_second_difference`` is the undivided midpoint convexity defect
     min_i [ (h1 tau_{i-1} + h0 tau_{i+1})/(h0+h1) - tau_i ]  (>= 0 for convex
     tau); keeping it undivided leaves roundoff at the 1e-14 level, far below
@@ -326,7 +319,7 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
         if np.min(np.abs(grid - edge)) > 1e-9:
             raise UsageError("certification grid must include the band edges")
 
-    tau, dtau, _ = gw.evaluate(grid)
+    tau, dtau, ddtau = gw.evaluate(grid)
 
     h0 = np.diff(grid[:-1])
     h1 = np.diff(grid[1:])
@@ -343,7 +336,8 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
     sig_vals = gw.sigma_k.evaluate(grid[tail_pts])[0]
     tail_mismatch = float(np.max(np.abs(tau[tail_pts] - sig_vals))) if np.any(tail_pts) else 0.0
 
-    report = is_cartan_hadamard(gw, grid[grid > 0.0])
+    pos = grid > 0.0
+    report = _curvature_report(gw, grid[pos], (tau[pos], dtau[pos], ddtau[pos]))
 
     passed = (
         min_second >= -CONVEXITY_TOL
@@ -351,7 +345,7 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
         and head_mismatch == 0.0
         and tail_mismatch <= VALUE_TOL
         and report.is_nonpositive
-        and float(np.max(np.maximum(report.sec_rad, report.sec_tg))) <= CURVATURE_TOL
+        and report.worst_violation <= CURVATURE_TOL
     )
     return GlueCertificate(
         min_second_difference=min_second,
@@ -379,8 +373,7 @@ def glue_pipeline(spec: GlueSpec):
     R1, R2, delta = _glue_plan(spec)
     k = find_k(spec.rho, spec.sigma, R1, R2, delta, spec.k_max)
     gw = build_tau(spec.rho, ScaledWarp(spec.sigma, k), R1, R2, delta)
-    cert = certify(gw, default_certification_grid(gw))
-    return gw, cert
+    return gw, certify(gw, default_certification_grid(gw))
 
 
 # ---------------------------------------------------------------------------

@@ -336,15 +336,15 @@ def _is_convex(d2) -> bool:
     return bool(np.all(d2 >= -SIGN_TOL * (1.0 + np.abs(d2))))
 
 
-def _sectional_curvatures(w: WarpingFunction, r):
-    """``(sec_rad, sec_tg, sigma'')`` of the model generated by ``w`` at ``r``.
+def _sectional_curvatures(w: WarpingFunction, r, samples=None):
+    """``(sec_rad, sec_tg)`` of the model of ``w`` at ``r``, from its ``samples`` there if given.
 
     At r=0 both curvatures take the limit -sigma'''(0), which only analytic
     warps know; elsewhere sigma must be positive.  A scalar radius gives floats.
     """
     r = np.asarray(r, dtype=float)
     radii = np.atleast_1d(r)
-    s, d1, d2 = w.evaluate(radii)  # validates the radii
+    s, d1, d2 = w.evaluate(radii) if samples is None else samples  # evaluate validates the radii
     sec_rad = np.empty_like(s)
     sec_tg = np.empty_like(s)
     pole = radii == 0.0
@@ -358,8 +358,8 @@ def _sectional_curvatures(w: WarpingFunction, r):
     np.divide(-d2, s, out=sec_rad, where=body)
     np.divide(1.0 - d1 * d1, s * s, out=sec_tg, where=body)
     if r.ndim:
-        return sec_rad, sec_tg, d2
-    return float(sec_rad[0]), float(sec_tg[0]), float(d2[0])
+        return sec_rad, sec_tg
+    return float(sec_rad[0]), float(sec_tg[0])
 
 
 def curvature_radial(w: WarpingFunction, r):
@@ -370,6 +370,20 @@ def curvature_radial(w: WarpingFunction, r):
 def curvature_tangential(w: WarpingFunction, r):
     """Tangential sectional curvature ``(1 - sigma'^2)/sigma^2`` (limit -sigma'''(0) at r=0)."""
     return _sectional_curvatures(w, r)[1]
+
+
+def _curvature_report(w: WarpingFunction, grid, samples) -> CurvatureReport:
+    """The report of ``is_cartan_hadamard`` from ``w``'s samples (sigma, sigma', sigma'') on ``grid``."""
+    sec_rad, sec_tg = _sectional_curvatures(w, grid, samples)
+    curv = np.maximum(sec_rad, sec_tg)
+    nonpos = _is_convex(samples[2]) and bool(np.all(curv <= SIGN_TOL * (1.0 + np.abs(curv))))
+    return CurvatureReport(
+        grid=grid,
+        sec_rad=sec_rad,
+        sec_tg=sec_tg,
+        is_nonpositive=nonpos,
+        worst_violation=float(np.max(curv)),
+    )
 
 
 def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
@@ -384,16 +398,7 @@ def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
         raise UsageError("certification grid must be a nonempty 1d array")
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise UsageError("certification grid must be strictly increasing and positive")
-    sec_rad, sec_tg, d2 = _sectional_curvatures(w, grid)
-    curv = np.maximum(sec_rad, sec_tg)
-    nonpos = _is_convex(d2) and bool(np.all(curv <= SIGN_TOL * (1.0 + np.abs(curv))))
-    return CurvatureReport(
-        grid=grid,
-        sec_rad=sec_rad,
-        sec_tg=sec_tg,
-        is_nonpositive=nonpos,
-        worst_violation=float(np.max(curv)),
-    )
+    return _curvature_report(w, grid, w.evaluate(grid))
 
 
 def is_hyperbolic_type(w: WarpingFunction, grid=None, k_list=None) -> HyperbolicTypeReport:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -79,6 +80,33 @@ def test_find_k_blend_square_metric():
     mask = (T_GRID >= 1.0) & (T_GRID <= 2.0)
     oracle = np.min(np.sinh(T_GRID[mask]) ** 2 / T_GRID[mask] ** 2)
     assert c2 == pytest.approx(oracle, rel=1e-14)
+
+
+@pytest.mark.parametrize("k_max", [0.5, 0.0, -1.0, math.nan])
+def test_find_k_blend_k_max_below_one_is_a_usage_error(k_max):
+    with pytest.raises(UsageError, match="k_max >= 1"):
+        find_k_blend(grid_from(SQUARE, T_GRID), 1.0, 2.0, k_max=k_max)
+
+
+@pytest.mark.parametrize("t", [[0.1, 0.3, 0.4], [0.1, 0.3, 0.4, 0.8]])
+def test_d_dt_exact_on_polynomials_of_degree_n_minus_1(t):
+    # on n < 5 samples the stencil has n nodes; for t^3 on the 4 nodes a
+    # second-order np.gradient gave [-0.03, 0.29, 0.52, 1.72], not 3 t^2
+    t = np.asarray(t)
+    theta = 2 * np.pi * np.arange(3) / 3
+    coeffs = np.array([[2.0, 1.0, 3.0], [0.5, 1.5, 2.0], [1.0, 0.0, 4.0], [1.0, 2.0, 0.5]])[: t.size]
+    powers = np.arange(t.size)
+    j = (t[:, None] ** powers) @ coeffs
+    dj = (powers[1:] * t[:, None] ** (powers[1:] - 1)) @ coeffs[1:]
+    got = PolarMetricGrid(t, theta, j).d_dt()
+    assert np.allclose(got, dj, rtol=1e-13, atol=1e-13)
+
+
+def test_blend_result_json_keys_equal_fields():
+    result = blend_metric(grid_from(SQUARE, T_GRID, gen_dt=SQUARE_DT), 1.0, 1.0, 2.0)
+    doc = json.loads(json.dumps(result.to_json_dict()))
+    assert doc == {"k": result.k, "c2": result.c2, "min_dt_jhat": result.min_radial_derivative,
+                   "pass": result.passed}
 
 
 def test_find_k_blend_self():

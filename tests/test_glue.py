@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from pharmap.errors import DomainError, InfeasibleError, SearchExhaustedError, UsageError
 from pharmap.glue import (
+    VALUE_TOL,
     GlueSpec,
     GluedWarp,
     build_tau,
@@ -16,10 +18,21 @@ from pharmap.glue import (
     glue_pipeline,
     rays_from_polar_samples,
 )
-from pharmap.warp import IdentityWarp, OddPolynomialWarp, ScaledWarp, SinhWarp
+from pharmap.warp import IdentityWarp, OddPolynomialWarp, ScaledWarp, SinhWarp, is_cartan_hadamard
 
 RHO = OddPolynomialWarp([1.0, 1.0])  # r + r^3
 SIGMA = SinhWarp()
+
+
+def counting(cls):
+    """Subclass of a warp class whose instances record the radii of each ``evaluate`` call."""
+
+    class Counting(cls):
+        def evaluate(self, r):
+            self.calls = getattr(self, "calls", []) + [np.asarray(r, dtype=float)]
+            return super().evaluate(r)
+
+    return Counting
 
 
 def secant_ok(rho, sigma_k, R1, R2, delta):
@@ -185,7 +198,68 @@ def test_glue_spec_validation():
 
 def test_glued_warp_band_misuse():
     with pytest.raises(DomainError):
-        GluedWarp(RHO, ScaledWarp(SIGMA, 2.0), 2.0, 3.0, 0.6, 2.0, 14.0)
+        GluedWarp(RHO, ScaledWarp(SIGMA, 2.0), 2.0, 3.0, 0.6, 14.0)
+
+
+def test_glued_warp_derives_k_and_slope():
+    assert GluedWarp(RHO, ScaledWarp(SIGMA, 2.0), 2.0, 3.0, 0.05).k == 2.0
+    assert GluedWarp(IdentityWarp(), IdentityWarp(), 1.0, 2.0, 0.05).k == 1.0
+    with pytest.raises(InfeasibleError):
+        GluedWarp(RHO, ScaledWarp(SIGMA, 1.0), 2.0, 3.0, 0.05)
+    # an explicit slope is taken as given, even at an infeasible k, so certify can reject it
+    bad = GluedWarp(RHO, ScaledWarp(SIGMA, 1.0), 2.0, 3.0, 0.05, 20.0)
+    assert bad.s == 20.0 and bad.k == 1.0
+    assert not certify(bad, default_certification_grid(bad)).passed
+
+
+def test_build_tau_evaluates_each_anchor_once():
+    rho = counting(OddPolynomialWarp)([1.0, 1.0])
+    sigma_k = counting(ScaledWarp)(SIGMA, 2.0)
+    gw = build_tau(rho, sigma_k, 2.0, 3.0, 0.05)
+    assert [(c.ndim, float(c)) for c in rho.calls] == [(0, gw.edges[0])]
+    assert [(c.ndim, float(c)) for c in sigma_k.calls] == [(0, gw.edges[3])]
+    assert gw.k == 2.0
+
+
+def test_certify_evaluates_the_glued_warp_once():
+    gw = counting(GluedWarp)(RHO, ScaledWarp(SIGMA, 2.0), 2.0, 3.0, 0.05)
+    grid = default_certification_grid(gw)
+    cert = certify(gw, grid)
+    assert len(gw.calls) == 1 and np.array_equal(gw.calls[0], grid)
+    assert cert.passed
+    # the report read from certify's own samples is the one of a fresh evaluation
+    report = is_cartan_hadamard(gw, grid[grid > 0.0])
+    for name in ("grid", "sec_rad", "sec_tg"):
+        assert np.array_equal(getattr(cert.curvature, name), getattr(report, name))
+    assert cert.curvature.is_nonpositive == report.is_nonpositive
+    assert cert.curvature.worst_violation == report.worst_violation
+
+
+def test_glue_certificate_json_keys_equal_fields():
+    gw, cert = glue_pipeline(GlueSpec(RHO, SIGMA, 1.0, 4.0))
+    fields = {
+        "pass": cert.passed,
+        "min_second_difference": cert.min_second_difference,
+        "min_slope_minus_one": cert.min_slope_minus_one,
+        "head_mismatch": cert.head_mismatch,
+        "tail_mismatch": cert.tail_mismatch,
+        "max_sec_rad": np.max(cert.curvature.sec_rad),
+        "max_sec_tg": np.max(cert.curvature.sec_tg),
+        "curvature_nonpositive": cert.curvature.is_nonpositive,
+        "value_tol": VALUE_TOL,
+    }
+    assert json.loads(json.dumps(cert.to_json_dict())) == fields
+    fields.update(R1=gw.R1, R2=gw.R2, delta=gw.delta, k=gw.k, s=gw.s)
+    assert json.loads(json.dumps(cert.to_json_dict(gw))) == fields
+
+
+@pytest.mark.parametrize("k_max", [0.5, 0.0, -1.0, math.nan])
+def test_k_max_below_one_is_a_usage_error(k_max):
+    with pytest.raises(UsageError, match="k_max >= 1"):
+        find_k(RHO, SIGMA, 2.0, 3.0, 0.0, k_max=k_max)
+    theta = 2 * np.pi * np.arange(4) / 4
+    with pytest.raises(UsageError, match="k_max >= 1"):
+        glue2d([RHO] * 4, theta, SIGMA, 1.0, 4.0, k_max=k_max)
 
 
 def test_glue2d_flat_disk_reduces_to_identity_case():

@@ -15,6 +15,8 @@ Near the pole these are 0/0; for analytic warps we switch to the series
 c = -kappa, w'/r = 2 kappa and c'/r = 0, with no divisions at all.  The flat
 warp gives w = 1 and c = w'/r = c'/r = 0 exactly.  Sampled warps cannot
 certify the cancellation and refuse evaluation inside the pole neighborhood.
+A batch with no point below ``R_TINY`` is evaluated with one warp call and
+no scatter; only a batch with pole points fills in the series by mask.
 
 Dimension 1 targets (the Euclidean line, h = 1) are supported so that scalar
 p-harmonic oracles can run through the same solver.
@@ -83,54 +85,56 @@ class TargetChart:
 
     def _radial(self, r, derivatives=False):
         """w, c = (1-w)/r^2 and, with ``derivatives``, w'/r and c'/r; series-safe."""
-        w = np.ones_like(r)
-        c = np.zeros_like(r)
-        dw = np.zeros_like(r)
-        dc = np.zeros_like(r)
         small = r < R_TINY
-        if np.any(small):
-            third = self._warp.third_at_zero
-            if third is None:
-                raise DomainError(
-                    f"chart metric within r < {R_TINY:g} of the pole needs an analytic warp"
-                )
-            kappa = third / 3.0
-            rs = r[small]
-            w[small] = 1.0 + kappa * rs * rs
-            c[small] = -kappa
-            dw[small] = 2.0 * kappa
-        big = ~small
-        if np.any(big):
-            rb = r[big]
+        pole = bool(np.any(small))
+        if pole and self._warp.third_at_zero is None:
+            raise DomainError(f"chart metric within r < {R_TINY:g} of the pole needs an analytic warp")
+        rb = r[~small] if pole else r
+        w = c = dw = dc = rb  # an all-pole batch evaluates no warp
+        if rb.size:
             s, d1, _ = self._warp.evaluate(rb)
             if np.any(s <= 0.0):
                 raise DomainError("warp must be positive away from the pole")
-            wb = (s / rb) ** 2
-            cb = (1.0 - wb) / rb**2
-            w[big] = wb
-            c[big] = cb
+            w = (s / rb) ** 2
+            c = (1.0 - w) / rb**2
             if derivatives:
-                dwb = 2.0 * s * (d1 * rb - s) / rb**4
-                dw[big] = dwb
-                dc[big] = -(dwb + 2.0 * cb) / rb**2
-        return (w, c, dw, dc) if derivatives else (w, c)
+                dw = 2.0 * s * (d1 * rb - s) / rb**4
+                dc = -(dw + 2.0 * c) / rb**2
+        out = (w, c, dw, dc) if derivatives else (w, c)
+        if not pole:
+            return out
+        kappa = self._warp.third_at_zero / 3.0
+        series = (1.0 + kappa * r * r, np.full_like(r, -kappa), np.full_like(r, 2.0 * kappa), np.zeros_like(r))
+        for full, part in zip(series, out):
+            full[~small] = part
+        return series[: len(out)]
 
     def metric(self, x):
         """Metric matrices h = w I + c x x^T; shape (m, n, n) for batched points."""
         x, squeeze = self._points(x)
+        m, n = x.shape
         w, c = self._radial(np.linalg.norm(x, axis=1))
-        h = w[:, None, None] * np.eye(x.shape[1]) + c[:, None, None] * (x[:, :, None] * x[:, None, :])
+        xt = np.ascontiguousarray(x.T)  # entry-major: each (i, j) is one row over the m points
+        h = c * (xt[:, None] * xt)
+        h.reshape(n * n, m)[:: n + 1] += w
+        h = np.ascontiguousarray(h.transpose(2, 0, 1))
         return h[0] if squeeze else h
 
     def metric_jacobian(self, x):
         """Derivatives dh[i,j,k] = d h_ij / d x^k (closed form in the module
         docstring); shape (m, n, n, n)."""
         x, squeeze = self._points(x)
+        m, n = x.shape
         _, c, dw, dc = self._radial(np.linalg.norm(x, axis=1), derivatives=True)
-        eye = np.eye(x.shape[1])
-        xk = x[:, None, None, :]
-        cx = c[:, None, None, None] * eye[None, :, None, :] * x[:, None, :, None]  # c delta_ik x_j
-        dh = (dw[:, None, None, None] * eye[None, :, :, None] * xk
-              + (dc[:, None, None] * (x[:, :, None] * x[:, None, :]))[..., None] * xk
-              + (cx + cx.swapaxes(1, 2)))
+        xt = np.ascontiguousarray(x.T)  # entry-major, as in metric
+        dh = (dc * (xt[:, None] * xt))[:, :, None] * xt
+        dh.reshape(n * n, n, m)[:: n + 1] += dw * xt  # i = j
+        cx = c * xt
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    dh[i, j, i] += cx[j]
+                    dh[i, j, j] += cx[i]
+            dh[i, i, i] += cx[i] + cx[i]  # the two c terms as one sum
+        dh = np.ascontiguousarray(dh.transpose(3, 0, 1, 2))
         return dh[0] if squeeze else dh

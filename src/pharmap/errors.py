@@ -5,6 +5,8 @@ outside a domain) raise subclasses of ``ValueError``; failed searches,
 constructions and iterations raise subclasses of ``RuntimeError``.
 """
 
+import math
+
 
 class UsageError(ValueError):
     """An argument or input file violates a documented precondition."""
@@ -36,10 +38,11 @@ def _doubling_search(k_max: float, failure) -> float:
     ``failure(k)`` returns None when k passes, and otherwise the message to
     raise should k be the last scale tried: past ``k_max`` the search raises
     ``SearchExhaustedError`` with the message of the last failing k.  A
-    ``k_max`` below 1 (or NaN) leaves no scale to try and raises ``UsageError``.
+    ``k_max`` below 1 (or NaN) leaves no scale to try, and an infinite one no
+    end to the search: both raise ``UsageError``.
     """
-    if not k_max >= 1.0:  # written so that NaN fails
-        raise UsageError(f"the doubling search needs k_max >= 1, got {k_max:g}")
+    if not 1.0 <= k_max < math.inf:  # written so that NaN fails
+        raise UsageError(f"the doubling search needs a finite k_max >= 1, got {k_max:g}")
     k = 1.0
     while k <= k_max:
         message = failure(k)

@@ -251,7 +251,8 @@ def _assemble_chunk(mesh, chart, pts, p, rule, sl, e_out, g_out):
     if g_out is None:
         return
     dH = chart.metric_jacobian(xq).reshape(m, nq, n * n, n)
-    DtD = (D.transpose(0, 2, 1) @ D).reshape(m, 1, 1, n * n)
+    # a contiguous left operand takes numpy's fast matmul path; the bytes are the same
+    DtD = (np.ascontiguousarray(D.transpose(0, 2, 1)) @ D).reshape(m, 1, 1, n * n)
     Jc = (DtD @ dH).reshape(m, nq, n)  # D_ai dh_ijc D_aj
     w = (0.5 * weights) * areas[:, None] * epow  # (m, nq)
     wDH = (w[:, None, :] @ DH.reshape(m, nq, 2 * n)).reshape(m, 2, n)

@@ -429,19 +429,20 @@ def is_hyperbolic_type(w: WarpingFunction, grid=None, k_list=None) -> Hyperbolic
     slope_ok = True
     growth_ok = True
     prev_vals = None
-    for k in k_list:
-        sk = ScaledWarp(w, k)
-        vals, dvals, _ = sk.evaluate(grid)
-        gap = np.min(dvals - vals)
-        worst_gap = min(worst_gap, float(gap))
-        if gap < -SIGN_TOL * (1.0 + float(np.max(np.abs(vals)))):
-            slope_ok = False
-        if prev_vals is not None:
-            step = np.min(vals - prev_vals)
-            min_growth = min(min_growth, float(step))
-            if step <= 0.0:
-                growth_ok = False
-        prev_vals = vals
+    # a scaled warp that overflows gives inf - inf = NaN, which fails both tests
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in k_list:
+            vals, dvals, _ = ScaledWarp(w, k).evaluate(grid)
+            gap = np.min(dvals - vals)
+            worst_gap = float(np.minimum(worst_gap, gap))
+            if not gap >= -SIGN_TOL * (1.0 + float(np.max(np.abs(vals)))):
+                slope_ok = False
+            if prev_vals is not None:
+                step = np.min(vals - prev_vals)
+                min_growth = float(np.minimum(min_growth, step))
+                if not step > 0.0:
+                    growth_ok = False
+            prev_vals = vals
     ok = convex_ok and slope_ok and growth_ok
     return HyperbolicTypeReport(
         is_hyperbolic=ok,

@@ -82,7 +82,7 @@ def test_find_k_blend_square_metric():
     assert c2 == pytest.approx(oracle, rel=1e-14)
 
 
-@pytest.mark.parametrize("k_max", [0.5, 0.0, -1.0, math.nan])
+@pytest.mark.parametrize("k_max", [0.5, 0.0, -1.0, math.nan, math.inf])
 def test_find_k_blend_k_max_below_one_is_a_usage_error(k_max):
     with pytest.raises(UsageError, match="k_max >= 1"):
         find_k_blend(grid_from(SQUARE, T_GRID), 1.0, 2.0, k_max=k_max)

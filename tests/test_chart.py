@@ -211,3 +211,53 @@ def test_sampled_warp_metric_jacobian_refuses_the_pole():
         sampled.metric_jacobian(np.array([1e-8, 0.0]))
     with pytest.raises(DomainError):
         sampled.metric_jacobian(np.array([[0.5, 0.0], [0.0, 1e-8]]))
+
+
+def reference_radial(warp, r):
+    """w, c, w'/r and c'/r point by point, series below R_TINY (module docstring)."""
+    w, c, dw, dc = np.ones_like(r), np.zeros_like(r), np.zeros_like(r), np.zeros_like(r)
+    small = r < R_TINY
+    kappa = warp.third_at_zero / 3.0
+    w[small] = 1.0 + kappa * r[small] * r[small]
+    c[small] = -kappa
+    dw[small] = 2.0 * kappa
+    rb = r[~small]
+    s, d1, _ = warp.evaluate(rb)
+    w[~small] = (s / rb) ** 2
+    c[~small] = (1.0 - w[~small]) / rb**2
+    dw[~small] = 2.0 * s * (d1 * rb - s) / rb**4
+    dc[~small] = -(dw[~small] + 2.0 * c[~small]) / rb**2
+    return w, c, dw, dc
+
+
+def reference_metric(chart, x):
+    w, c, _, _ = reference_radial(chart.warp, np.linalg.norm(x, axis=1))
+    return w[:, None, None] * np.eye(x.shape[1]) + c[:, None, None] * (x[:, :, None] * x[:, None, :])
+
+
+def reference_metric_jacobian(chart, x):
+    _, c, dw, dc = reference_radial(chart.warp, np.linalg.norm(x, axis=1))
+    eye = np.eye(x.shape[1])
+    xk = x[:, None, None, :]
+    cx = c[:, None, None, None] * eye[None, :, None, :] * x[:, None, :, None]  # c delta_ik x_j
+    return (dw[:, None, None, None] * eye[None, :, :, None] * xk
+            + (dc[:, None, None] * (x[:, :, None] * x[:, None, :]))[..., None] * xk
+            + (cx + cx.swapaxes(1, 2)))
+
+
+@pytest.mark.parametrize("chart", [SINH2, SINH3, TargetChart.from_warp(OddPolynomialWarp([1.0, 0.5, 0.1]), 3),
+                                   FLAT2, TargetChart.euclidean_line()],
+                         ids=["sinh2", "sinh3", "poly3", "flat2", "line"])
+def test_mixed_pole_batch_matches_single_points_and_reference(chart):
+    n = chart.dim
+    radii = [0.0, 3e-7, R_TINY * (1.0 - 2.0**-20), R_TINY * (1.0 + 2.0**-20), 1.0, 3.0]
+    directions = [np.eye(n)[0], -np.ones(n) / math.sqrt(n), np.linspace(1.0, -0.5, n)]
+    x = np.array([r * u / np.linalg.norm(u) for r in radii for u in directions])
+    r = np.linalg.norm(x, axis=1)
+    assert np.any((0.0 < r) & (r < R_TINY)) and np.any((R_TINY <= r) & (r < 2.0 * R_TINY))
+    for method, reference in ((chart.metric, reference_metric),
+                              (chart.metric_jacobian, reference_metric_jacobian)):
+        batch = method(x)
+        assert np.array_equal(batch, reference(chart, x))
+        for xi, got in zip(x, batch):
+            assert np.array_equal(method(xi), got)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,17 @@ def test_glue_spec_validation():
             glue_pipeline(GlueSpec(RHO, SIGMA, 1.0, 4.0, k_max=k_max))
 
 
+def test_glue_spec_rejects_an_outer_warp_that_overflows_on_the_glue_grid():
+    # sinh(sqrt(4096) * 2R) overflows for R >= 5.55; inf - inf = NaN must fail the check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for R in (5.6, 6.0):
+            with pytest.raises(UsageError, match="hyperbolic-type"):
+                glue_pipeline(GlueSpec(RHO, SIGMA, 1.0, R))
+        _, cert = glue_pipeline(GlueSpec(RHO, SIGMA, 1.0, 5.0))
+    assert cert.passed
+
+
 def test_glued_warp_band_misuse():
     with pytest.raises(DomainError):
         GluedWarp(RHO, ScaledWarp(SIGMA, 2.0), 2.0, 3.0, 0.6, 14.0)
@@ -253,7 +265,7 @@ def test_glue_certificate_json_keys_equal_fields():
     assert json.loads(json.dumps(cert.to_json_dict(gw))) == fields
 
 
-@pytest.mark.parametrize("k_max", [0.5, 0.0, -1.0, math.nan])
+@pytest.mark.parametrize("k_max", [0.5, 0.0, -1.0, math.nan, math.inf])
 def test_k_max_below_one_is_a_usage_error(k_max):
     with pytest.raises(UsageError, match="k_max >= 1"):
         find_k(RHO, SIGMA, 2.0, 3.0, 0.0, k_max=k_max)

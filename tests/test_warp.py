@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,13 @@ def test_is_hyperbolic_type():
     rep_poly = is_hyperbolic_type(R_PLUS_R3, grid, ks)
     assert not rep_poly.is_hyperbolic
     assert not rep_poly.slope_ok  # sigma_k' < sigma_k at large r (e.g. r=4, k=1)
+    overflow = np.geomspace(1e-2, 11.2, 512)  # sinh(sqrt(4096) * 11.2) overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep_inf = is_hyperbolic_type(SinhWarp(), overflow)
+    assert not rep_inf.is_hyperbolic
+    assert not rep_inf.slope_ok
+    assert math.isnan(rep_inf.worst_slope_gap)  # the NaN of inf - inf is reported, not dropped
 
 
 def test_spline_round_trip():

@@ -4,13 +4,7 @@ Given a convex inner warp ``rho`` and a hyperbolic-type outer warp ``sigma``,
 the construction produces a convex glued warp ``tau`` that equals ``rho`` on
 an inner ball and a rescaling ``sigma_k`` beyond a larger ball, so the model
 generated by ``tau`` keeps nonpositive curvature while acquiring the outer
-geometry at infinity.  Feasibility is a secant inequality: ``k`` must be
-large enough that
-
-    rho'(R1)  <=  (sigma_k(R2) - rho(R1)) / (R2 - R1)  <=  sigma_k'(R2),
-
-i.e. the chord from (R1, rho(R1)) to (R2, sigma_k(R2)) has slope between the
-one-sided derivatives.  The raw three-piece function (rho | chord | sigma_k)
+geometry at infinity.  The raw three-piece function (rho | segment | sigma_k)
 is convex but has corners; instead of an exact smooth convex approximation we
 ramp the *derivative* linearly across bands of half-width ``delta`` around R1
 and R2, which yields a C^{1,1} convex function with piecewise-constant
@@ -23,16 +17,22 @@ outer band edge.  That mismatch is affine in ``s``,
     tau(R2+delta; s) - sigma_k(R2+delta) = mismatch(0) + (R2 - R1) s,
     mismatch(0) = rho(R1-delta) + delta (rho'(R1-delta) + sigma_k'(R2+delta)) - sigma_k(R2+delta),
 
-so ``s = -mismatch(0)/(R2 - R1)``, clipped to the monotone bracket
-[rho'(R1-delta), sigma_k'(R2+delta)].  ``GluedWarp`` owns this solve, the
-two anchors it reads and the scale k of its sigma_k.  ``certify`` evaluates
-``tau`` once on its grid and reads from those samples the convexity margin,
-the slope margin, head and tail mismatches and the curvatures.
+so ``s = -mismatch(0)/(R2 - R1)``.  One rule decides feasibility: k is
+feasible when this root lies in the monotone bracket
+[rho'(R1-delta), sigma_k'(R2+delta)], up to a slack of
+1e-12 max(1, |sigma_k(R2+delta)|).  At delta = 0 this is the secant inequality
+
+    rho'(R1)  <=  (sigma_k(R2) - rho(R1)) / (R2 - R1)  <=  sigma_k'(R2).
+
+``find_k`` returns the smallest doubling k that passes it, and ``GluedWarp``
+raises on a k that fails it.  ``certify`` evaluates ``tau`` once on its grid
+and reads from those samples the convexity margin, the slope margin, head
+and tail mismatches and the curvatures.
 
 The same surgery applies per ray to a 2-dimensional metric given by angular
-samples ``nu(., theta)``: one (k, R1, R2) is chosen to satisfy the secant
-inequality for the worst ray, the plateau slope is solved per ray, and the
-joint certificate additionally reports a Lipschitz bound on s(theta).
+samples ``nu(., theta)``: one (k, R1, R2) is chosen so that every ray passes
+the rule, the plateau slope is solved per ray, and the joint certificate
+additionally reports a Lipschitz bound on s(theta).
 """
 
 from __future__ import annotations
@@ -80,7 +80,9 @@ class GlueSpec:
 
     The corner bands are fixed by the radii: their half-width is
     min(0.05, (R2-R1)/10) for the intermediate radii R1, R2 of ``choose_radii``.
-    A certified glued warp matches sigma_k on its tail to within ``VALUE_TOL``.
+    The scale is the smallest doubling k <= ``k_max`` that passes the module's
+    feasibility rule.  A certified glued warp matches sigma_k on its tail to
+    within ``VALUE_TOL``.
     """
 
     rho: WarpingFunction
@@ -98,6 +100,15 @@ class GlueSpec:
         grid = np.geomspace(1e-2, max(2.0 * self.R, 4.0), 512)
         if not is_hyperbolic_type(self.sigma, grid).is_hyperbolic:
             raise UsageError("outer warp fails the hyperbolic-type check on the glue grid")
+
+
+def _slope_bracket(rho_a, drho_a, sig_d, dsig_d, span, delta):
+    """Tail mismatch at s = 0 and at both bracket ends, and the slack of the feasibility rule.
+
+    A k is feasible iff f_lo <= slack and f_hi >= -slack; ``rho_a``, ``drho_a`` may be arrays over rays.
+    """
+    mismatch0 = rho_a + delta * (drho_a + dsig_d) - sig_d
+    return mismatch0, mismatch0 + span * drho_a, mismatch0 + span * dsig_d, 1e-12 * max(1.0, abs(sig_d))
 
 
 class GluedWarp(WarpingFunction):
@@ -150,16 +161,10 @@ class GluedWarp(WarpingFunction):
     def _plateau_slope(self, rho_a, lo, sig_d, hi):
         """Root of the affine tail mismatch in the monotone bracket [lo, hi] = [rho'(a), sigma_k'(d)]."""
         span = self.R2 - self.R1
-        mismatch0 = rho_a + self.delta * (lo + hi) - sig_d
-        f_lo, f_hi = mismatch0 + span * lo, mismatch0 + span * hi
-        if f_lo > 1e-12 * max(1.0, abs(sig_d)):
-            raise InfeasibleError(
-                f"plateau slope root lies below the monotone bracket (mismatch at rho'(R1-delta): {f_lo:.3g})"
-            )
-        if f_hi < -1e-12 * max(1.0, abs(sig_d)):
-            raise InfeasibleError(
-                f"plateau slope root lies above the monotone bracket (mismatch at sigma_k'(R2+delta): {f_hi:.3g})"
-            )
+        mismatch0, f_lo, f_hi, slack = _slope_bracket(rho_a, lo, sig_d, hi, span, self.delta)
+        if f_lo > slack or f_hi < -slack:
+            raise InfeasibleError(f"plateau slope root lies outside the monotone bracket (tail mismatch "
+                                  f"{f_lo:.3g} at rho'(R1-delta), {f_hi:.3g} at sigma_k'(R2+delta))")
         s = max(min(-mismatch0 / span, hi), lo)
         # defence in depth: the derivative profile must be monotone (s >= lo by the clip)
         if hi < s - 1e-12 * max(1.0, abs(hi)):
@@ -236,42 +241,34 @@ def choose_radii(spec: GlueSpec):
 
 
 def _secant_search(rays, sigma, R1, R2, delta, k_max):
-    """Smallest doubling scale k at which every ray meets the delta-shifted secant inequality.
+    """Smallest doubling scale k at which every ray passes ``_slope_bracket`` with a nonempty bracket.
 
-    Per ray: rho'(R1+delta) <= chord <= sigma_k'(R2-delta), the chord running
-    from (R1+delta, rho(R1-delta) + 2 delta rho'(R1+delta)) to
-    (R2-delta, sigma_k(R2+delta)).  With delta = 0 this is the plain secant
-    inequality at (R1, R2); the shifted form bounds the plateau-slope root of
-    ``build_tau``.  The rays do not depend on k and are evaluated once.
+    Those are the checks of ``GluedWarp``, so ``build_tau`` accepts the k
+    found.  The rays are evaluated once at R1-delta, sigma_k once per k at R2+delta.
     """
-    inner = np.array([R1 - delta, R1 + delta])
-    outer = np.array([R2 - delta, R2 + delta])
-    heads = [ray.evaluate(inner) for ray in rays]
-    rho_lo = np.array([v[0] for v, _, _ in heads])
-    lower = np.array([dv[1] for _, dv, _ in heads])
-    denom = (R2 - delta) - (R1 + delta)
+    a, d, span = R1 - delta, R2 + delta, R2 - R1
+    rho_a, lo = np.array([ray.evaluate(a)[:2] for ray in rays]).T
 
     def failure(k):
-        sig, dsig, _ = ScaledWarp(sigma, k).evaluate(outer)
-        chord = (sig[1] - rho_lo - 2.0 * delta * lower) / denom
-        upper = dsig[0]
-        if np.all((lower <= chord) & (chord <= upper)):
+        sig_d, hi, _ = ScaledWarp(sigma, k).evaluate(d)
+        _, f_lo, f_hi, slack = _slope_bracket(rho_a, lo, sig_d, hi, span, delta)
+        if np.all((f_lo <= slack) & (f_hi >= -slack) & (lo <= hi)):
             return None
-        j = int(np.argmax(np.maximum(lower - chord, chord - upper)))
-        return (f"no k <= {k_max:g} satisfies the secant inequality on every ray; worst ray {j} at "
-                f"k={k:g}: rho'(R1+delta) = {lower[j]:.6g}, chord slope {chord[j]:.6g}, "
-                f"sigma_k'(R2-delta) = {upper:.6g}")
+        j = int(np.argmax(np.maximum(f_lo, -f_hi)))
+        return (f"no k <= {k_max:g} puts the plateau slope of every ray in its monotone bracket; "
+                f"worst ray {j} at k={k:g}: tail mismatch {f_lo[j]:.6g} at rho'(R1-delta) = {lo[j]:.6g}, "
+                f"{f_hi[j]:.6g} at sigma_k'(R2+delta) = {hi:.6g}")
 
     return _doubling_search(k_max, failure)
 
 
 def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
            delta: float = 0.0, k_max: float = 2.0**40) -> float:
-    """Smallest doubling scale k with the (delta-shifted) secant inequality.
+    """Smallest doubling scale k whose plateau slope lies in its monotone bracket.
 
-    Scans k = 1, 2, 4, ... <= k_max and returns the first k for which
-    rho'(R1+delta) <= chord <= sigma_k'(R2-delta) holds; past the cap it
-    raises ``SearchExhaustedError`` with the three slopes at the last k.
+    Scans k = 1, 2, 4, ... <= k_max with the module's feasibility rule (the
+    secant inequality at (R1, R2) when delta = 0); past the cap it raises
+    ``SearchExhaustedError`` with the two bracket-end mismatches at the last k.
     """
     if not (0.0 < R1 < R2):
         raise UsageError("find_k needs 0 < R1 < R2")
@@ -284,8 +281,9 @@ def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: flo
               delta: float) -> GluedWarp:
     """The glued warp whose plateau slope ``GluedWarp`` solves to match the tail.
 
-    A root outside the monotone bracket raises ``InfeasibleError``: the chosen
-    k is infeasible.  ``certify`` then holds the tail mismatch to ``VALUE_TOL``.
+    A k that fails the module's feasibility rule raises ``InfeasibleError``;
+    every k that ``find_k`` returns passes it.  ``certify`` then holds the
+    tail mismatch to ``VALUE_TOL``.
     """
     return GluedWarp(rho, sigma_k, R1, R2, delta)
 
@@ -429,8 +427,8 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
     Each ray (the angular sample nu(., theta_j), a warping function of the
     radius) must be convex on the checking window: the single curvature of
     the 2d metric is -nu_rr/nu, so convexity is the nonpositive-curvature
-    precondition.  A single (k, R1, R2) is chosen so the secant inequality
-    holds for the worst ray; the plateau slope is solved ray by ray.  The
+    precondition.  A single (k, R1, R2) is chosen so that every ray passes
+    the feasibility rule; the plateau slope is solved ray by ray.  The
     band half-width is that of ``glue_pipeline``, min(0.05, (R2-R1)/10), and
     each glued ray must match sigma_k on its tail to within ``VALUE_TOL``; it
     is certified on a coarser default grid than ``glue_pipeline`` uses.

@@ -225,6 +225,13 @@ _QUAD_RULES = {
 }
 
 
+def _boundary_values(mesh: TriMesh, chart: TargetChart, boundary_values) -> np.ndarray:
+    bvals = np.asarray(boundary_values, dtype=float)
+    if bvals.shape != (mesh.num_vertices, chart.dim):
+        raise UsageError("boundary values need shape (nv, n) matching mesh and chart")
+    return bvals
+
+
 def _check_p_and_quadrature(p, quadrature):
     if not 2.0 <= p < math.inf:  # written so that NaN fails
         raise UsageError("p must be finite and >= 2")
@@ -412,6 +419,7 @@ def check_max_principle(mesh: TriMesh, chart: TargetChart, state) -> float:
 def max_principle_tolerance(mesh: TriMesh, chart: TargetChart, state) -> float:
     """First-order slack 2 * (max boundary radius) * (mesh size) + 1e-8."""
     pts = _points_of(state)
+    _check_shapes(mesh, chart, pts)
     radii = chart.dist_to_pole(pts)
     r0 = float(np.max(radii[mesh.boundary_indices()]))
     return 2.0 * r0 * mesh.mesh_size() + 1e-8
@@ -444,9 +452,7 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     docstring); ``report.stop_reason`` is ``"converged"``, ``"max_iter"`` or
     ``"stalled"``.
     """
-    bvals = np.asarray(boundary_values, dtype=float)
-    if bvals.ndim != 2 or bvals.shape != (mesh.num_vertices, chart.dim):
-        raise UsageError("boundary values need shape (nv, n) matching mesh and chart")
+    bvals = _boundary_values(mesh, chart, boundary_values)
     bidx = mesh.boundary_indices()
     iidx = mesh.interior_indices()
     if bidx.size == 0:
@@ -585,7 +591,7 @@ def uniqueness_probe(mesh: TriMesh, chart: TargetChart, boundary_values, config:
     """
     if n_starts < 1:
         raise UsageError("need at least one start")
-    bvals = np.asarray(boundary_values, dtype=float)
+    bvals = _boundary_values(mesh, chart, boundary_values)
     bidx = mesh.boundary_indices()
     iidx = mesh.interior_indices()
     bdata = bvals[bidx]

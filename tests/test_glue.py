@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pharmap.errors import DomainError, InfeasibleError, SearchExhaustedError, UsageError
 from pharmap.glue import (
@@ -36,14 +38,28 @@ def counting(cls):
     return Counting
 
 
-def secant_ok(rho, sigma_k, R1, R2, delta):
-    """Independent evaluation of the delta-shifted secant inequality."""
-    rho_lo = rho.evaluate(np.asarray(R1 - delta))[0]
-    drho_hi = rho.evaluate(np.asarray(R1 + delta))[1]
-    sig_hi = sigma_k.evaluate(np.asarray(R2 + delta))[0]
-    dsig_lo = sigma_k.evaluate(np.asarray(R2 - delta))[1]
-    q = (sig_hi - rho_lo - 2 * delta * drho_hi) / ((R2 - delta) - (R1 + delta))
-    return drho_hi <= q <= dsig_lo
+def bracket_ok(rho, sigma_k, R1, R2, delta):
+    """The plateau slope root lies in the nonempty bracket [rho'(R1-delta), sigma_k'(R2+delta)].
+
+    Independent of ``glue``: tau(R2+delta; s) is rho(R1-delta) plus the areas
+    under the derivative profile, two trapezoids of width 2 delta and the
+    plateau rectangle between them.
+    """
+    rho_a, lo = rho.evaluate(np.asarray(R1 - delta))[:2]
+    sig_d, hi = sigma_k.evaluate(np.asarray(R2 + delta))[:2]
+
+    def mismatch(s):  # tau(R2+delta; s) - sigma_k(R2+delta)
+        return rho_a + delta * (lo + s) + s * (R2 - R1 - 2 * delta) + delta * (s + hi) - sig_d
+
+    slack = 1e-12 * max(1.0, abs(sig_d))
+    return mismatch(lo) <= slack and mismatch(hi) >= -slack and lo <= hi
+
+
+def secant_ok(rho, sigma_k, R1, R2):
+    """The plain secant inequality rho'(R1) <= (sigma_k(R2) - rho(R1))/(R2 - R1) <= sigma_k'(R2)."""
+    rho1, drho1 = rho.evaluate(np.asarray(R1))[:2]
+    sig2, dsig2 = sigma_k.evaluate(np.asarray(R2))[:2]
+    return drho1 <= (sig2 - rho1) / (R2 - R1) <= dsig2
 
 
 def test_choose_radii():
@@ -54,12 +70,21 @@ def test_choose_radii():
 
 
 def test_find_k_matches_direct_secant_evaluation():
-    # oracle: scan the doubling sequence with an independent inequality check
+    # oracle: scan the doubling sequence with an independent bracket check
     for delta in (0.0, 0.05):
         ks = [1.0, 2.0, 4.0, 8.0]
-        feasible = [k for k in ks if secant_ok(RHO, ScaledWarp(SIGMA, k), 2.0, 3.0, delta)]
+        feasible = [k for k in ks if bracket_ok(RHO, ScaledWarp(SIGMA, k), 2.0, 3.0, delta)]
         assert feasible and feasible[0] == 2.0  # k=1 fails, k=2 works
         assert find_k(RHO, SIGMA, 2.0, 3.0, delta) == 2.0
+
+
+def test_bracket_at_zero_delta_is_the_secant_inequality():
+    for rho in (RHO, IdentityWarp(), OddPolynomialWarp([1.0, 2.0, 0.5])):
+        for R1, R2 in ((2.0, 3.0), (1.0, 2.0), (0.5, 3.5)):
+            verdicts = [secant_ok(rho, ScaledWarp(SIGMA, 2.0**i), R1, R2) for i in range(8)]
+            assert verdicts == [bracket_ok(rho, ScaledWarp(SIGMA, 2.0**i), R1, R2, 0.0) for i in range(8)]
+            if True in verdicts:
+                assert find_k(rho, SIGMA, R1, R2, 0.0) == 2.0 ** verdicts.index(True)
 
 
 def test_find_k_identity_interior():
@@ -69,12 +94,13 @@ def test_find_k_identity_interior():
 
 
 def test_find_k_exhausts_for_flat_outer():
-    # sigma_k = r for every k: rho'(2) = 13, chord (3 - rho(2))/1 = -7, sigma_k'(3) = 1
+    # sigma_k = r for every k, delta = 0: tau(3; s) = rho(2) + s = 10 + s against sigma_k(3) = 3,
+    # so the mismatch is 10 + 13 - 3 = 20 at s = rho'(2) = 13 and 10 + 1 - 3 = 8 at s = sigma_k'(3) = 1
     with pytest.raises(SearchExhaustedError) as err:
         find_k(RHO, IdentityWarp(), 2.0, 3.0, 0.0, k_max=2.0**20)
     message = str(err.value)
     assert f"worst ray 0 at k={2.0**20:g}:" in message
-    assert "rho'(R1+delta) = 13, chord slope -7, sigma_k'(R2-delta) = 1" in message
+    assert "tail mismatch 20 at rho'(R1-delta) = 13, 8 at sigma_k'(R2+delta) = 1" in message
 
 
 def test_find_k_deterministic_under_larger_cap():
@@ -131,7 +157,7 @@ def test_build_tau_plateau_slope_by_simpson_quadrature():
 
 
 def test_build_tau_infeasible_k():
-    # k=1 fails the secant inequality for rho = r + r^3 on (2,3)
+    # k=1 fails the feasibility rule for rho = r + r^3 on (2,3)
     with pytest.raises(InfeasibleError):
         build_tau(RHO, ScaledWarp(SIGMA, 1.0), 2.0, 3.0, 0.05)
 
@@ -318,14 +344,20 @@ def test_glue2d_infeasible_names_worst_ray():
     with pytest.raises(SearchExhaustedError) as err:
         glue2d(rays, theta, SIGMA, 1.0, 4.0, k_max=1.0)
     # ray 1 (r + 3 r^3) is the steepest; R1, R2 = 2, 3 and delta = 0.05 at k = 1
-    lower = 1.0 + 9.0 * 2.05**2
-    chord = (math.sinh(3.05) - (1.95 + 3.0 * 1.95**3) - 0.1 * lower) / 0.9
-    upper = math.cosh(2.95)
-    assert chord < lower
+    lower = 1.0 + 9.0 * 1.95**2
+    upper = math.cosh(3.05)
+
+    def mismatch(c, s):  # tau(3.05; s) - sinh(3.05) for the ray r + c r^3
+        head = 1.95 + c * 1.95**3 + 0.05 * (1.0 + 3.0 * c * 1.95**2 + s)
+        return head + 0.9 * s + 0.05 * (s + upper) - math.sinh(3.05)
+
+    f_lo, f_hi = mismatch(3.0, lower), mismatch(3.0, upper)
+    assert f_lo > 0.0
+    assert f_lo > max(max(mismatch(c, 1.0 + 3.0 * c * 1.95**2), -mismatch(c, upper)) for c in (1.0, 2.0))
     message = str(err.value)
     assert "worst ray 1 at k=1:" in message
-    assert (f"rho'(R1+delta) = {lower:.6g}, chord slope {chord:.6g}, "
-            f"sigma_k'(R2-delta) = {upper:.6g}") in message
+    assert (f"tail mismatch {f_lo:.6g} at rho'(R1-delta) = {lower:.6g}, "
+            f"{f_hi:.6g} at sigma_k'(R2+delta) = {upper:.6g}") in message
 
 
 def test_glue2d_sampled_rays_match_analytic():
@@ -338,3 +370,38 @@ def test_glue2d_sampled_rays_match_analytic():
     analytic = glue2d([OddPolynomialWarp([1.0, 2.0 + math.sin(th)]) for th in theta], theta, SIGMA, 1.0, 4.0)
     assert sampled.k == analytic.k
     assert np.allclose(sampled.slopes, analytic.slopes, rtol=1e-8)
+
+
+@st.composite
+def glue_specs(draw):
+    """rho = r + sum_i a_i r^(2i+1) with 1 to 3 coefficients a_i in [0, 2), sigma = sinh, R < 5.5."""
+    coeffs = draw(st.lists(st.floats(0.0, 2.0, exclude_max=True), min_size=1, max_size=3))
+    R_bar = draw(st.floats(0.2, 2.0, exclude_max=True))
+    R = R_bar + draw(st.floats(0.5, min(4.5, 5.5 - R_bar), exclude_max=True))
+    return GlueSpec(OddPolynomialWarp([1.0] + coeffs), SIGMA, R_bar, R)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(glue_specs())
+def test_find_k_returns_the_smallest_k_that_build_tau_accepts(spec):
+    R1, R2 = choose_radii(spec)
+    delta = min(0.05, (R2 - R1) / 10.0)
+    k = find_k(spec.rho, spec.sigma, R1, R2, delta, spec.k_max)
+    assert build_tau(spec.rho, ScaledWarp(spec.sigma, k), R1, R2, delta).k == k
+    if k > 1.0:
+        with pytest.raises(InfeasibleError):
+            GluedWarp(spec.rho, ScaledWarp(spec.sigma, k / 2.0), R1, R2, delta)
+
+
+@pytest.mark.parametrize("coeffs, R_bar, R, k", [([1.0, 2.0], 0.87, 2.54, 8.0), ([1.0], 1.94, 2.49, 32.0)])
+def test_glue_pipeline_certifies_at_the_smallest_feasible_k(coeffs, R_bar, R, k):
+    # a delta-shifted chord accepts k = 4 for the first spec, which build_tau
+    # rejects, and first accepts k = 128 for the second, whose warp fails its certificate
+    rho = OddPolynomialWarp(coeffs)
+    gw, cert = glue_pipeline(GlueSpec(rho, SIGMA, R_bar, R))
+    assert gw.k == k
+    assert cert.passed
+    assert bracket_ok(rho, ScaledWarp(SIGMA, k), gw.R1, gw.R2, gw.delta)
+    assert not bracket_ok(rho, ScaledWarp(SIGMA, k / 2.0), gw.R1, gw.R2, gw.delta)
+    with pytest.raises(InfeasibleError):
+        GluedWarp(rho, ScaledWarp(SIGMA, k / 2.0), gw.R1, gw.R2, gw.delta)

@@ -79,6 +79,11 @@ def test_energy_p_validation_and_shape_mismatch():
                 {"max_iter": 0}, {"threads": 0}):
         with pytest.raises(UsageError):
             SolveConfig(**{"p": 3.0, **bad})
+    annulus = build_annulus(1.0, 2.0, 4, 16)  # 80 vertices
+    for rows in (75, 85):
+        for fn in (check_max_principle, max_principle_tolerance):
+            with pytest.raises(UsageError, match="does not match"):
+                fn(annulus, SINH2, np.zeros((rows, 2)))
 
 
 def test_gradient_matches_quadratic_assembly_p2_euclidean():
@@ -271,6 +276,14 @@ def test_uniqueness_probe_quadratic_and_degenerate():
     assert report.spread <= 1e-8
     single = uniqueness_probe(mesh, EUCL2, vals, config, 1)
     assert single.spread == 0.0
+
+
+def test_uniqueness_probe_rejects_misshapen_boundary_values():
+    mesh = build_rect(1.0, 1.0, 3, 3)
+    config = SolveConfig(p=2.0, grad_tol=1e-11, max_iter=500, seed=11)
+    for shape in ((3, 2), (mesh.num_vertices, 3)):
+        with pytest.raises(UsageError, match="boundary values need shape"):
+            uniqueness_probe(mesh, EUCL2, np.zeros(shape), config, 2)
 
 
 def test_solver_determinism_across_threads():

@@ -6,13 +6,16 @@ solver solely through triangle areas and the constant gradients of the
 barycentric basis functions, which are cached per triangle.
 
 Every topological query reads one unique-edge table that ``TriMesh`` builds
-once with ``np.unique`` over the sorted vertex pairs of all triangle sides:
+once from one stable sort of the sorted vertex pairs of all triangle sides:
 ``edges`` (sorted pairs, in order of first appearance over the triangles and
 their sides (a,b), (b,c), (c,a)), ``edge_counts`` (triangles per edge) and
-``triangle_edges`` (the edge index of each side).  Boundary flags, the edge
-set, counts, the mesh size and the Euler characteristic are views over it;
-``refine`` numbers the new midpoints by edge index, which reproduces the
-first-appearance order of a sequential walk over the triangles.
+``triangle_edges`` (the edge index of each side).  The sort puts each edge's
+first side ahead of its repeats, and a cumulative sum of first-occurrence
+flags over the sides numbers the edges in first-appearance order.  Boundary
+flags, the edge set, counts, the mesh size and the Euler characteristic are
+views over it; ``refine`` numbers the new midpoints by edge index, which
+reproduces the first-appearance order of a sequential walk over the
+triangles.
 
 Mesh file format: line 1 ``nv nt``; then nv lines ``x y b`` with boundary
 flag b in {0,1}; then nt lines ``i j k`` of 0-based CCW vertex indices.
@@ -44,6 +47,13 @@ class TriMesh:
     the three barycentric basis functions (shape (nt, 3, 2), rows sum to 0).
     Boundary flags are validated against the edge topology: a vertex is
     boundary iff it lies on an edge that belongs to exactly one triangle.
+
+    Every construction (the builders, ``refine`` and ``load_mesh`` too)
+    checks that coordinates are finite, triangle indices are in range,
+    triangles are counter-clockwise and not degenerate, no two vertices lie
+    within 1e-12 of each other, no edge belongs to more than two triangles,
+    and given boundary flags match the topology; it raises ``UsageError``
+    otherwise.
     """
 
     def __init__(self, vertices, triangles, boundary=None):
@@ -59,27 +69,31 @@ class TriMesh:
         if not np.all(np.isfinite(vertices)):
             raise UsageError("vertex coordinates must be finite")
 
-        a = vertices[triangles[:, 0]]
-        b = vertices[triangles[:, 1]]
-        c = vertices[triangles[:, 2]]
-        cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+        # one gather of the corners; side v is the side opposite corner v
+        corners = np.take(vertices, triangles, axis=0)
+        a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+        sides = np.empty_like(corners)
+        np.subtract(c, b, out=sides[:, 0])
+        np.subtract(a, c, out=sides[:, 1])
+        np.subtract(b, a, out=sides[:, 2])
+        cross = sides[:, 1, 0] * sides[:, 2, 1] - sides[:, 2, 0] * sides[:, 1, 1]
         if np.any(cross <= 0.0):
             bad = int(np.argmin(cross))
             raise UsageError(f"triangle {bad} is degenerate or not counter-clockwise")
         areas = 0.5 * cross
 
-        # grad of the basis function at vertex v is perp(opposite edge)/(2A)
-        grads = np.empty((triangles.shape[0], 3, 2))
-        for v, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
-            e = vertices[triangles[:, q]] - vertices[triangles[:, p]]
-            grads[:, v, 0] = -e[:, 1]
-            grads[:, v, 1] = e[:, 0]
+        # grad of the basis function at vertex v is perp(opposite side)/(2A)
+        grads = np.empty_like(sides)
+        np.negative(sides[:, :, 1], out=grads[:, :, 0])
+        grads[:, :, 1] = sides[:, :, 0]
         grads /= (2.0 * areas)[:, None, None]
+        del corners, a, b, c, sides, cross
 
         if nv > 1:
-            pairs = cKDTree(vertices).query_pairs(1e-12)
+            # an unbalanced, uncompacted tree builds faster and finds the same pairs
+            pairs = cKDTree(vertices, balanced_tree=False, compact_nodes=False).query_pairs(1e-12)
             if pairs:
-                i, j = sorted(next(iter(pairs)))
+                i, j = min(pairs)
                 raise UsageError(f"duplicate vertices {i} and {j} (closer than 1e-12)")
 
         edges, counts, triangle_edges = _edge_table(triangles)
@@ -145,16 +159,31 @@ def _edge_table(triangles):
     """Unique edges in order of first appearance, their counts, and each side's edge.
 
     Side m of triangle (a, b, c) is (a, b), (b, c), (c, a) for m = 0, 1, 2.
+    One stable ``argsort`` of the sides' keys lo*span + hi groups equal
+    edges with their first side leading; a cumulative sum of the
+    first-occurrence flags, taken in side order, is each edge's rank.
     """
-    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    span = int(pairs.max()) + 1 if pairs.size else 1
-    _, first, inverse, counts = np.unique(
-        pairs[:, 0] * span + pairs[:, 1], return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return pairs[first[order]], counts[order], rank[inverse].reshape(-1, 3)
+    tail = triangles.ravel()
+    head = triangles[:, [1, 2, 0]].ravel()
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    span = int(hi.max()) + 1 if hi.size else 1
+    key = lo * span + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    leads = np.empty(key.size, dtype=bool)  # sorted position starts a new edge
+    leads[:1] = True
+    np.not_equal(key[1:], key[:-1], out=leads[1:])
+    starts = np.flatnonzero(leads)
+    firsts = order[starts]  # each edge's first side, in key order
+    first = np.zeros(key.size, dtype=bool)
+    first[firsts] = True
+    edge = (np.cumsum(first) - 1)[firsts]  # first-appearance rank, in key order
+    sizes = np.diff(starts, append=key.size)
+    side_edge = np.empty_like(order)
+    side_edge[order] = np.repeat(edge, sizes)
+    counts = np.empty_like(sizes)
+    counts[edge] = sizes
+    return np.column_stack([lo[first], hi[first]]), counts, side_edge.reshape(-1, 3)
 
 
 def build_rect(width: float, height: float, nx: int, ny: int) -> TriMesh:
@@ -239,4 +268,8 @@ def load_mesh(path) -> TriMesh:
     bad = np.flatnonzero(integral & (np.mod(rows, 1.0) != 0.0))
     if bad.size:
         raise error(bad[0] // 3, f"expected an integer, found {rows.flat[bad[0]]:g}")
-    return TriMesh(rows[:nv, :2], rows[nv:].astype(np.int64), boundary=rows[:nv, 2] != 0.0)
+    flags = rows[:nv, 2]
+    bad = np.flatnonzero((flags != 0.0) & (flags != 1.0))
+    if bad.size:
+        raise error(bad[0], f"boundary flag must be 0 or 1, found {flags[bad[0]]:g}")
+    return TriMesh(rows[:nv, :2], rows[nv:].astype(np.int64), boundary=flags != 0.0)

@@ -24,6 +24,7 @@ def set_field(index, value, sep=","):
 CASES = {
     "mesh triangle index": (lambda p: save_mesh(p, MESH), 30, set_field(2, "2.5", " "), load_mesh),
     "mesh coordinate": (lambda p: save_mesh(p, MESH), 5, set_field(0, "x", " "), load_mesh),
+    "mesh boundary flag": (lambda p: save_mesh(p, MESH), 12, set_field(2, "2", " "), load_mesh),
     "solution ragged row": (lambda p: save_solution_csv(p, MapState(MESH.vertices)), 4,
                             lambda line: line.rsplit(",", 1)[0], load_solution_csv),
     "warp field": (lambda p: save_warp_csv(p, SinhWarp(), np.linspace(0.0, 2.0, 9)), 3,
@@ -34,7 +35,7 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("blank", [False, True], ids=["", "after-blank-line"])
+@pytest.mark.parametrize("blank", [None, "", "  \t"], ids=["", "after-blank-line", "after-whitespace-line"])
 @pytest.mark.parametrize("case", list(CASES))
 def test_malformed_file_names_path_and_line(tmp_path, case, blank):
     write, line, edit, load = CASES[case]
@@ -43,10 +44,29 @@ def test_malformed_file_names_path_and_line(tmp_path, case, blank):
     load(path)  # the file as written is well formed
     lines = path.read_text().splitlines()
     lines[line - 1] = edit(lines[line - 1])
-    if blank:
-        lines.insert(1, "")  # blank lines are skipped, but the line number counts them
+    if blank is not None:
+        lines.insert(1, blank)  # blank lines are skipped, but the line number counts them
         line += 1
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(UsageError) as err:
         load(path)
     assert str(err.value).startswith(f"{path}, line {line}: ")
+
+
+def test_mesh_boundary_flag_must_be_zero_or_one(tmp_path):
+    path = tmp_path / "mesh.txt"
+    save_mesh(path, MESH)
+    lines = path.read_text().splitlines()
+    for flag in ("2", "-1"):
+        lines[11] = set_field(2, flag, " ")(lines[11])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(UsageError, match=f"line 12: boundary flag must be 0 or 1, found {flag}$"):
+            load_mesh(path)
+
+
+def test_non_ascii_file_rejected(tmp_path):
+    path = tmp_path / "mesh.txt"
+    save_mesh(path, MESH)
+    path.write_bytes(path.read_bytes().replace(b"\n", b" \xc3\xa9\n", 3))
+    with pytest.raises(UsageError, match="mesh file is not ASCII"):
+        load_mesh(path)

@@ -25,6 +25,19 @@ def reference_boundary(triangles, nv):
     return flags
 
 
+def reference_geometry(vertices, triangles):
+    """Areas and basis gradients, one triangle at a time: perp(opposite side) / (2A)."""
+    areas, grads = [], []
+    for a, b, c in triangles.tolist():
+        (a0, a1), (b0, b1), (c0, c1) = vertices[a].tolist(), vertices[b].tolist(), vertices[c].tolist()
+        area = 0.5 * ((b0 - a0) * (c1 - a1) - (b1 - a1) * (c0 - a0))
+        two_area = 2.0 * area
+        sides = ((c0 - b0, c1 - b1), (a0 - c0, a1 - c1), (b0 - a0, b1 - a1))
+        areas.append(area)
+        grads.append([(-e1 / two_area, e0 / two_area) for e0, e1 in sides])
+    return np.array(areas, dtype=float), np.array(grads, dtype=float).reshape(-1, 3, 2)
+
+
 def reference_refine(mesh):
     """Midpoint subdivision with a dict of midpoints, numbered as first met."""
     verts = [tuple(v) for v in mesh.vertices]
@@ -110,6 +123,14 @@ def test_duplicate_vertex_detection():
         TriMesh(verts, [(0, 1, 3), (1, 2, 3)])
 
 
+def test_duplicate_vertex_detection_far_apart_in_index_order():
+    m = refine(refine(refine(build_annulus(1.0, 2.0, 8, 32))))
+    assert m.num_vertices == 16640
+    verts = np.concatenate([m.vertices, m.vertices[:1] + [1e-13, 0.0]])  # unused, listed last
+    with pytest.raises(UsageError, match=r"duplicate vertices 0 and 16640 "):
+        TriMesh(verts, m.triangles)
+
+
 def test_orientation_validation():
     verts = [(0, 0), (1, 0), (0, 1)]
     with pytest.raises(UsageError):
@@ -189,6 +210,8 @@ def test_edge_table_matches_plain_walk(m):
         p, q = m.triangles[:, side], m.triangles[:, (side + 1) % 3]
         assert np.array_equal(m.edges[m.triangle_edges[:, side]],
                               np.column_stack([np.minimum(p, q), np.maximum(p, q)]))
+    for got, want in zip((m.areas, m.grads), reference_geometry(m.vertices, m.triangles)):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
     r = refine(m)
     for got, want in zip((r.vertices, r.triangles, r.boundary), reference_refine(m)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

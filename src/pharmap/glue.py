@@ -27,12 +27,20 @@ feasible when this root lies in the monotone bracket
 ``find_k`` returns the smallest doubling k that passes it, and ``GluedWarp``
 raises on a k that fails it.  ``certify`` evaluates ``tau`` once on its grid
 and reads from those samples the convexity margin, the slope margin, head
-and tail mismatches and the curvatures.
+and tail mismatches and the curvatures; rho on the head and sigma_k on the
+tail are evaluated again as independent references.
 
 The same surgery applies per ray to a 2-dimensional metric given by angular
 samples ``nu(., theta)``: one (k, R1, R2) is chosen so that every ray passes
-the rule, the plateau slope is solved per ray, and the joint certificate
-additionally reports a Lipschitz bound on s(theta).
+the rule, the plateau slopes of all rays are solved at once, and the joint
+certificate additionally reports a Lipschitz bound on s(theta).  The rays
+share their band edges, sigma_k and so the certification grid:
+``glue2d`` evaluates sigma_k(R2+delta) once, reuses each ray's
+rho(R1-delta) from the search for k, and certifies the rays in fixed blocks
+as (rays, points) arrays, each block with one evaluation of sigma_k on the
+tail for the samples and one for the reference.  ``certify`` is the one-ray
+case of that block certifier, and ``GluedWarp`` evaluation the one-ray case
+of its sampling.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from .warp import (
     ScaledWarp,
     SplineWarp,
     WarpingFunction,
-    _curvature_report,
+    _curvature_reports,
     _is_convex,
     is_hyperbolic_type,
 )
@@ -72,6 +80,7 @@ SLOPE_TOL = 1e-12
 CURVATURE_TOL = 1e-9
 VALUE_TOL = 1e-10  # admissible tail mismatch |tau - sigma_k| of a certified glued warp
 _RAY_CERT_POINTS = 2001  # certification grid size of each glued ray in ``glue2d``
+_CERT_BLOCK = 8  # rays that ``glue2d`` samples and certifies together: keeps the (rays, points) arrays small
 
 
 @dataclass
@@ -133,43 +142,41 @@ class GluedWarp(WarpingFunction):
             raise UsageError("glued warp needs 0 < R1 < R2")
         if not (0.0 < delta < (R2 - R1) / 2.0):
             raise DomainError("band half-width must satisfy 0 < delta < (R2-R1)/2")
+        R1, R2, delta = float(R1), float(R2), float(delta)
+        rho_a, drho_a, _ = rho.evaluate(R1 - delta)
+        sig_d, dsig_d, _ = sigma_k.evaluate(R2 + delta)
+        if s is None:
+            s = _plateau_slopes(rho_a, drho_a, sig_d, dsig_d, R2 - R1, delta)[0]
+        self._place(rho, sigma_k, R1, R2, delta, (rho_a, drho_a, sig_d, dsig_d), s)
+
+    def _place(self, rho, sigma_k, R1, R2, delta, anchors, s) -> "GluedWarp":
+        """Set every field from valid radii, the anchors and the plateau slope ``s``.
+
+        ``anchors`` are rho(R1-delta), rho'(R1-delta), sigma_k(R2+delta) and
+        sigma_k'(R2+delta).  The constructor path that evaluates nothing:
+        ``glue2d`` and ``with_slope`` reach it on ``GluedWarp.__new__(GluedWarp)``.
+        """
         self.rho = rho
         self.sigma_k = sigma_k
-        self.R1 = float(R1)
-        self.R2 = float(R2)
-        self.delta = float(delta)
+        self.R1, self.R2, self.delta = float(R1), float(R2), float(delta)
         self.k = sigma_k.k if isinstance(sigma_k, ScaledWarp) else 1.0
         self.third_at_zero = rho.third_at_zero
-        a, b, c, d = self.edges
-        rho_a, drho_a, _ = (float(v) for v in rho.evaluate(a))
-        sig_d, dsig_d, _ = (float(v) for v in sigma_k.evaluate(d))
-        if s is None:
-            s = self._plateau_slope(rho_a, drho_a, sig_d, dsig_d)
-        self.s = float(s)
+        self._anchors = rho_a, drho_a, sig_d, dsig_d = tuple(float(v) for v in anchors)
+        self.s = s = float(s)
+        _, b, c, _ = self.edges
+        delta = self.delta
         # the ramps and the plateau as (value, slope, curvature) at their left
         # edges a, b, c; the tail is sigma_k shifted to meet tau at d
-        tau_b = rho_a + self.delta * (drho_a + self.s)
-        tau_c = tau_b + self.s * (c - b)
-        tau_d = tau_c + self.delta * (self.s + dsig_d)
+        tau_b = rho_a + delta * (drho_a + s)
+        tau_c = tau_b + s * (c - b)
+        tau_d = tau_c + delta * (s + dsig_d)
         self._pieces = (
-            (rho_a, drho_a, (self.s - drho_a) / (2.0 * self.delta)),
-            (tau_b, self.s, 0.0),
-            (tau_c, self.s, (dsig_d - self.s) / (2.0 * self.delta)),
+            (rho_a, drho_a, (s - drho_a) / (2.0 * delta)),
+            (tau_b, s, 0.0),
+            (tau_c, s, (dsig_d - s) / (2.0 * delta)),
         )
         self._tail = (sig_d, tau_d)
-
-    def _plateau_slope(self, rho_a, lo, sig_d, hi):
-        """Root of the affine tail mismatch in the monotone bracket [lo, hi] = [rho'(a), sigma_k'(d)]."""
-        span = self.R2 - self.R1
-        mismatch0, f_lo, f_hi, slack = _slope_bracket(rho_a, lo, sig_d, hi, span, self.delta)
-        if f_lo > slack or f_hi < -slack:
-            raise InfeasibleError(f"plateau slope root lies outside the monotone bracket (tail mismatch "
-                                  f"{f_lo:.3g} at rho'(R1-delta), {f_hi:.3g} at sigma_k'(R2+delta))")
-        s = max(min(-mismatch0 / span, hi), lo)
-        # defence in depth: the derivative profile must be monotone (s >= lo by the clip)
-        if hi < s - 1e-12 * max(1.0, abs(hi)):
-            raise ConstructionError("glued derivative profile is not monotone")
-        return s
+        return self
 
     @property
     def edges(self):
@@ -177,33 +184,70 @@ class GluedWarp(WarpingFunction):
         return (self.R1 - d, self.R1 + d, self.R2 - d, self.R2 + d)
 
     def _eval(self, r):
-        edges = self.edges
-        s_out = np.empty_like(r)
-        d1_out = np.empty_like(r)
-        d2_out = np.empty_like(r)
-
-        head = r < edges[0]
-        if np.any(head):
-            s_out[head], d1_out[head], d2_out[head] = self.rho.evaluate(r[head])
-        for left, right, (value, slope, curv) in zip(edges, edges[1:], self._pieces):
-            on = (r >= left) & (r < right)
-            if np.any(on):
-                t = r[on] - left
-                s_out[on] = value + slope * t + 0.5 * curv * t * t
-                d1_out[on] = slope + curv * t
-                d2_out[on] = curv
-        tail = r >= edges[3]
-        if np.any(tail):
-            sig_d, tau_d = self._tail
-            sv, dv, ddv = self.sigma_k.evaluate(r[tail])
-            s_out[tail] = tau_d + (sv - sig_d)
-            d1_out[tail] = dv
-            d2_out[tail] = ddv
-        return s_out, d1_out, d2_out
+        return tuple(v[0] for v in _glued_samples([self], r))
 
     def with_slope(self, s: float) -> "GluedWarp":
-        """Copy with a replaced plateau slope (for adversarial checks)."""
-        return GluedWarp(self.rho, self.sigma_k, self.R1, self.R2, self.delta, s)
+        """Copy with a replaced plateau slope (for adversarial checks); the anchors are reused."""
+        return GluedWarp.__new__(GluedWarp)._place(self.rho, self.sigma_k, self.R1, self.R2, self.delta,
+                                                   self._anchors, s)
+
+
+def _plateau_slopes(rho_a, lo, sig_d, hi, span, delta):
+    """Roots of the affine tail mismatches in their monotone brackets [lo, hi] = [rho'(a), sigma_k'(d)].
+
+    ``rho_a`` and ``lo`` may be arrays over rays that share sigma_k; the
+    slopes come back as an array of their shape (at least 1d).
+    """
+    rho_a, lo = np.atleast_1d(rho_a, lo)
+    mismatch0, f_lo, f_hi, slack = _slope_bracket(rho_a, lo, sig_d, hi, span, delta)
+    outside = (f_lo > slack) | (f_hi < -slack)
+    if np.any(outside):
+        j = int(np.argmax(outside))
+        raise InfeasibleError(f"plateau slope root lies outside the monotone bracket (tail mismatch "
+                              f"{f_lo[j]:.3g} at rho'(R1-delta), {f_hi[j]:.3g} at sigma_k'(R2+delta))")
+    s = np.maximum(np.minimum(-mismatch0 / span, hi), lo)
+    # defence in depth: the derivative profile must be monotone (s >= lo by the clip)
+    if np.any(hi < s - 1e-12 * max(1.0, abs(hi))):
+        raise ConstructionError("glued derivative profile is not monotone")
+    return s
+
+
+def _glued_samples(glued, r):
+    """(tau, tau', tau'') of glued warps sharing (R1, R2, delta, sigma_k), each of shape (len(glued), *r.shape).
+
+    Each warp's head comes from its own rho.  On the bands and the plateau,
+    [R1-delta, R2+delta), all warps are computed at once: each point reads
+    (value, slope, curvature) at the left edge of its piece from the
+    (warps, 3 pieces, 3) table of the warps.  The shared tail is one
+    evaluation of sigma_k.  ``GluedWarp._eval`` is the one-warp case.
+    """
+    first = glued[0]
+    edges = first.edges
+    flat = r.reshape(-1)
+    # writes go through row views and integer indices: o[:, mask] is several times slower
+    out = tuple(np.empty((len(glued), flat.size)) for _ in range(3))
+    head = flat < edges[0]
+    if np.any(head):
+        r_head = flat[head]
+        for row, gw in enumerate(glued):
+            for o, v in zip(out, gw.rho.evaluate(r_head)):
+                o[row][head] = v
+    band = np.flatnonzero((flat >= edges[0]) & (flat < edges[3]))
+    r_band = flat[band]
+    piece = (r_band >= edges[1]).astype(np.intp) + (r_band >= edges[2])  # left ramp, plateau, right ramp
+    t = r_band - np.array(edges[:3])[piece]
+    value, slope, curv = np.moveaxis(np.array([gw._pieces for gw in glued]), 2, 0)[:, :, piece]
+    out[0][:, band] = value + slope * t + 0.5 * curv * t * t
+    out[1][:, band] = slope + curv * t
+    out[2][:, band] = curv
+    tail = np.flatnonzero(flat >= edges[3])
+    if tail.size:
+        sig, dsig, ddsig = first.sigma_k.evaluate(flat[tail])
+        tau_d = np.array([gw._tail[1] for gw in glued])[:, None]
+        out[0][:, tail] = tau_d + (sig - first._tail[0])
+        out[1][:, tail] = dsig
+        out[2][:, tail] = ddsig
+    return tuple(o.reshape((len(glued),) + r.shape) for o in out)
 
 
 @dataclass
@@ -244,7 +288,8 @@ def _secant_search(rays, sigma, R1, R2, delta, k_max):
     """Smallest doubling scale k at which every ray passes ``_slope_bracket`` with a nonempty bracket.
 
     Those are the checks of ``GluedWarp``, so ``build_tau`` accepts the k
-    found.  The rays are evaluated once at R1-delta, sigma_k once per k at R2+delta.
+    found.  The rays are evaluated once at R1-delta, sigma_k once per k at
+    R2+delta.  Returns k and the arrays rho(R1-delta), rho'(R1-delta) over the rays.
     """
     a, d, span = R1 - delta, R2 + delta, R2 - R1
     rho_a, lo = np.array([ray.evaluate(a)[:2] for ray in rays]).T
@@ -259,7 +304,7 @@ def _secant_search(rays, sigma, R1, R2, delta, k_max):
                 f"worst ray {j} at k={k:g}: tail mismatch {f_lo[j]:.6g} at rho'(R1-delta) = {lo[j]:.6g}, "
                 f"{f_hi[j]:.6g} at sigma_k'(R2+delta) = {hi:.6g}")
 
-    return _doubling_search(k_max, failure)
+    return _doubling_search(k_max, failure), rho_a, lo
 
 
 def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
@@ -274,7 +319,7 @@ def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
         raise UsageError("find_k needs 0 < R1 < R2")
     if delta < 0.0 or 2.0 * delta >= R2 - R1:
         raise DomainError("find_k needs 0 <= delta < (R2-R1)/2")
-    return _secant_search([rho], sigma, R1, R2, delta, k_max)
+    return _secant_search([rho], sigma, R1, R2, delta, k_max)[0]
 
 
 def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: float,
@@ -298,7 +343,10 @@ def default_certification_grid(gw: GluedWarp, n: int = 4001) -> np.ndarray:
 def certify(gw: GluedWarp, grid) -> GlueCertificate:
     """Measure the contract margins of a glued warp from one evaluation on a grid.
 
-    The curvature report is read from those samples at the positive radii.
+    The one-warp case of the row-wise certifier that ``glue2d`` runs on its
+    blocks of rays.  The curvature report is read from those samples at the
+    positive radii; rho is evaluated again on the head and sigma_k on the
+    tail, as independent references for the head and tail mismatches.
     ``min_second_difference`` is the undivided midpoint convexity defect
     min_i [ (h1 tau_{i-1} + h0 tau_{i+1})/(h0+h1) - tau_i ]  (>= 0 for convex
     tau); keeping it undivided leaves roundoff at the 1e-14 level, far below
@@ -306,53 +354,63 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
     sign of tau'' itself from the analytic profile.
     """
     grid = np.asarray(grid, dtype=float)
-    a, b, c, d = gw.edges
     if grid.ndim != 1 or grid.size < 2000:
         raise UsageError("certification grid needs at least 2000 points")
     if np.any(np.diff(grid) <= 0.0):
         raise UsageError("certification grid must be strictly increasing")
     if grid[0] > 1e-12 or grid[-1] < gw.R2 + 4.0 * gw.delta - 1e-9:
         raise UsageError("certification grid must span [0, R2 + 4*delta]")
-    for edge in (a, b, c, d):
+    for edge in gw.edges:
         if np.min(np.abs(grid - edge)) > 1e-9:
             raise UsageError("certification grid must include the band edges")
+    return _certify_rows([gw], grid, [v[None] for v in gw.evaluate(grid)])[0]
 
-    tau, dtau, ddtau = gw.evaluate(grid)
+
+def _certify_rows(glued, grid, samples) -> list[GlueCertificate]:
+    """``certify`` of glued warps that share (R1, R2, delta, sigma_k), from their samples on one grid.
+
+    ``samples`` are (tau, tau', tau'') of shape (len(glued), grid.size) on a
+    grid that ``certify`` accepts; every margin is read along axis 1.  Each
+    warp's rho is evaluated again on the head, the shared sigma_k once on the
+    tail.  The grid is increasing, so the head, the tail and the positive
+    radii are slices of it.
+    """
+    tau, dtau, ddtau = samples
+    first = glued[0]
+    a, _, _, d = first.edges
+    n_head = int(np.searchsorted(grid, a, side="right"))  # grid[:n_head] <= a
+    tail = int(np.searchsorted(grid, d))  # grid[tail:] >= d
+    pos = int(np.searchsorted(grid, 0.0, side="right"))  # grid[pos:] > 0
 
     h0 = np.diff(grid[:-1])
     h1 = np.diff(grid[1:])
-    mid = (h1 * tau[:-2] + h0 * tau[2:]) / (h0 + h1) - tau[1:-1]
-    min_second = float(np.min(mid))
+    min_second = np.min((h1 * tau[:, :-2] + h0 * tau[:, 2:]) / (h0 + h1) - tau[:, 1:-1], axis=1)
+    min_slope = np.min(dtau, axis=1) - 1.0
 
-    min_slope = float(np.min(dtau) - 1.0)
+    head_mismatch = np.zeros(len(glued))
+    if n_head:
+        rho_vals = np.array([gw.rho.evaluate(grid[:n_head])[0] for gw in glued])
+        head_mismatch = np.max(np.abs(tau[:, :n_head] - rho_vals), axis=1)
+    tail_mismatch = np.zeros(len(glued))
+    if tail < grid.size:
+        sig_vals = first.sigma_k.evaluate(grid[tail:])[0]
+        tail_mismatch = np.max(np.abs(tau[:, tail:] - sig_vals), axis=1)
 
-    head_pts = grid <= a
-    rho_vals = gw.rho.evaluate(grid[head_pts])[0]
-    head_mismatch = float(np.max(np.abs(tau[head_pts] - rho_vals))) if np.any(head_pts) else 0.0
-
-    tail_pts = grid >= d
-    sig_vals = gw.sigma_k.evaluate(grid[tail_pts])[0]
-    tail_mismatch = float(np.max(np.abs(tau[tail_pts] - sig_vals))) if np.any(tail_pts) else 0.0
-
-    pos = grid > 0.0
-    report = _curvature_report(gw, grid[pos], (tau[pos], dtau[pos], ddtau[pos]))
-
-    passed = (
-        min_second >= -CONVEXITY_TOL
-        and min_slope >= -SLOPE_TOL
-        and head_mismatch == 0.0
-        and tail_mismatch <= VALUE_TOL
-        and report.is_nonpositive
-        and report.worst_violation <= CURVATURE_TOL
-    )
-    return GlueCertificate(
-        min_second_difference=min_second,
-        min_slope_minus_one=min_slope,
-        head_mismatch=head_mismatch,
-        tail_mismatch=tail_mismatch,
-        curvature=report,
-        passed=passed,
-    )
+    reports = _curvature_reports(first, grid[pos:], (tau[:, pos:], dtau[:, pos:], ddtau[:, pos:]))
+    margins_ok = ((min_second >= -CONVEXITY_TOL) & (min_slope >= -SLOPE_TOL)
+                  & (head_mismatch == 0.0) & (tail_mismatch <= VALUE_TOL))
+    return [
+        GlueCertificate(
+            min_second_difference=float(second),
+            min_slope_minus_one=float(slope),
+            head_mismatch=float(head),
+            tail_mismatch=float(tail_gap),
+            curvature=report,
+            passed=bool(ok) and report.is_nonpositive and report.worst_violation <= CURVATURE_TOL,
+        )
+        for second, slope, head, tail_gap, report, ok in zip(
+            min_second, min_slope, head_mismatch, tail_mismatch, reports, margins_ok)
+    ]
 
 
 def _glue_plan(spec: GlueSpec):
@@ -428,10 +486,14 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
     radius) must be convex on the checking window: the single curvature of
     the 2d metric is -nu_rr/nu, so convexity is the nonpositive-curvature
     precondition.  A single (k, R1, R2) is chosen so that every ray passes
-    the feasibility rule; the plateau slope is solved ray by ray.  The
-    band half-width is that of ``glue_pipeline``, min(0.05, (R2-R1)/10), and
-    each glued ray must match sigma_k on its tail to within ``VALUE_TOL``; it
-    is certified on a coarser default grid than ``glue_pipeline`` uses.
+    the feasibility rule; the plateau slopes of all rays are then solved at
+    once from the rho(R1-delta), rho'(R1-delta) of that search and one
+    evaluation of sigma_k(R2+delta).  The band half-width is that of
+    ``glue_pipeline``, min(0.05, (R2-R1)/10), and each glued ray must match
+    sigma_k on its tail to within ``VALUE_TOL``.  The rays share one
+    certification grid, coarser than the default of ``glue_pipeline``, and
+    are certified in blocks of a fixed number of rays; each certificate
+    equals that of ``certify`` on the ray's default grid of that size.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     rays = list(rays)
@@ -447,11 +509,17 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
                 "the 2d metric is not nonpositively curved there"
             )
 
-    k = _secant_search(rays, sigma, R1, R2, band, k_max)
+    k, rho_a, drho_a = _secant_search(rays, sigma, R1, R2, band, k_max)
     sigma_k = ScaledWarp(sigma, k)
-    glued = [build_tau(ray, sigma_k, R1, R2, band) for ray in rays]
-    certs = [certify(gw, default_certification_grid(gw, _RAY_CERT_POINTS)) for gw in glued]
-    slopes = np.array([gw.s for gw in glued])
+    sig_d, dsig_d, _ = sigma_k.evaluate(R2 + band)
+    slopes = _plateau_slopes(rho_a, drho_a, sig_d, dsig_d, R2 - R1, band)
+    glued = [GluedWarp.__new__(GluedWarp)._place(ray, sigma_k, R1, R2, band, (ra, dra, sig_d, dsig_d), s)
+             for ray, ra, dra, s in zip(rays, rho_a, drho_a, slopes)]
+    grid = default_certification_grid(glued[0], _RAY_CERT_POINTS)
+    certs = []
+    for lo in range(0, len(glued), _CERT_BLOCK):
+        block = glued[lo:lo + _CERT_BLOCK]
+        certs += _certify_rows(block, grid, _glued_samples(block, grid))
     dtheta = 2.0 * np.pi / theta_grid.size
     steps = np.abs(np.diff(np.concatenate([slopes, slopes[:1]])))
     lip = float(np.max(steps) / dtheta) if slopes.size > 1 else 0.0

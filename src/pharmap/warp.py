@@ -331,9 +331,14 @@ class HyperbolicTypeReport:
         return self.is_hyperbolic
 
 
+def _convex_rows(d2):
+    """``sigma'' >= -SIGN_TOL * (1 + |sigma''|)`` at every sample of each row (the last axis); NaN fails."""
+    return np.all(d2 >= -SIGN_TOL * (1.0 + np.abs(d2)), axis=-1)
+
+
 def _is_convex(d2) -> bool:
-    """``sigma'' >= -SIGN_TOL * (1 + |sigma''|)`` at every sample; NaN fails."""
-    return bool(np.all(d2 >= -SIGN_TOL * (1.0 + np.abs(d2))))
+    """``_convex_rows`` of one row of samples."""
+    return bool(_convex_rows(d2))
 
 
 def _sectional_curvatures(w: WarpingFunction, r, samples=None):
@@ -341,6 +346,8 @@ def _sectional_curvatures(w: WarpingFunction, r, samples=None):
 
     At r=0 both curvatures take the limit -sigma'''(0), which only analytic
     warps know; elsewhere sigma must be positive.  A scalar radius gives floats.
+    The samples may have a leading axis of rows (warps that share ``w``'s pole
+    limit) before the one of ``r``.
     """
     r = np.asarray(r, dtype=float)
     radii = np.atleast_1d(r)
@@ -351,7 +358,7 @@ def _sectional_curvatures(w: WarpingFunction, r, samples=None):
     if np.any(pole):
         if w.third_at_zero is None:
             raise DomainError("curvature at r=0 is 0/0; only analytic warps know the limit -sigma'''(0)")
-        sec_rad[pole] = sec_tg[pole] = -w.third_at_zero
+        sec_rad[..., pole] = sec_tg[..., pole] = -w.third_at_zero
     body = ~pole
     if np.any(body & (s <= 0.0)):
         raise DomainError(f"warp {w.kind} is nonpositive at some positive radius; curvature undefined")
@@ -372,18 +379,20 @@ def curvature_tangential(w: WarpingFunction, r):
     return _sectional_curvatures(w, r)[1]
 
 
-def _curvature_report(w: WarpingFunction, grid, samples) -> CurvatureReport:
-    """The report of ``is_cartan_hadamard`` from ``w``'s samples (sigma, sigma', sigma'') on ``grid``."""
+def _curvature_reports(w: WarpingFunction, grid, samples) -> list[CurvatureReport]:
+    """The reports of ``is_cartan_hadamard``, one per row of samples (sigma, sigma', sigma'') on ``grid``.
+
+    The samples have shape (rows, grid.size); the rows share ``grid`` and
+    ``w``'s kind and pole limit, and each report holds its rows of the
+    curvature arrays.
+    """
     sec_rad, sec_tg = _sectional_curvatures(w, grid, samples)
     curv = np.maximum(sec_rad, sec_tg)
-    nonpos = _is_convex(samples[2]) and bool(np.all(curv <= SIGN_TOL * (1.0 + np.abs(curv))))
-    return CurvatureReport(
-        grid=grid,
-        sec_rad=sec_rad,
-        sec_tg=sec_tg,
-        is_nonpositive=nonpos,
-        worst_violation=float(np.max(curv)),
-    )
+    nonpos = _convex_rows(samples[2]) & np.all(curv <= SIGN_TOL * (1.0 + np.abs(curv)), axis=-1)
+    return [
+        CurvatureReport(grid=grid, sec_rad=rad, sec_tg=tg, is_nonpositive=bool(ok), worst_violation=float(top))
+        for rad, tg, ok, top in zip(sec_rad, sec_tg, nonpos, np.max(curv, axis=-1))
+    ]
 
 
 def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
@@ -398,7 +407,7 @@ def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
         raise UsageError("certification grid must be a nonempty 1d array")
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise UsageError("certification grid must be strictly increasing and positive")
-    return _curvature_report(w, grid, w.evaluate(grid))
+    return _curvature_reports(w, grid, [v[None] for v in w.evaluate(grid)])[0]
 
 
 def is_hyperbolic_type(w: WarpingFunction, grid=None, k_list=None) -> HyperbolicTypeReport:

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from pharmap.errors import DomainError, InfeasibleError, SearchExhaustedError, UsageError
 from pharmap.glue import (
+    _CERT_BLOCK,
     VALUE_TOL,
     GlueSpec,
     GluedWarp,
+    _certify_rows,
+    _glued_samples,
     build_tau,
     certify,
     choose_radii,
@@ -370,6 +373,84 @@ def test_glue2d_sampled_rays_match_analytic():
     analytic = glue2d([OddPolynomialWarp([1.0, 2.0 + math.sin(th)]) for th in theta], theta, SIGMA, 1.0, 4.0)
     assert sampled.k == analytic.k
     assert np.allclose(sampled.slopes, analytic.slopes, rtol=1e-8)
+
+
+def cubic_rays(n, sampled):
+    """n rays r + c(theta) r^3, analytic or as splines through their samples."""
+    theta = 2 * np.pi * np.arange(n) / n
+    cubic = 2.0 + np.sin(3 * theta + 0.4)
+    if not sampled:
+        return theta, [OddPolynomialWarp([1.0, c]) for c in cubic]
+    t = np.linspace(0.0, 4.5, 600)[:, None]
+    return theta, rays_from_polar_samples(t[:, 0], t + cubic * t**3, 1.0 + 3.0 * cubic * t**2)
+
+
+def assert_same_certificate(got, want):
+    for name in ("min_second_difference", "min_slope_minus_one", "head_mismatch", "tail_mismatch", "passed"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("grid", "sec_rad", "sec_tg"):
+        assert getattr(got.curvature, name).tobytes() == getattr(want.curvature, name).tobytes(), name
+    assert got.curvature.is_nonpositive == want.curvature.is_nonpositive
+    assert got.curvature.worst_violation == want.curvature.worst_violation
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("n", [1, _CERT_BLOCK - 1, _CERT_BLOCK, _CERT_BLOCK + 1, 33])
+def test_glue2d_blocks_equal_per_ray_certify(n, sampled):
+    # oracle: each ray glued by build_tau on its own and certified on its own default grid
+    theta, rays = cubic_rays(n, sampled)
+    result = glue2d(rays, theta, SIGMA, 1.0, 4.0)
+    assert result.passed and len(result.certificates) == n
+    sigma_k = ScaledWarp(SIGMA, result.k)
+    for j, ray in enumerate(rays):
+        want = build_tau(ray, sigma_k, result.R1, result.R2, result.delta)
+        grid = default_certification_grid(want, 2001)
+        got = result.glued[j]
+        assert got.s == want.s == result.slopes[j]
+        assert (got.k, got.R1, got.R2, got.delta) == (want.k, want.R1, want.R2, want.delta)
+        for a, b in zip(got.evaluate(grid), want.evaluate(grid)):
+            assert a.tobytes() == b.tobytes()
+        assert_same_certificate(result.certificates[j], certify(want, grid))
+
+
+def test_certify_rows_rejects_only_the_corrupted_rows_of_a_mixed_block():
+    theta, rays = cubic_rays(_CERT_BLOCK // 2, False)
+    good = glue2d(rays, theta, SIGMA, 1.0, 4.0).glued
+    block = [gw if j % 2 else gw.with_slope(gw.s - 0.5) for gw in good for j in range(2)]
+    grid = default_certification_grid(block[0], 2001)
+    certs = _certify_rows(block, grid, _glued_samples(block, grid))
+    assert [c.passed for c in certs] == [False, True] * len(good)
+    for gw, cert in zip(block, certs):
+        assert_same_certificate(cert, certify(gw, grid))
+
+
+def test_glue2d_evaluates_each_anchor_once():
+    theta = 2 * np.pi * np.arange(_CERT_BLOCK + 1) / (_CERT_BLOCK + 1)
+    rays = [counting(OddPolynomialWarp)([1.0, 2.0 + math.sin(t)]) for t in theta]
+    sigma = counting(SinhWarp)()
+    result = glue2d(rays, theta, sigma, 1.0, 4.0)
+    a, d = result.R1 - result.delta, result.R2 + result.delta
+    # each ray: the convexity window, rho(R1-delta) for the search, its head samples, the certificate's head
+    for ray in rays:
+        assert [c.ndim for c in ray.calls] == [1, 0, 1, 1]
+        assert float(ray.calls[1]) == a
+    # sigma_k at R2+delta (sigma at sqrt(k) (R2+delta)): once per doubling tried, once for the glued warps
+    scalar = [float(c[0]) for c in sigma.calls if c.shape == (1,)]
+    doublings = int(math.log2(result.k))
+    assert scalar == [math.sqrt(2.0**m) * d for m in range(doublings + 1)] + [math.sqrt(result.k) * d]
+
+
+def test_with_slope_reuses_the_anchors():
+    rho = counting(OddPolynomialWarp)([1.0, 1.0])
+    sigma_k = counting(ScaledWarp)(SIGMA, 2.0)
+    gw = build_tau(rho, sigma_k, 2.0, 3.0, 0.05)
+    bad = gw.with_slope(gw.s - 0.5)
+    assert len(rho.calls) == len(sigma_k.calls) == 1
+    want = GluedWarp(OddPolynomialWarp([1.0, 1.0]), ScaledWarp(SIGMA, 2.0), 2.0, 3.0, 0.05, gw.s - 0.5)
+    grid = default_certification_grid(want)
+    for a, b in zip(bad.evaluate(grid), want.evaluate(grid)):
+        assert a.tobytes() == b.tobytes()
+    assert not certify(bad, grid).passed
 
 
 @st.composite

@@ -1,7 +1,9 @@
 """Header-checked text tables: the one write path and one read path of the file formats.
 
 A table file is a header line followed by rows of numbers.  Writers give each
-column a %-format; ``%.17g`` round-trips every float64 exactly.  The reader
+column a %-format; ``%.17g`` round-trips every float64 exactly.  A block of
+rows is a 2d array, or a ``GridRows`` product grid whose axis values are
+formatted once each and only the value column per row.  The reader
 checks the header against a pattern, skips blank lines, and raises
 ``UsageError`` naming the file and line of the first malformed row.
 """
@@ -10,19 +12,47 @@ from __future__ import annotations
 
 import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
 
 
+@dataclass(frozen=True)
+class GridRows:
+    """The rows (x_i, y_k, values[i, k]) of the product grid x by y, x slowest, every field in ``fmt``.
+
+    ``values`` has shape (len(x), len(y)).  The file bytes are those of the
+    2d-array block of these rows; each x_i and y_k is formatted once.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    values: np.ndarray
+    fmt: str
+
+    def text(self, delimiter: str) -> str:
+        def fields(axis):  # formatted once, escaped for the row template
+            return [(self.fmt % v).replace("%", "%%") for v in np.asarray(axis).tolist()]
+
+        # the rows of x_i are x_i + tail_0 + x_i + tail_1 + ..., which is x_i.join(["", tail_0, tail_1, ...])
+        tails = [""] + [delimiter + y + delimiter + self.fmt + "\n" for y in fields(self.y)]
+        template = "".join(x.join(tails) for x in fields(self.x))
+        return template % tuple(np.asarray(self.values).ravel().tolist())
+
+
 def write_table(path, header: str, *blocks, delimiter: str = ",") -> None:
-    """Write ``header``, then each block ``(rows, fmt)`` of a 2d array.
+    """Write ``header``, then each block: a ``GridRows``, or ``(rows, fmt)`` of a 2d array.
 
     ``fmt`` is a sequence of one %-format per column, or one format for all.
     """
     text = [header + "\n"]
-    for rows, fmt in blocks:
+    for block in blocks:
+        if isinstance(block, GridRows):
+            text.append(block.text(delimiter))
+            continue
+        rows, fmt = block
         rows = np.asarray(rows)
         if isinstance(fmt, str):
             fmt = [fmt] * rows.shape[1]

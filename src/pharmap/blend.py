@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import read_table, write_table
+from ._table import GridRows, read_table, write_table
 from .errors import DomainError, UsageError, _doubling_search
 
 __all__ = [
@@ -266,20 +266,40 @@ def blend_metric(grid: PolarMetricGrid, k: float, R1: float, R2: float) -> Blend
 
 def save_metric_csv(path, grid: PolarMetricGrid, values: np.ndarray | None = None,
                     value_name: str = "j") -> None:
-    """Write a polar metric grid as CSV ``t,theta,j`` (row-major by t)."""
+    """Write a polar metric grid as CSV ``t,theta,j`` (row-major by t).
+
+    ``values`` (default ``grid.j``) must have shape (len(t_grid),
+    len(theta_grid)); ``value_name`` heads the third column.  Every t and
+    theta is formatted once, and only the value per row.
+    """
     values = np.asarray(grid.j if values is None else values, dtype=float)
-    n, m = grid.t_grid.size, grid.theta_grid.size
-    rows = np.column_stack([np.repeat(grid.t_grid, m), np.tile(grid.theta_grid, n), values.ravel()])
-    write_table(path, f"t,theta,{value_name}", (rows, "%.17g"))
+    shape = (grid.t_grid.size, grid.theta_grid.size)
+    if values.shape != shape:
+        raise UsageError(f"metric values must have shape (len(t_grid), len(theta_grid)) = {shape}, "
+                         f"got {values.shape}")
+    write_table(path, f"t,theta,{value_name}", GridRows(grid.t_grid, grid.theta_grid, values, "%.17g"))
 
 
 def load_metric_csv(path) -> PolarMetricGrid:
-    """Load a polar metric grid from CSV with header ``t,theta,j``."""
-    _, data, _ = read_table(path, "metric grid", "t,theta,[^,]*", columns=3)
+    """Load a polar metric grid from CSV with header ``t,theta,j``.
+
+    The rows, in any order, must hold each (t, theta) pair of the product of
+    their t and theta values exactly once.
+    """
+    _, data, error = read_table(path, "metric grid", "t,theta,[^,]*", columns=3)
     t_grid = np.unique(data[:, 0])
     theta_grid = np.unique(data[:, 1])
     if data.shape[0] != t_grid.size * theta_grid.size:
         raise UsageError(f"{path}: metric grid rows do not form a full (t, theta) product")
     order = np.lexsort((data[:, 1], data[:, 0]))
-    j = data[order, 2].reshape(t_grid.size, theta_grid.size)
-    return PolarMetricGrid(t_grid, theta_grid, j)
+    rows = data[order]
+    pairs = rows[:, :2]
+    product = np.column_stack([np.repeat(t_grid, theta_grid.size), np.tile(theta_grid, t_grid.size)])
+    wrong = np.any(pairs != product, axis=1)
+    if np.any(wrong):
+        first = int(np.argmax(wrong))
+        (t, theta), (want_t, want_theta) = pairs[first], product[first]
+        raise error(int(order[first]), f"metric grid row (t, theta) = ({t:.17g}, {theta:.17g}) stands where the "
+                                       f"(t, theta) product needs ({want_t:.17g}, {want_theta:.17g}): "
+                                       "a pair is repeated or missing")
+    return PolarMetricGrid(t_grid, theta_grid, rows[:, 2].reshape(t_grid.size, theta_grid.size))

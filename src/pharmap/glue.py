@@ -27,20 +27,23 @@ feasible when this root lies in the monotone bracket
 ``find_k`` returns the smallest doubling k that passes it, and ``GluedWarp``
 raises on a k that fails it.  ``certify`` evaluates ``tau`` once on its grid
 and reads from those samples the convexity margin, the slope margin, head
-and tail mismatches and the curvatures; rho on the head and sigma_k on the
-tail are evaluated again as independent references.
+and tail mismatches and the curvatures; the values of rho on the head
+(``rho(r)``, which a ``SplineWarp`` takes from its value polynomial alone)
+and of sigma_k on the tail are evaluated again as independent references.
 
 The same surgery applies per ray to a 2-dimensional metric given by angular
 samples ``nu(., theta)``: one (k, R1, R2) is chosen so that every ray passes
 the rule, the plateau slopes of all rays are solved at once, and the joint
 certificate additionally reports a Lipschitz bound on s(theta).  The rays
-share their band edges, sigma_k and so the certification grid:
-``glue2d`` evaluates sigma_k(R2+delta) once, reuses each ray's
-rho(R1-delta) from the search for k, and certifies the rays in fixed blocks
-as (rays, points) arrays, each block with one evaluation of sigma_k on the
-tail for the samples and one for the reference.  ``certify`` is the one-ray
-case of that block certifier, and ``GluedWarp`` evaluation the one-ray case
-of its sampling.
+share their band edges, sigma_k and so the certification grid.
+``glue2d`` evaluates each ray once, on its convexity window with R1-delta
+appended, which gives the convexity check and the anchors rho(R1-delta),
+rho'(R1-delta) of the search for k; it evaluates sigma_k(R2+delta) once and
+certifies the rays in fixed blocks as (rays, points) arrays, each block with
+one evaluation of sigma_k on the tail for the samples and one for the
+reference; a block's head samples are dropped before the next block.
+``certify`` is the one-ray case of that block certifier, and ``GluedWarp``
+evaluation the one-ray case of its sampling.
 """
 
 from __future__ import annotations
@@ -284,15 +287,16 @@ def choose_radii(spec: GlueSpec):
     return spec.R_bar + step, spec.R_bar + 2.0 * step
 
 
-def _secant_search(rays, sigma, R1, R2, delta, k_max):
+def _secant_search(rho_a, lo, sigma, R1, R2, delta, k_max):
     """Smallest doubling scale k at which every ray passes ``_slope_bracket`` with a nonempty bracket.
 
     Those are the checks of ``GluedWarp``, so ``build_tau`` accepts the k
-    found.  The rays are evaluated once at R1-delta, sigma_k once per k at
-    R2+delta.  Returns k and the arrays rho(R1-delta), rho'(R1-delta) over the rays.
+    found.  ``rho_a`` and ``lo`` are the rays' rho(R1-delta) and
+    rho'(R1-delta), scalars or arrays over the rays, which the caller has
+    evaluated; sigma_k is evaluated once per k at R2+delta.
     """
-    a, d, span = R1 - delta, R2 + delta, R2 - R1
-    rho_a, lo = np.array([ray.evaluate(a)[:2] for ray in rays]).T
+    d, span = R2 + delta, R2 - R1
+    rho_a, lo = np.atleast_1d(rho_a, lo)
 
     def failure(k):
         sig_d, hi, _ = ScaledWarp(sigma, k).evaluate(d)
@@ -304,7 +308,7 @@ def _secant_search(rays, sigma, R1, R2, delta, k_max):
                 f"worst ray {j} at k={k:g}: tail mismatch {f_lo[j]:.6g} at rho'(R1-delta) = {lo[j]:.6g}, "
                 f"{f_hi[j]:.6g} at sigma_k'(R2+delta) = {hi:.6g}")
 
-    return _doubling_search(k_max, failure), rho_a, lo
+    return _doubling_search(k_max, failure)
 
 
 def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
@@ -319,7 +323,8 @@ def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
         raise UsageError("find_k needs 0 < R1 < R2")
     if delta < 0.0 or 2.0 * delta >= R2 - R1:
         raise DomainError("find_k needs 0 <= delta < (R2-R1)/2")
-    return _secant_search([rho], sigma, R1, R2, delta, k_max)[0]
+    rho_a, drho_a, _ = rho.evaluate(R1 - delta)
+    return _secant_search(rho_a, drho_a, sigma, R1, R2, delta, k_max)
 
 
 def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: float,
@@ -345,8 +350,9 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
 
     The one-warp case of the row-wise certifier that ``glue2d`` runs on its
     blocks of rays.  The curvature report is read from those samples at the
-    positive radii; rho is evaluated again on the head and sigma_k on the
-    tail, as independent references for the head and tail mismatches.
+    positive radii; the values of rho on the head (``rho(r)``) and of
+    sigma_k on the tail are evaluated again, as independent references for
+    the head and tail mismatches.
     ``min_second_difference`` is the undivided midpoint convexity defect
     min_i [ (h1 tau_{i-1} + h0 tau_{i+1})/(h0+h1) - tau_i ]  (>= 0 for convex
     tau); keeping it undivided leaves roundoff at the 1e-14 level, far below
@@ -371,9 +377,9 @@ def _certify_rows(glued, grid, samples) -> list[GlueCertificate]:
 
     ``samples`` are (tau, tau', tau'') of shape (len(glued), grid.size) on a
     grid that ``certify`` accepts; every margin is read along axis 1.  Each
-    warp's rho is evaluated again on the head, the shared sigma_k once on the
-    tail.  The grid is increasing, so the head, the tail and the positive
-    radii are slices of it.
+    warp's rho values are evaluated again on the head, through ``rho(r)``,
+    the shared sigma_k once on the tail.  The grid is increasing, so the
+    head, the tail and the positive radii are slices of it.
     """
     tau, dtau, ddtau = samples
     first = glued[0]
@@ -389,7 +395,7 @@ def _certify_rows(glued, grid, samples) -> list[GlueCertificate]:
 
     head_mismatch = np.zeros(len(glued))
     if n_head:
-        rho_vals = np.array([gw.rho.evaluate(grid[:n_head])[0] for gw in glued])
+        rho_vals = np.array([gw.rho(grid[:n_head]) for gw in glued])
         head_mismatch = np.max(np.abs(tau[:, :n_head] - rho_vals), axis=1)
     tail_mismatch = np.zeros(len(glued))
     if tail < grid.size:
@@ -485,15 +491,19 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
     Each ray (the angular sample nu(., theta_j), a warping function of the
     radius) must be convex on the checking window: the single curvature of
     the 2d metric is -nu_rr/nu, so convexity is the nonpositive-curvature
-    precondition.  A single (k, R1, R2) is chosen so that every ray passes
-    the feasibility rule; the plateau slopes of all rays are then solved at
-    once from the rho(R1-delta), rho'(R1-delta) of that search and one
-    evaluation of sigma_k(R2+delta).  The band half-width is that of
-    ``glue_pipeline``, min(0.05, (R2-R1)/10), and each glued ray must match
-    sigma_k on its tail to within ``VALUE_TOL``.  The rays share one
-    certification grid, coarser than the default of ``glue_pipeline``, and
-    are certified in blocks of a fixed number of rays; each certificate
-    equals that of ``certify`` on the ray's default grid of that size.
+    precondition.  Each ray is evaluated once, on the 256-point checking
+    window with R1-delta appended: that call gives its convexity check and
+    its anchors rho(R1-delta), rho'(R1-delta).  A single (k, R1, R2) is
+    chosen from the anchors so that every ray passes the feasibility rule;
+    the plateau slopes of all rays are then solved at once from the same
+    anchors and one evaluation of sigma_k(R2+delta).  The band half-width
+    is that of ``glue_pipeline``, min(0.05, (R2-R1)/10), and each glued ray
+    must match sigma_k on its tail to within ``VALUE_TOL``.  The rays share
+    one certification grid, coarser than the default of ``glue_pipeline``,
+    and are certified in blocks of a fixed number of rays, each ray's head
+    sampled with its block and its head reference taken from ``rho(r)``;
+    each certificate equals that of ``certify`` on the ray's default grid
+    of that size.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     rays = list(rays)
@@ -501,15 +511,20 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
         raise UsageError("need one ray per theta sample")
     R1, R2, band = _glue_plan(GlueSpec(rays[0], sigma, R_bar, R, k_max=k_max))
 
-    check = np.linspace(band * 1e-3, R1 + 2.0 * band, 256)
+    # the convexity window with the anchor R1-delta appended: one evaluation per ray
+    window = np.append(np.linspace(band * 1e-3, R1 + 2.0 * band, 256), R1 - band)
+    rho_a = np.empty(len(rays))
+    drho_a = np.empty(len(rays))
     for j, ray in enumerate(rays):
-        if not _is_convex(ray.evaluate(check)[2]):
+        value, slope, curv = ray.evaluate(window)
+        if not _is_convex(curv[:-1]):
             raise UsageError(
                 f"ray {j} (theta={theta_grid[j]:.6g}) is concave on the checking window; "
                 "the 2d metric is not nonpositively curved there"
             )
+        rho_a[j], drho_a[j] = value[-1], slope[-1]
 
-    k, rho_a, drho_a = _secant_search(rays, sigma, R1, R2, band, k_max)
+    k = _secant_search(rho_a, drho_a, sigma, R1, R2, band, k_max)
     sigma_k = ScaledWarp(sigma, k)
     sig_d, dsig_d, _ = sigma_k.evaluate(R2 + band)
     slopes = _plateau_slopes(rho_a, drho_a, sig_d, dsig_d, R2 - R1, band)

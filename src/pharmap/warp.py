@@ -247,27 +247,43 @@ class SplineWarp(WarpingFunction):
         rN = radii[-1]
         self._tail = (rN, float(self._poly(rN)), float(self._dpoly(rN)), float(self._ddpoly(rN - 1e-12)))
 
-    def _eval(self, r):
+    def _split(self, r):
+        """Mask of the radii up to the last knot, those radii clipped to the knots, the others' distance past it."""
         if np.any(r < self.radii[0] - 1e-12):
             raise DomainError(
                 f"spline warp evaluated below first knot r={self.radii[0]:g} (no analytic head)"
             )
+        rN = self._tail[0]
+        inside = r <= rN
+        return inside, np.clip(r[inside], self.radii[0], rN), r[~inside] - rN
+
+    def _eval(self, r):
+        inside, ri, dr = self._split(r)
         s = np.empty_like(r)
         d1 = np.empty_like(r)
         d2 = np.empty_like(r)
-        rN, v, dv, ddv = self._tail
-        inside = r <= rN
-        ri = np.clip(r[inside], self.radii[0], rN)
+        _, v, dv, ddv = self._tail
         s[inside] = self._poly(ri)
         d1[inside] = self._dpoly(ri)
         d2[inside] = self._ddpoly(ri)
         out = ~inside
-        if np.any(out):
-            dr = r[out] - rN
+        if dr.size:
             s[out] = v + dv * dr + 0.5 * ddv * dr * dr
             d1[out] = dv + ddv * dr
             d2[out] = ddv
         return s, d1, d2
+
+    def __call__(self, r):
+        """``evaluate(r)[0]``, bit for bit, from the value polynomial and the Taylor tail alone."""
+        r = _as_radii(r)
+        radii = r if r.ndim else r[None]
+        inside, ri, dr = self._split(radii)
+        s = np.empty_like(radii)
+        _, v, dv, ddv = self._tail
+        s[inside] = self._poly(ri)
+        if dr.size:
+            s[~inside] = v + dv * dr + 0.5 * ddv * dr * dr
+        return s if r.ndim else s[0]
 
     @classmethod
     def sample(cls, warp: WarpingFunction, radii, with_second=True):

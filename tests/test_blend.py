@@ -254,3 +254,53 @@ def test_metric_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.j, g.j)
     save_metric_csv(tmp_path / "again.csv", g)
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
+
+
+def reference_metric_csv(path, grid, values, value_name):
+    """The row-by-row writer: one ``"%.17g,%.17g,%.17g\\n"`` per (t, theta) pair, t slowest."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"t,theta,{value_name}\n")
+        for i, t in enumerate(grid.t_grid):
+            for k, theta in enumerate(grid.theta_grid):
+                fh.write("%.17g,%.17g,%.17g\n" % (t, theta, values[i, k]))
+
+
+def test_metric_csv_bytes_equal_the_row_by_row_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    t = np.sort(rng.uniform(0.1, 3.0, 9))
+    for theta0 in (0.0, 0.3):
+        theta = theta0 + 2.0 * np.pi * np.arange(7) / 7
+        g = PolarMetricGrid(t, theta, np.exp(rng.normal(size=(9, 7))))
+        extreme = rng.normal(size=(9, 7)) * 10.0 ** rng.integers(-300, 300, size=(9, 7))
+        extreme.flat[:3] = -0.0, 2.5e-310, -1e308
+        for values, value_name in ((None, "j"), (None, "j_hat"), (extreme, "dt_j")):
+            save_metric_csv(tmp_path / "got.csv", g, values=values, value_name=value_name)
+            reference_metric_csv(tmp_path / "want.csv", g, g.j if values is None else values, value_name)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_save_metric_csv_rejects_misshapen_values(tmp_path):
+    g = grid_from(SQUARE, np.linspace(0.5, 2.0, 7), ntheta=5)
+    for values in (g.j.T, g.j[:, :4], g.j.ravel()):
+        with pytest.raises(UsageError, match=r"shape \(len\(t_grid\), len\(theta_grid\)\) = \(7, 5\), got "):
+            save_metric_csv(tmp_path / "grid.csv", g, values=values)
+    assert not (tmp_path / "grid.csv").exists()
+
+
+def test_load_metric_csv_rejects_a_repeated_pair(tmp_path):
+    theta = 2.0 * np.pi * np.arange(4) / 4
+    g = PolarMetricGrid([0.5, 1.0], theta, [[1.6, 1.7, 1.4, 1.5], [2.6, 2.7, 2.4, 2.5]])
+    path = tmp_path / "grid.csv"
+    save_metric_csv(path, g)
+    lines = path.read_text().splitlines()
+    # rows in any order load to the same grid
+    path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+    back = load_metric_csv(path)
+    assert np.array_equal(back.t_grid, g.t_grid) and np.array_equal(back.j, g.j)
+    # (0.5, pi/2) replaced by a second (0.5, 0): the row count still equals n_t * n_theta
+    lines[2] = "0.5,0,9.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UsageError) as err:
+        load_metric_csv(path)
+    assert str(err.value) == (f"{path}, line 3: metric grid row (t, theta) = (0.5, 0) stands where the "
+                              "(t, theta) product needs (0.5, 1.5707963267948966): a pair is repeated or missing")

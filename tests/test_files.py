@@ -30,6 +30,7 @@ CASES = {
     "warp field": (lambda p: save_warp_csv(p, SinhWarp(), np.linspace(0.0, 2.0, 9)), 3,
                    set_field(1, "abc"), load_warp_csv),
     "metric field": (lambda p: save_metric_csv(p, GRID), 6, set_field(2, "abc"), load_metric_csv),
+    "metric repeated pair": (lambda p: save_metric_csv(p, GRID), 3, set_field(1, "0"), load_metric_csv),
     "boundary vertex": (lambda p: save_boundary_csv(p, MESH, MESH.vertices), 2, set_field(0, "0.5"),
                         lambda p: load_boundary_csv(p, MESH, 2)),
 }

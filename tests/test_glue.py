@@ -406,6 +406,7 @@ def test_glue2d_blocks_equal_per_ray_certify(n, sampled):
         want = build_tau(ray, sigma_k, result.R1, result.R2, result.delta)
         grid = default_certification_grid(want, 2001)
         got = result.glued[j]
+        assert got._anchors == want._anchors  # rho(R1-delta) from the window call equals the scalar evaluation
         assert got.s == want.s == result.slopes[j]
         assert (got.k, got.R1, got.R2, got.delta) == (want.k, want.R1, want.R2, want.delta)
         for a, b in zip(got.evaluate(grid), want.evaluate(grid)):
@@ -430,10 +431,11 @@ def test_glue2d_evaluates_each_anchor_once():
     sigma = counting(SinhWarp)()
     result = glue2d(rays, theta, sigma, 1.0, 4.0)
     a, d = result.R1 - result.delta, result.R2 + result.delta
-    # each ray: the convexity window, rho(R1-delta) for the search, its head samples, the certificate's head
+    # each ray: the convexity window with rho(R1-delta) appended, its head samples, the certificate's head
     for ray in rays:
-        assert [c.ndim for c in ray.calls] == [1, 0, 1, 1]
-        assert float(ray.calls[1]) == a
+        assert [c.ndim for c in ray.calls] == [1, 1, 1]
+        assert ray.calls[0].shape == (257,) and ray.calls[0][-1] == a
+        assert np.all(ray.calls[1] < a) and np.all(ray.calls[2] <= a)
     # sigma_k at R2+delta (sigma at sqrt(k) (R2+delta)): once per doubling tried, once for the glued warps
     scalar = [float(c[0]) for c in sigma.calls if c.shape == (1,)]
     doublings = int(math.log2(result.k))

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pharmap.errors import DomainError, UsageError
 from pharmap.glue import GlueSpec, glue_pipeline
@@ -228,6 +230,36 @@ def test_spline_domain_and_tail():
     assert s_tail == pytest.approx(s2 + d2_ * h + 0.5 * dd2 * h * h, rel=1e-12)
     assert d_tail == pytest.approx(d2_ + dd2 * h, rel=1e-9)
     assert dd_tail == pytest.approx(dd2, rel=1e-6)
+
+
+@st.composite
+def spline_queries(draw):
+    """A cubic or quintic spline through sinh or r + r^3; radii of shape (), (7,) or (3, 4) on and past its knots."""
+    base = draw(st.sampled_from([SinhWarp(), R_PLUS_R3]))
+    first = draw(st.sampled_from([0.0, 0.5]))
+    knots = np.linspace(first, first + draw(st.floats(0.5, 3.0)), draw(st.integers(2, 40)))
+    spline = SplineWarp.sample(base, knots, with_second=draw(st.booleans()))
+    shape = draw(st.sampled_from([(), (7,), (3, 4)]))
+    size = math.prod(shape)
+    radius = st.one_of(st.floats(first, knots[-1] + 2.0), st.sampled_from(list(knots)),
+                       st.just(max(first - 1e-13, 0.0)))  # just below the first knot is clipped onto it
+    return spline, np.reshape(draw(st.lists(radius, min_size=size, max_size=size)), shape)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spline_queries())
+def test_spline_call_is_the_value_of_evaluate(query):
+    spline, r = query
+    got, want = spline(r), spline.evaluate(r)[0]
+    assert type(got) is type(want) and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    bad = [[-1.0], [np.nan]] + ([[spline.radii[0] - 1e-6]] if spline.radii[0] > 0.0 else [])
+    for radii in bad:
+        with pytest.raises(DomainError) as call_err:
+            spline(np.append(r, radii))
+        with pytest.raises(DomainError) as eval_err:
+            spline.evaluate(np.append(r, radii))
+        assert str(call_err.value) == str(eval_err.value)
 
 
 def test_spline_validation():

@@ -43,6 +43,10 @@ __all__ = [
 class TriMesh:
     """Immutable triangle mesh with CCW triangles and exact boundary flags.
 
+    All of its arrays (``vertices``, ``triangles``, ``boundary``, ``areas``,
+    ``grads``, ``edges``, ``edge_counts``, ``triangle_edges``) are read-only.
+    The solver keys data derived from a mesh on the mesh object itself.
+
     ``areas`` and ``grads`` hold the per-triangle area and the gradients of
     the three barycentric basis functions (shape (nt, 3, 2), rows sum to 0).
     Boundary flags are validated against the edge topology: a vertex is
@@ -122,7 +126,7 @@ class TriMesh:
         self.edges = edges
         self.edge_counts = counts
         self.triangle_edges = triangle_edges
-        for table in (vertices, triangles, boundary, edges, counts, triangle_edges):
+        for table in (vertices, triangles, boundary, areas, grads, edges, counts, triangle_edges):
             table.setflags(write=False)
 
     @property

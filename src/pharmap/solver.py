@@ -16,15 +16,15 @@ through d h_ij / d x^k; for p >= 2 the integrand is C^1 also where du = 0.
 Minimization is monotone descent: limited-memory quasi-Newton directions
 (memory 10) with a backtracking line search, and Dirichlet rows pinned
 bit-exactly.  The initial inverse Hessian of L-BFGS is gamma K_ii^{-1}, with
-K_ii the interior block of the P1 stiffness matrix (factored once per solve)
-and gamma = s^T y / y^T K_ii^{-1} y: the Sobolev-gradient, or
-weighted-Laplacian, preconditioning of Huang, Li & Liu (J. Sci. Comput. 32
-(2007)).  K_ii is the exact Hessian of the Euclidean p=2 energy and the
-metric of the H^1 seminorm, so iteration counts do not grow with the mesh.
-The first direction, and the direction after a restart, is -K_ii^{-1} g
-with step 1.  With phi(a) = E(x + a d) along the direction d, a trial step
-a is accepted by one of two tests, chosen by whether the energy can still
-resolve it:
+K_ii the interior block of the P1 stiffness matrix (factored once per mesh,
+held while the mesh lives) and gamma = s^T y / y^T K_ii^{-1} y: the
+Sobolev-gradient, or weighted-Laplacian, preconditioning of Huang, Li & Liu
+(J. Sci. Comput. 32 (2007)).  K_ii is the exact Hessian of the Euclidean
+p=2 energy and the metric of the H^1 seminorm, so iteration counts do not
+grow with the mesh.  The first direction, and the direction after a restart,
+is -K_ii^{-1} g with step 1.  With phi(a) = E(x + a d) along the direction
+d, a trial step a is accepted by one of two tests, chosen by whether the
+energy can still resolve it:
 
 * while the Armijo margin c1 a |phi'(0)| (c1 = 1e-4) is at least one
   rounding unit eps |E|, the Armijo test phi(a) <= phi(0) + c1 a phi'(0),
@@ -67,7 +67,9 @@ which at the floor the comparison phi(a) <= phi(0) would read as rises.
 from __future__ import annotations
 
 import math
+import numbers
 import re
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -139,10 +141,10 @@ class SolveConfig:
         _check_p_and_quadrature(self.p, self.quadrature)
         if not self.grad_tol > 0.0:  # written so that NaN fails
             raise UsageError("grad_tol must be positive")
-        if self.max_iter < 1:
-            raise UsageError("max_iter must be at least 1")
-        if self.threads < 1:
-            raise UsageError("threads must be at least 1")
+        for name in ("max_iter", "threads"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):  # NaN fails too
+                raise UsageError(f"{name} must be an integer >= 1")
 
 
 @dataclass
@@ -362,14 +364,28 @@ def _stiffness(mesh: TriMesh):
     return K.tocsr()
 
 
+_FACTORS = weakref.WeakKeyDictionary()  # TriMesh -> _interior_stiffness(mesh)
+
+
 def _interior_stiffness(mesh: TriMesh):
     """``splu`` factor of the interior block K_ii of the stiffness matrix and
-    the block K_ib, or None for a mesh without interior vertices."""
+    the block K_ib, or None for a mesh without interior vertices.
+
+    Both depend on the mesh alone, and ``TriMesh`` is immutable: the first
+    call factors, and later calls on the same mesh return the held result
+    until the mesh is collected.
+    """
+    try:
+        return _FACTORS[mesh]
+    except KeyError:
+        pass
     iidx = mesh.interior_indices()
-    if not iidx.size:
-        return None
-    K_i = _stiffness(mesh)[iidx]
-    return splu(K_i[:, iidx].tocsc()), K_i[:, mesh.boundary_indices()]
+    factor = None
+    if iidx.size:
+        K_i = _stiffness(mesh)[iidx]
+        factor = splu(K_i[:, iidx].tocsc()), K_i[:, mesh.boundary_indices()]
+    _FACTORS[mesh] = factor
+    return factor
 
 
 def _harmonic_extension(mesh: TriMesh, bvals, factor) -> MapState:
@@ -387,8 +403,10 @@ def _harmonic_extension(mesh: TriMesh, bvals, factor) -> MapState:
 def harmonic_init(mesh: TriMesh, boundary_values) -> MapState:
     """Componentwise discrete 2-harmonic extension of the boundary data.
 
-    Solves the Euclidean-target p=2 problem per component; reproduces affine
-    data exactly and obeys the componentwise discrete maximum principle.
+    Solves the Euclidean-target p=2 problem per component with the mesh's
+    factor of K_ii, which is made on the first call on a mesh and held while
+    the mesh lives; reproduces affine data exactly and obeys the
+    componentwise discrete maximum principle.
     """
     bvals = np.asarray(boundary_values, dtype=float)
     if bvals.ndim != 2 or bvals.shape[0] != mesh.num_vertices:
@@ -446,7 +464,8 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
 
     Starts from ``harmonic_init`` unless an initial state is given.  The
     energy trace is non-increasing and boundary rows are never modified.
-    Directions are L-BFGS with the stiffness preconditioner K_ii^{-1}; steps
+    Directions are L-BFGS with the stiffness preconditioner K_ii^{-1}, whose
+    factor is made once per mesh and shared by every solve on it; steps
     are accepted by the Armijo test while the energy can resolve it and by
     the approximate Wolfe conditions at its floating-point floor (module
     docstring); ``report.stop_reason`` is ``"converged"``, ``"max_iter"`` or

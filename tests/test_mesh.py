@@ -145,6 +145,15 @@ def test_boundary_flag_mismatch_rejected():
         TriMesh(m.vertices, m.triangles, boundary=bad)
 
 
+def test_every_table_is_read_only():
+    m = build_annulus(1.0, 2.0, 2, 8)
+    for name in ("vertices", "triangles", "boundary", "areas", "grads", "edges", "edge_counts",
+                 "triangle_edges"):
+        table = getattr(m, name)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]
+
+
 def test_mesh_file_round_trip(tmp_path):
     m = build_annulus(1.0, 2.0, 2, 8)
     path = tmp_path / "mesh.txt"

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -76,7 +78,8 @@ def test_energy_p_validation_and_shape_mismatch():
             with pytest.raises(UsageError):
                 fn(mesh, EUCL2, identity_state(mesh), p, quadrature=quadrature)
     for bad in ({"p": math.nan}, {"p": math.inf}, {"grad_tol": math.nan}, {"quadrature": 2},
-                {"max_iter": 0}, {"threads": 0}):
+                {"max_iter": 0}, {"threads": 0}, {"max_iter": math.nan}, {"max_iter": 2.5},
+                {"threads": math.nan}, {"threads": 2.5}):
         with pytest.raises(UsageError):
             SolveConfig(**{"p": 3.0, **bad})
     annulus = build_annulus(1.0, 2.0, 4, 16)  # 80 vertices
@@ -571,3 +574,86 @@ def test_harmonic_init_equals_direct_sparse_solve():
         got = harmonic_init(mesh, bvals).points
         assert got[iidx].tobytes() == want.tobytes()
         assert np.array_equal(got[bidx], bvals[bidx])
+
+
+def test_held_factor_gives_the_bytes_of_a_fresh_mesh():
+    # every call after the first on a mesh reads its held factor of K_ii;
+    # an equal mesh built fresh factors anew, and the outputs are the same bytes
+    mesh, bvals = wavy_ring_problem(4, 16)
+    harmonic_init(mesh, bvals)
+    for p in (2.0, 3.0):
+        for quadrature in (1, 3):
+            config = SolveConfig(p=p, grad_tol=1e-9, quadrature=quadrature)
+            held_state, held = solve(mesh, SINH2, bvals, config)
+            fresh_state, fresh = solve(wavy_ring_problem(4, 16)[0], SINH2, bvals, config)
+            assert held_state.points.tobytes() == fresh_state.points.tobytes()
+            assert held.energy_trace == fresh.energy_trace
+            assert np.float64(held.residual).tobytes() == np.float64(fresh.residual).tobytes()
+    held = harmonic_init(mesh, bvals).points
+    assert held.tobytes() == harmonic_init(wavy_ring_problem(4, 16)[0], bvals).points.tobytes()
+
+
+def test_one_factor_per_mesh(monkeypatch):
+    import pharmap.solver as solver_module
+
+    calls = []
+    splu = solver_module.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "splu", counting)
+    mesh, bvals = wavy_ring_problem(4, 16)
+    config = SolveConfig(p=3.0, grad_tol=1e-9)
+    harmonic_init(mesh, bvals)
+    uniqueness_probe(mesh, EUCL2, bvals, config, 4)
+    solve(mesh, SINH2, bvals, config)
+    solve(mesh, SINH2, bvals, SolveConfig(p=2.0, grad_tol=1e-9, quadrature=3))
+    assert len(calls) == 1
+    no_interior = build_rect(1.0, 1.0, 1, 1)  # four boundary vertices
+    for _ in range(2):
+        assert harmonic_init(no_interior, no_interior.vertices).points.tobytes() == \
+            no_interior.vertices.tobytes()
+    assert len(calls) == 1 and solver_module._FACTORS[no_interior] is None
+
+
+def test_held_factor_does_not_keep_the_mesh_alive():
+    mesh, bvals = wavy_ring_problem(4, 16)
+    solve(mesh, SINH2, bvals, SolveConfig(p=3.0, grad_tol=1e-9))
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None
+
+
+def test_threads_sharing_a_mesh_share_one_factor():
+    # four threads race to fill a fresh mesh's entry, then use the held factor
+    # at once; each call gives the bytes of a call on a mesh of its own
+    import sys
+    import threading
+
+    mesh, bvals = wavy_ring_problem(8, 32)
+    config = SolveConfig(p=3.0, grad_tol=1e-9)
+    want_init = harmonic_init(wavy_ring_problem(8, 32)[0], bvals).points.tobytes()
+    want_solve = solve(wavy_ring_problem(8, 32)[0], SINH2, bvals, config)[0].points.tobytes()
+    barrier = threading.Barrier(4, timeout=30)
+    results = [None] * 4
+
+    def work(k):
+        barrier.wait()
+        inits = [harmonic_init(mesh, bvals).points.tobytes() for _ in range(10)]
+        results[k] = (inits, solve(mesh, SINH2, bvals, config)[0].points.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert results == [([want_init] * 10, want_solve)] * 4

@@ -66,11 +66,11 @@ def read_table(path, what: str, header: str, columns: int | None = None,
                delimiter: str | None = ","):
     """Read a table whose header line matches the regular expression ``header``.
 
-    ``what`` names the format in messages; ``columns``, when given, is the
-    number of fields every row must have; ``delimiter`` None splits on
-    whitespace.  Returns the header line, the rows as a float array of shape
-    (rows, fields), and ``error(row, message)``, which makes the
-    ``UsageError`` for the file line of a row (blank lines are not rows).
+    ``what`` names the format in messages; ``columns`` is the number of
+    fields every row must have, by default that of the header; ``delimiter``
+    None splits on whitespace.  Returns the header line, the rows as a float
+    array of shape (rows, fields), and ``error(row, message)``, which makes
+    the ``UsageError`` for the file line of a row (blank lines are not rows).
     """
     try:
         with open(path, encoding="ascii") as fh:
@@ -93,9 +93,11 @@ def read_table(path, what: str, header: str, columns: int | None = None,
             rows = np.loadtxt(lines[1:], delimiter=delimiter, ndmin=2, comments=None)
     except ValueError as exc:
         raise error(*_first_bad_row(lines[1:], delimiter, str(exc))) from None
-    if columns is not None and not rows.size:
+    if columns is None:
+        columns = len(head.split(delimiter))
+    if not rows.size:
         rows = rows.reshape(0, columns)
-    if columns is not None and rows.shape[1] != columns:
+    if rows.shape[1] != columns:
         raise error(0, f"{what} rows need {columns} fields, found {rows.shape[1]}")
     return head, rows, error
 

@@ -44,8 +44,10 @@ class TriMesh:
     """Immutable triangle mesh with CCW triangles and exact boundary flags.
 
     All of its arrays (``vertices``, ``triangles``, ``boundary``, ``areas``,
-    ``grads``, ``edges``, ``edge_counts``, ``triangle_edges``) are read-only.
-    The solver keys data derived from a mesh on the mesh object itself.
+    ``grads``, ``edges``, ``edge_counts``, ``triangle_edges``) are read-only,
+    and none is an array the caller passed in, so the caller can neither move
+    a vertex under the mesh nor find its own arrays made read-only.  The
+    solver keys data derived from a mesh on the mesh object itself.
 
     ``areas`` and ``grads`` hold the per-triangle area and the gradients of
     the three barycentric basis functions (shape (nt, 3, 2), rows sum to 0).
@@ -109,24 +111,23 @@ class TriMesh:
             )
         computed = np.zeros(nv, dtype=bool)
         computed[edges[counts == 1].ravel()] = True
-        if boundary is None:
-            boundary = computed
-        else:
+        if boundary is not None:
             boundary = np.asarray(boundary, dtype=bool)
             if boundary.shape != (nv,):
                 raise UsageError("boundary flags must have shape (nv,)")
             if not np.array_equal(boundary, computed):
                 raise UsageError("boundary flags disagree with the edge topology")
 
-        self.vertices = vertices
-        self.triangles = triangles
-        self.boundary = boundary
+        # the mesh owns copies of the caller's arrays, taken once the temporaries above are freed
+        self.vertices = vertices = vertices.copy()
+        self.triangles = triangles = triangles.copy()
+        self.boundary = computed  # equal to any given flags
         self.areas = areas
         self.grads = grads
         self.edges = edges
         self.edge_counts = counts
         self.triangle_edges = triangle_edges
-        for table in (vertices, triangles, boundary, areas, grads, edges, counts, triangle_edges):
+        for table in (vertices, triangles, computed, areas, grads, edges, counts, triangle_edges):
             table.setflags(write=False)
 
     @property

@@ -207,17 +207,32 @@ class UniquenessReport:
         return all(self.converged)
 
 
-def _points_of(state) -> np.ndarray:
-    if isinstance(state, MapState):
-        return state.points
-    return np.asarray(state, dtype=float)
-
-
-def _check_shapes(mesh: TriMesh, chart: TargetChart, pts: np.ndarray):
+def _map_points(mesh: TriMesh, chart: TargetChart, state) -> np.ndarray:
+    """The points of a map state, a ``MapState`` or an array, of shape (nv, ``chart.dim``)."""
+    pts = state.points if isinstance(state, MapState) else np.asarray(state, dtype=float)
     if pts.shape != (mesh.num_vertices, chart.dim):
-        raise UsageError(
-            f"state shape {pts.shape} does not match mesh/chart ({mesh.num_vertices}, {chart.dim})"
-        )
+        raise UsageError(f"state shape {pts.shape} does not match mesh/chart "
+                         f"({mesh.num_vertices}, {chart.dim})")
+    return pts
+
+
+def _boundary_of(mesh: TriMesh) -> np.ndarray:
+    """The boundary vertices, of which the Dirichlet problem needs at least one."""
+    bidx = mesh.boundary_indices()
+    if bidx.size == 0:
+        raise UsageError("the Dirichlet problem needs a nonempty boundary")
+    return bidx
+
+
+def _dirichlet_data(mesh: TriMesh, boundary_values, dim: int | None = None) -> np.ndarray:
+    """Boundary values as floats of shape (nv, n), with n = ``dim`` when given,
+    finite on a nonempty boundary; rows off the boundary are not read."""
+    bvals = np.asarray(boundary_values, dtype=float)
+    if bvals.ndim != 2 or bvals.shape[0] != mesh.num_vertices or dim not in (None, bvals.shape[1]):
+        raise UsageError(f"boundary values need shape (nv, n) matching mesh and chart, got {bvals.shape}")
+    if not np.all(np.isfinite(bvals[_boundary_of(mesh)])):
+        raise UsageError("boundary values must be finite on boundary vertices")
+    return bvals
 
 
 _QUAD_RULES = {
@@ -225,13 +240,6 @@ _QUAD_RULES = {
     1: (np.full((1, 3), 1.0 / 3.0), np.array([1.0])),
     3: (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]), np.full(3, 1.0 / 3.0)),
 }
-
-
-def _boundary_values(mesh: TriMesh, chart: TargetChart, boundary_values) -> np.ndarray:
-    bvals = np.asarray(boundary_values, dtype=float)
-    if bvals.shape != (mesh.num_vertices, chart.dim):
-        raise UsageError("boundary values need shape (nv, n) matching mesh and chart")
-    return bvals
 
 
 def _check_p_and_quadrature(p, quadrature):
@@ -323,8 +331,7 @@ def energy(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadrature: in
            threads: int = 1) -> float:
     """Discrete p-energy of the map; nonnegative, zero iff du vanishes."""
     _check_p_and_quadrature(p, quadrature)
-    pts = _points_of(state)
-    _check_shapes(mesh, chart, pts)
+    pts = _map_points(mesh, chart, state)
     total, _ = _assemble(mesh, chart, pts, p, quadrature, need_grad=False, threads=threads)
     return total
 
@@ -336,8 +343,7 @@ def energy_gradient(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadr
     Rows follow ``mesh.interior_indices()``.
     """
     _check_p_and_quadrature(p, quadrature)
-    pts = _points_of(state)
-    _check_shapes(mesh, chart, pts)
+    pts = _map_points(mesh, chart, state)
     _, grad = _assemble(mesh, chart, pts, p, quadrature, need_grad=True, threads=threads)
     return grad[mesh.interior_indices()]
 
@@ -345,10 +351,12 @@ def energy_gradient(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadr
 def residual(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadrature: int = 1,
              threads: int = 1) -> float:
     """Stationarity defect: sup over interior vertices of the gradient norm."""
-    grad = energy_gradient(mesh, chart, state, p, quadrature=quadrature, threads=threads)
-    if grad.size == 0:
-        return 0.0
-    return float(np.max(np.linalg.norm(grad, axis=1)))
+    return _sup_norm(energy_gradient(mesh, chart, state, p, quadrature=quadrature, threads=threads))
+
+
+def _sup_norm(rows) -> float:
+    """The largest norm of a row of ``rows``, 0 for no rows."""
+    return float(np.max(np.linalg.norm(rows, axis=1), initial=0.0))
 
 
 def _stiffness(mesh: TriMesh):
@@ -388,16 +396,16 @@ def _interior_stiffness(mesh: TriMesh):
     return factor
 
 
-def _harmonic_extension(mesh: TriMesh, bvals, factor) -> MapState:
+def _harmonic_extension(mesh: TriMesh, bvals) -> np.ndarray:
+    """Points of the 2-harmonic extension of checked Dirichlet data."""
     bidx = mesh.boundary_indices()
-    if not np.all(np.isfinite(bvals[bidx])):
-        raise UsageError("boundary values must be finite on boundary vertices")
     pts = np.zeros_like(bvals)
     pts[bidx] = bvals[bidx]
+    factor = _interior_stiffness(mesh)
     if factor is not None:
         lu, K_ib = factor
         pts[mesh.interior_indices()] = lu.solve(-K_ib @ bvals[bidx])
-    return MapState(pts)
+    return pts
 
 
 def harmonic_init(mesh: TriMesh, boundary_values) -> MapState:
@@ -408,13 +416,7 @@ def harmonic_init(mesh: TriMesh, boundary_values) -> MapState:
     the mesh lives; reproduces affine data exactly and obeys the
     componentwise discrete maximum principle.
     """
-    bvals = np.asarray(boundary_values, dtype=float)
-    if bvals.ndim != 2 or bvals.shape[0] != mesh.num_vertices:
-        raise UsageError("boundary values need shape (nv, n)")
-    bidx = mesh.boundary_indices()
-    if bidx.size == 0:
-        raise UsageError("mesh has no boundary; the Dirichlet problem is empty")
-    return _harmonic_extension(mesh, bvals, _interior_stiffness(mesh))
+    return MapState(_harmonic_extension(mesh, _dirichlet_data(mesh, boundary_values)))
 
 
 def check_max_principle(mesh: TriMesh, chart: TargetChart, state) -> float:
@@ -423,24 +425,20 @@ def check_max_principle(mesh: TriMesh, chart: TargetChart, state) -> float:
     Nonpositive for an exact weak maximum principle; the discrete defect of a
     converged p-harmonic state is bounded by ``max_principle_tolerance``.
     """
-    pts = _points_of(state)
-    _check_shapes(mesh, chart, pts)
-    radii = chart.dist_to_pole(pts)
-    iidx = mesh.interior_indices()
-    bidx = mesh.boundary_indices()
-    if bidx.size == 0:
-        raise UsageError("max principle needs a nonempty boundary")
-    interior_max = float(np.max(radii[iidx])) if iidx.size else 0.0
-    return interior_max - float(np.max(radii[bidx]))
+    interior, boundary = _pole_distances(mesh, chart, state)
+    return float(np.max(interior, initial=0.0)) - float(np.max(boundary))
 
 
 def max_principle_tolerance(mesh: TriMesh, chart: TargetChart, state) -> float:
     """First-order slack 2 * (max boundary radius) * (mesh size) + 1e-8."""
-    pts = _points_of(state)
-    _check_shapes(mesh, chart, pts)
-    radii = chart.dist_to_pole(pts)
-    r0 = float(np.max(radii[mesh.boundary_indices()]))
+    r0 = float(np.max(_pole_distances(mesh, chart, state)[1]))
     return 2.0 * r0 * mesh.mesh_size() + 1e-8
+
+
+def _pole_distances(mesh: TriMesh, chart: TargetChart, state):
+    """dist(q, pole) of a map state over the interior and over the (nonempty) boundary vertices."""
+    radii = chart.dist_to_pole(_map_points(mesh, chart, state))
+    return radii[mesh.interior_indices()], radii[_boundary_of(mesh)]
 
 
 def _two_loop(mem, g, gamma, h0):
@@ -471,19 +469,11 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     docstring); ``report.stop_reason`` is ``"converged"``, ``"max_iter"`` or
     ``"stalled"``.
     """
-    bvals = _boundary_values(mesh, chart, boundary_values)
+    bvals = _dirichlet_data(mesh, boundary_values, chart.dim)
     bidx = mesh.boundary_indices()
     iidx = mesh.interior_indices()
-    if bidx.size == 0:
-        raise UsageError("the Dirichlet problem needs a nonempty boundary")
     factor = _interior_stiffness(mesh)
-
-    if initial is None:
-        state0 = _harmonic_extension(mesh, bvals, factor)
-    else:
-        state0 = initial
-    pts = _points_of(state0).copy()
-    _check_shapes(mesh, chart, pts)
+    pts = _harmonic_extension(mesh, bvals) if initial is None else _map_points(mesh, chart, initial).copy()
     pts[bidx] = bvals[bidx]  # boundary rows pinned bit-exactly
     n = chart.dim
     counts = {"n_f": 0, "n_fg": 0, "n_backtracks": 0, "n_restarts": 0}
@@ -514,11 +504,6 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
         raise DivergenceError("non-finite energy or gradient at the initial state")
     trace = [f]
 
-    def sup_res(gvec):
-        if gvec.size == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(gvec.reshape(-1, n), axis=1)))
-
     def line_search(x, f, d, gd):
         """Accepted (x, f, g) along d from step 1, or None; the first trial
         also assembles the gradient."""
@@ -526,8 +511,9 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
         step = 1.0
         for trial in range(60):
             x_new = x + step * d
-            # a NaN or inf energy fails both tests below
-            f_new, g_new = f_and_g(x_new) if trial == 0 else (f_only(x_new), None)
+            # a NaN or inf energy fails both tests below, so its overflow is no error
+            with np.errstate(over="ignore", invalid="ignore"):
+                f_new, g_new = f_and_g(x_new) if trial == 0 else (f_only(x_new), None)
             at_floor = -step * gd <= floor
             if not at_floor:
                 if f_new <= f + _ARMIJO_C1 * step * gd:
@@ -550,7 +536,7 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     mem: list = []
     gamma = 1.0
     iterations = 0
-    stop_reason = "converged" if sup_res(g) <= config.grad_tol else None
+    stop_reason = "converged" if _sup_norm(g.reshape(-1, n)) <= config.grad_tol else None
     while stop_reason is None:
         if iterations >= config.max_iter:
             stop_reason = "max_iter"
@@ -583,14 +569,14 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
             gamma = sy / float(np.dot(y, precondition(y)))
         x, f, g = x_new, f_new, g_new
         trace.append(f)
-        if sup_res(g) <= config.grad_tol:
+        if _sup_norm(g.reshape(-1, n)) <= config.grad_tol:
             stop_reason = "converged"
 
     final = MapState(split(x))
     report = SolveReport(
         final_energy=f,
         energy_trace=trace,
-        residual=sup_res(g),
+        residual=_sup_norm(g.reshape(-1, n)),
         iterations=iterations,
         mp_margin=check_max_principle(mesh, chart, final),
         stop_reason=stop_reason,
@@ -610,18 +596,14 @@ def uniqueness_probe(mesh: TriMesh, chart: TargetChart, boundary_values, config:
     """
     if n_starts < 1:
         raise UsageError("need at least one start")
-    bvals = _boundary_values(mesh, chart, boundary_values)
-    bidx = mesh.boundary_indices()
+    bvals = _dirichlet_data(mesh, boundary_values, chart.dim)
     iidx = mesh.interior_indices()
-    bdata = bvals[bidx]
-    diam = float(pdist(bdata).max(initial=0.0))
+    diam = float(pdist(bvals[mesh.boundary_indices()]).max(initial=0.0))
     rng = np.random.default_rng(config.seed)
-    base = harmonic_init(mesh, bvals)
-    states = []
-    converged = []
-    residuals = []
+    base = _harmonic_extension(mesh, bvals)
+    states, converged, residuals = [], [], []
     for start in range(n_starts):
-        pts = base.points.copy()
+        pts = base.copy()
         if start > 0 and iidx.size:
             direction = rng.normal(size=(iidx.size, chart.dim))
             norms = np.linalg.norm(direction, axis=1, keepdims=True)
@@ -632,14 +614,11 @@ def uniqueness_probe(mesh: TriMesh, chart: TargetChart, boundary_values, config:
         states.append(state)
         converged.append(bool(report.converged))
         residuals.append(float(report.residual))
-    spread = 0.0
-    good = [s for s, ok in zip(states, converged) if ok]
-    for i in range(len(good)):
-        for j in range(i + 1, len(good)):
-            diff = np.linalg.norm(good[i].points - good[j].points, axis=1)
-            spread = max(spread, float(np.max(diff)))
+    good = np.array([s.points for s, ok in zip(states, converged) if ok])  # k states; no k^2 differences
+    spread = max((np.max(np.linalg.norm(good[i + 1:] - good[i], axis=-1)) for i in range(len(good) - 1)),
+                 default=0.0)
     return UniquenessReport(
-        spread=spread,
+        spread=float(spread),
         converged=converged,
         residuals=residuals,
         n_starts=n_starts,
@@ -656,41 +635,61 @@ def _vertex_header(n: int) -> str:
     return "vertex," + ",".join(f"x{i+1}" for i in range(n))
 
 
-def save_boundary_csv(path, mesh: TriMesh, values) -> None:
-    """Write boundary rows as CSV ``vertex,x1,...,xn``."""
-    values = np.asarray(values, dtype=float)
+def _write_vertex_table(path, vertices, values) -> None:
+    """Write the vertex table ``vertex,x1,...,xn``: row k is vertex ``vertices[k]`` and ``values[k]``."""
     n = values.shape[1]
+    write_table(path, _vertex_header(n), (np.column_stack([vertices, values]), ["%d"] + ["%.17g"] * n))
+
+
+def _read_vertex_table(path, what: str, dim: int | None = None):
+    """(vertex column as floats, values, ``error`` of ``read_table``) of a vertex table with an
+    exact header of n = ``dim`` (or of any n) value columns and nonnegative integer vertices."""
+    pattern = r"vertex(,x\d+)+" if dim is None else re.escape(_vertex_header(dim))
+    head, rows, error = read_table(path, what, pattern)
+    if head != _vertex_header(rows.shape[1] - 1):
+        raise UsageError(f"{path}, line 1: bad {what} header {head!r}")
+    vertex = rows[:, 0]
+    bad = np.flatnonzero((np.mod(vertex, 1.0) != 0.0) | (vertex < 0))
+    if bad.size:
+        raise error(bad[0], f"{what} row names vertex {vertex[bad[0]]:g}, not a nonnegative integer")
+    return vertex, rows[:, 1:], error
+
+
+def save_boundary_csv(path, mesh: TriMesh, values) -> None:
+    """Write the boundary rows of the Dirichlet data ``values`` (shape (nv, n)) as a vertex table."""
     bidx = mesh.boundary_indices()
-    write_table(path, _vertex_header(n), (np.column_stack([bidx, values[bidx]]), ["%d"] + ["%.17g"] * n))
+    _write_vertex_table(path, bidx, _dirichlet_data(mesh, values)[bidx])
 
 
 def load_boundary_csv(path, mesh: TriMesh, dim: int) -> np.ndarray:
-    """Read boundary data; every boundary vertex must be covered (a repeated vertex keeps its last row)."""
-    _, rows, error = read_table(path, "boundary", re.escape(_vertex_header(dim)), columns=dim + 1)
-    vertex = rows[:, 0]
-    bad = np.flatnonzero((np.mod(vertex, 1.0) != 0.0) | (vertex < 0) | (vertex >= mesh.num_vertices))
+    """Read boundary data as an (nv, ``dim``) array, zero off the rows read; every boundary
+    vertex must have a row, and a repeated vertex keeps its last row."""
+    vertex, values, error = _read_vertex_table(path, "boundary", dim)
+    bad = np.flatnonzero(vertex >= mesh.num_vertices)
     if bad.size:
         raise error(bad[0], f"boundary row names vertex {vertex[bad[0]]:g}, not a vertex of the mesh")
-    seen = np.zeros(mesh.num_vertices, dtype=bool)
-    seen[vertex.astype(np.int64)] = True
-    missing = np.flatnonzero(mesh.boundary & ~seen)
+    missing = np.setdiff1d(mesh.boundary_indices(), vertex)
     if missing.size:
         raise UsageError(f"{path}: boundary data missing for vertex {int(missing[0])}")
-    last = rows.shape[0] - 1 - np.unique(vertex[::-1], return_index=True)[1]
-    values = np.zeros((mesh.num_vertices, dim))
-    values[vertex[last].astype(np.int64)] = rows[last, 1:]
-    return values
+    last = vertex.size - 1 - np.unique(vertex[::-1], return_index=True)[1]
+    out = np.zeros((mesh.num_vertices, dim))
+    out[vertex[last].astype(np.int64)] = values[last]
+    return out
 
 
 def save_solution_csv(path, state: MapState) -> None:
-    pts = state.points
-    n = pts.shape[1]
-    rows = np.column_stack([np.arange(pts.shape[0]), pts])
-    write_table(path, _vertex_header(n), (rows, ["%d"] + ["%.17g"] * n))
+    """Write a map state as a vertex table, one row per vertex in vertex order; every
+    coordinate in ``%.17g``, so that ``load_solution_csv`` returns the same bytes."""
+    _write_vertex_table(path, np.arange(state.points.shape[0]), state.points)
 
 
 def load_solution_csv(path) -> MapState:
-    _, rows, _ = read_table(path, "solution", "vertex,x1.*")
-    if not rows.size:
+    """Read a map state written by ``save_solution_csv``: n is the number of value columns of
+    the header, and the rows must name the vertices 0, 1, ..., nv-1 in this order (nv >= 1)."""
+    vertex, values, error = _read_vertex_table(path, "solution")
+    if not vertex.size:
         raise UsageError(f"{path}: solution file has no rows")
-    return MapState(np.ascontiguousarray(rows[:, 1:]))
+    wrong = np.flatnonzero(vertex != np.arange(vertex.size))
+    if wrong.size:
+        raise error(wrong[0], f"solution row names vertex {vertex[wrong[0]]:g}, expected {wrong[0]}")
+    return MapState(np.ascontiguousarray(values))

@@ -27,6 +27,10 @@ CASES = {
     "mesh boundary flag": (lambda p: save_mesh(p, MESH), 12, set_field(2, "2", " "), load_mesh),
     "solution ragged row": (lambda p: save_solution_csv(p, MapState(MESH.vertices)), 4,
                             lambda line: line.rsplit(",", 1)[0], load_solution_csv),
+    "solution vertex order": (lambda p: save_solution_csv(p, MapState(MESH.vertices)), 4, set_field(0, "3"),
+                              load_solution_csv),
+    "solution vertex": (lambda p: save_solution_csv(p, MapState(MESH.vertices)), 5, set_field(0, "-3"),
+                        load_solution_csv),
     "warp field": (lambda p: save_warp_csv(p, SinhWarp(), np.linspace(0.0, 2.0, 9)), 3,
                    set_field(1, "abc"), load_warp_csv),
     "metric field": (lambda p: save_metric_csv(p, GRID), 6, set_field(2, "abc"), load_metric_csv),
@@ -71,3 +75,30 @@ def test_non_ascii_file_rejected(tmp_path):
     path.write_bytes(path.read_bytes().replace(b"\n", b" \xc3\xa9\n", 3))
     with pytest.raises(UsageError, match="mesh file is not ASCII"):
         load_mesh(path)
+
+
+def test_solution_rows_must_follow_vertex_order(tmp_path):
+    path = tmp_path / "state.csv"
+    save_solution_csv(path, MapState(MESH.vertices))
+    lines = path.read_text().splitlines()
+    lines[3], lines[4] = lines[4], lines[3]  # the rows of vertices 2 and 3
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UsageError, match="line 4: solution row names vertex 3, expected 2$"):
+        load_solution_csv(path)
+
+
+@pytest.mark.parametrize("header", ["vertex,x1,x2,junk", "vertex,x2,x1", "vertex,x1,x3", "vertex", "x1,x2"])
+@pytest.mark.parametrize("widen", [False, True], ids=["rows-as-written", "rows-widened-to-header"])
+def test_vertex_table_header_must_be_exact(tmp_path, header, widen):
+    path = tmp_path / "state.csv"
+    save_solution_csv(path, MapState(MESH.vertices))
+    lines = path.read_text().splitlines()
+    lines[0] = header
+    if widen:  # rows with as many fields as the header, so only the header is wrong
+        lines[1:] = [",".join((line.split(",") + ["0"] * 4)[:header.count(",") + 1]) for line in lines[1:]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UsageError, match=f"line 1: bad solution header '{header}'$"):
+        load_solution_csv(path)
+    save_boundary_csv(path, MESH, MESH.vertices)
+    with pytest.raises(UsageError, match="line 1: bad boundary header 'vertex,x1,x2'$"):
+        load_boundary_csv(path, MESH, 3)

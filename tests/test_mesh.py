@@ -154,6 +154,23 @@ def test_every_table_is_read_only():
             table[0] = table[0]
 
 
+def test_mesh_does_not_alias_the_callers_arrays():
+    m0 = build_rect(1.0, 1.0, 3, 3)
+    base = np.array(m0.vertices)
+    tris = m0.triangles.copy()
+    flags = m0.boundary.copy()
+    m = TriMesh(base[:], tris, boundary=flags)
+    for given, table in ((base, m.vertices), (tris, m.triangles), (flags, m.boundary)):
+        assert not np.shares_memory(given, table)
+        assert given.flags.writeable  # the caller's arrays stay writable
+    areas = m.areas.copy()
+    base[5] += 0.1  # moving the caller's vertex moves nothing of the mesh
+    tris[0] = tris[0, ::-1]
+    flags[:] = False
+    assert np.array_equal(m.vertices, m0.vertices) and np.array_equal(m.triangles, m0.triangles)
+    assert np.array_equal(m.boundary, m0.boundary) and np.array_equal(m.areas, areas)
+
+
 def test_mesh_file_round_trip(tmp_path):
     m = build_annulus(1.0, 2.0, 2, 8)
     path = tmp_path / "mesh.txt"

@@ -7,7 +7,7 @@ import pytest
 
 from pharmap.chart import TargetChart
 from pharmap.errors import DivergenceError, UsageError
-from pharmap.mesh import build_annulus, build_rect
+from pharmap.mesh import TriMesh, build_annulus, build_rect
 from pharmap.solver import (
     _CHUNK,
     MapState,
@@ -277,6 +277,8 @@ def test_uniqueness_probe_quadratic_and_degenerate():
     report = uniqueness_probe(mesh, EUCL2, vals, config, 4)
     assert report.all_converged
     assert report.spread <= 1e-8
+    pts = [state.points for state in report.states]  # the spread is the largest pairwise sup-distance
+    assert report.spread == max(np.max(np.linalg.norm(a - b, axis=1)) for i, a in enumerate(pts) for b in pts[i + 1:])
     single = uniqueness_probe(mesh, EUCL2, vals, config, 1)
     assert single.spread == 0.0
 
@@ -287,6 +289,54 @@ def test_uniqueness_probe_rejects_misshapen_boundary_values():
     for shape in ((3, 2), (mesh.num_vertices, 3)):
         with pytest.raises(UsageError, match="boundary values need shape"):
             uniqueness_probe(mesh, EUCL2, np.zeros(shape), config, 2)
+
+
+def test_nan_boundary_value_raises_one_usage_error_from_either_start():
+    mesh = build_rect(1.0, 1.0, 3, 3)
+    bvals = mesh.vertices.copy()
+    bvals[mesh.boundary_indices()[2], 1] = np.nan
+    config = SolveConfig(p=2.0)
+    for call in (lambda: harmonic_init(mesh, bvals),
+                 lambda: solve(mesh, EUCL2, bvals, config),
+                 lambda: solve(mesh, EUCL2, bvals, config, initial=identity_state(mesh)),
+                 lambda: uniqueness_probe(mesh, EUCL2, bvals, config, 2)):
+        with pytest.raises(UsageError, match="^boundary values must be finite on boundary vertices$"):
+            call()
+    off = np.where(mesh.boundary[:, None], mesh.vertices, np.nan)  # rows off the boundary are not read
+    assert harmonic_init(mesh, off).points.tobytes() == harmonic_init(mesh, mesh.vertices).points.tobytes()
+
+
+def test_mesh_without_boundary_raises_one_usage_error():
+    mesh = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], np.zeros((0, 3), int))
+    assert mesh.boundary_indices().size == 0
+    state = np.zeros((3, 2))
+    for call in (lambda: harmonic_init(mesh, state),
+                 lambda: solve(mesh, EUCL2, state, SolveConfig(p=2.0)),
+                 lambda: solve(mesh, EUCL2, state, SolveConfig(p=2.0), initial=MapState(state)),
+                 lambda: uniqueness_probe(mesh, EUCL2, state, SolveConfig(p=2.0), 2),
+                 lambda: check_max_principle(mesh, EUCL2, state),
+                 lambda: max_principle_tolerance(mesh, EUCL2, state)):
+        with pytest.raises(UsageError, match="^the Dirichlet problem needs a nonempty boundary$"):
+            call()
+
+
+def test_line_search_treats_an_overflowing_trial_as_a_rejection():
+    # a trial step of this probe overflows the sinh metric; under the
+    # warnings-as-errors filter of the test suite an overflow warning would
+    # abort the solve instead of shrinking the step
+    m = build_annulus(1.0, 2.0, 6, 24)
+    rng = np.random.default_rng(9)
+    amp = rng.uniform(0.09, 0.11)
+    mode = int(rng.integers(1, 4))
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    bvals = np.zeros((m.num_vertices, 2))
+    idx = m.boundary_indices()
+    v = m.vertices[idx]
+    theta = np.arctan2(v[:, 1], v[:, 0])
+    bvals[idx] = (0.5 * (1.0 + amp * np.cos(mode * theta + phase)))[:, None] * v
+    report = uniqueness_probe(m, SINH2, bvals, SolveConfig(p=3.0, grad_tol=1e-9), 4)
+    assert report.all_converged
+    assert report.spread <= 1e-8
 
 
 def test_solver_determinism_across_threads():
@@ -363,6 +413,10 @@ def test_boundary_csv_round_trip(tmp_path):
     bad.write_text("".join(lines[:-1]))  # drop one boundary vertex
     with pytest.raises(UsageError):
         load_boundary_csv(bad, mesh, 2)
+    vals[bidx[3], 0] = np.nan  # the writer takes only what the solver takes
+    for data, match in ((vals, "must be finite"), (vals[:, 0], "need shape")):
+        with pytest.raises(UsageError, match=match):
+            save_boundary_csv(path, mesh, data)
 
 
 def sin3_ring_problem():

@@ -71,28 +71,39 @@ def read_table(path, what: str, header: str, columns: int | None = None,
     None splits on whitespace.  Returns the header line, the rows as a float
     array of shape (rows, fields), and ``error(row, message)``, which makes
     the ``UsageError`` for the file line of a row (blank lines are not rows).
+
+    The body is parsed by one ``np.loadtxt`` call on the open file.  Only if
+    that call fails (on a malformed row, or on a whitespace-only line, which
+    ``loadtxt`` takes for a row) are the lines stripped and scanned one by
+    one, which skips such lines and finds the first malformed row.
     """
+    lines = None  # the stripped lines of the file, read only when needed
     try:
         with open(path, encoding="ascii") as fh:
-            lines = [line.strip() for line in fh]
+            head = fh.readline().strip()
+            try:
+                rows = _parse(fh, delimiter)
+            except ValueError:
+                rows = None
+        if rows is None:
+            lines = _stripped_lines(path)
     except FileNotFoundError:
         raise UsageError(f"{what} file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: {what} file is not ASCII ({exc})") from None
 
     def error(row, message):
-        filled = np.flatnonzero([bool(line) for line in lines[1:]])
+        body = (lines if lines is not None else _stripped_lines(path))[1:]
+        filled = np.flatnonzero([bool(line) for line in body])
         return UsageError(f"{path}, line {filled[row] + 2}: {message}")
 
-    head = lines[0] if lines else ""
     if re.fullmatch(header, head) is None:
         raise UsageError(f"{path}, line 1: bad {what} header {head!r}")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty table is the caller's to judge
-            rows = np.loadtxt(lines[1:], delimiter=delimiter, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise error(*_first_bad_row(lines[1:], delimiter, str(exc))) from None
+    if rows is None:
+        try:
+            rows = _parse(lines[1:], delimiter)
+        except ValueError as exc:
+            raise error(*_first_bad_row(lines[1:], delimiter, str(exc))) from None
     if columns is None:
         columns = len(head.split(delimiter))
     if not rows.size:
@@ -100,6 +111,18 @@ def read_table(path, what: str, header: str, columns: int | None = None,
     if rows.shape[1] != columns:
         raise error(0, f"{what} rows need {columns} fields, found {rows.shape[1]}")
     return head, rows, error
+
+
+def _parse(source, delimiter):
+    """``np.loadtxt`` of an open file or a list of lines, as a 2d array; raises ``ValueError``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty table is the caller's to judge
+        return np.loadtxt(source, delimiter=delimiter, ndmin=2, comments=None)
+
+
+def _stripped_lines(path):
+    with open(path, encoding="ascii") as fh:
+        return [line.strip() for line in fh]
 
 
 def _first_bad_row(lines, delimiter, reason):

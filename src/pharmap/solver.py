@@ -44,7 +44,12 @@ current one is too short for the curvature side, or 60 trials run out.  A
 failed search with a nonempty memory drops the memory and retries the
 iteration once along -K_ii^{-1} g (the usual L-BFGS restart).  A solve stops
 as ``"converged"`` (sup-norm residual at most ``grad_tol``), ``"max_iter"``,
-or ``"stalled"`` when a search fails with an empty memory.  A non-finite
+or ``"stalled"``: when a search fails with an empty memory, or when the
+search after a restart accepts a step that lowers neither the energy nor the
+sup-norm residual.  Such a step makes no progress; without this rule a
+solve whose ``grad_tol`` no state at the floor reaches would trade restarts
+for equal-energy steps until ``max_iter``.  The solve keeps the state
+before that step.  A non-finite
 energy or gradient at an accepted step raises ``DivergenceError``.
 
 The first trial of each line search assembles energy and gradient together,
@@ -53,15 +58,25 @@ alone.  Both give the same energy bytes.
 
 Assembly is evaluated in fixed-size triangle chunks.  A chunk stacks all of
 its quadrature points and queries the chart once for them: one ``metric``
-call and, for the gradient, one ``metric_jacobian`` call.  The contractions
-with D are batched matrix products, and energy-only and energy+gradient
-assemblies share the energy code.  Chunk results land in preallocated slots
-and are reduced in index order; the gradient is scattered to the vertices
-with one ``np.bincount`` per component, which adds in triangle order.  So
-energies and gradients are byte-reproducible for any thread count.  The
-energy total is a faithful rounding of the exact sum of the per-triangle
-terms (``_total``): a plain pairwise sum would add a few ulps of noise,
-which at the floor the comparison phi(a) <= phi(0) would read as rises.
+call and, for the gradient, one ``metric_jacobian`` call.  Everything else is
+held component-major, as (component, triangle) arrays with the triangle axis
+last: the corner points, D, S = D^T D and the gradient terms, and h and dh
+transposed once after the chart call.  Every contraction is then an
+elementwise product summed over the n <= 3 components.  D is formed from
+edge differences, D = G_1 (Q_1 - Q_0) + G_2 (Q_2 - Q_0), which are exact for
+nearby corners (Sterbenz); the sum over all three corners would cancel about
+log2(1/h) bits at mesh size h, and that noise in the per-triangle energies
+is what the floor comparisons read as rises.  Consistently, the D-part of
+vertex 0's gradient row is minus the sum of the other two, as dD/dQ_0 =
+-(G_1 + G_2), so it sums to zero over each triangle exactly.  Energy-only
+and energy+gradient assemblies share the energy code.  Chunk results land
+in preallocated slots and are reduced in index order; the gradient is
+scattered to the vertices with one ``np.bincount`` per component, which
+adds in triangle order.  So energies and gradients are byte-reproducible
+for any thread count.  The energy total is a faithful rounding of the exact
+sum of the per-triangle terms (``_total``): a plain pairwise sum would add a
+few ulps of noise, which at the floor the comparison phi(a) <= phi(0) would
+read as rises.
 """
 
 from __future__ import annotations
@@ -154,7 +169,8 @@ class SolveReport:
     ``stop_reason`` says why the run ended: ``"converged"`` (the sup-norm
     residual reached ``grad_tol``; the property ``converged`` reads this),
     ``"max_iter"``, or ``"stalled"`` (no trial step passed the line search,
-    also after a restart; see the module docstring).
+    also after a restart, or the step after a restart lowered neither the
+    energy nor the residual; see the module docstring).
 
     Counters: ``n_f`` energy-only and ``n_fg`` energy+gradient assemblies,
     ``n_backtracks`` rejected trial steps, ``n_restarts`` failed line
@@ -249,31 +265,38 @@ def _check_p_and_quadrature(p, quadrature):
         raise UsageError("quadrature rule id must be 1 (centroid) or 3 (edge midpoints)")
 
 
-def _assemble_chunk(mesh, chart, pts, p, rule, sl, e_out, g_out):
-    tris = mesh.triangles[sl]
-    G = mesh.grads[sl]  # (m, 3, 2)
-    areas = mesh.areas[sl]
-    Q = pts[tris]  # (m, 3, n)
-    m, n = Q.shape[0], Q.shape[2]
+def _assemble_chunk(mesh, chart, comps, p, rule, sl, e_out, g_out):
+    """Per-triangle energies of the triangles ``sl`` into ``e_out[sl]`` and, unless ``g_out``
+    is None, their vertex gradients into ``g_out[:, sl]``; ``comps`` holds the map points
+    component-major, shape (n, nv)."""
     bary, weights = _QUAD_RULES[rule]
+    areas = mesh.areas[sl]
+    grads = np.ascontiguousarray(mesh.grads[sl, 1:].transpose(1, 2, 0))  # (vertex 1..2, alpha, m)
+    Q = np.take(comps, mesh.triangles[sl].T, axis=1)  # (n, 3, m)
+    n, _, m = Q.shape
     nq = weights.size
-    D = G.transpose(0, 2, 1) @ Q  # (m, 2, n)
-    xq = (bary @ Q).reshape(m * nq, n)  # every quadrature point of the chunk
-    H = chart.metric(xq).reshape(m, nq, n, n)
-    DH = D[:, None] @ H  # (m, nq, 2, n)
-    e = np.sum(DH * D[:, None], axis=(2, 3))  # (m, nq)
+    edges = Q[:, 1:] - Q[:, :1]  # (n, 2, m): Q_1 - Q_0, Q_2 - Q_0
+    D = grads[0][:, None] * edges[:, 0] + grads[1][:, None] * edges[:, 1]  # (alpha, n, m)
+    S = D[0][:, None] * D[0] + D[1][:, None] * D[1]  # D^T D, (n, n, m)
+    xq = (bary @ Q).reshape(n, nq * m)  # every quadrature point of the chunk, q-major
+    # the chart takes and gives point-major arrays; h and dh are transposed once, point axis last
+    H = np.ascontiguousarray(chart.metric(xq.T).transpose(1, 2, 0)).reshape(n, n, nq, m)
+    e = np.add.reduce((H * S[:, :, None]).reshape(n * n, nq, m))  # (nq, m)
     np.maximum(e, 0.0, out=e)  # clip the roundoff of the quadratic form
     epow = e ** (0.5 * (p - 2.0)) if p != 2.0 else np.ones_like(e)
-    e_out[sl] = (areas / p) * ((epow * e) @ weights)
+    e_out[sl] = (areas / p) * (weights @ (epow * e))
     if g_out is None:
         return
-    dH = chart.metric_jacobian(xq).reshape(m, nq, n * n, n)
-    # a contiguous left operand takes numpy's fast matmul path; the bytes are the same
-    DtD = (np.ascontiguousarray(D.transpose(0, 2, 1)) @ D).reshape(m, 1, 1, n * n)
-    Jc = (DtD @ dH).reshape(m, nq, n)  # D_ai dh_ijc D_aj
-    w = (0.5 * weights) * areas[:, None] * epow  # (m, nq)
-    wDH = (w[:, None, :] @ DH.reshape(m, nq, 2 * n)).reshape(m, 2, n)
-    g_out[sl] = 2.0 * (G @ wDH) + bary.T @ (w[:, :, None] * Jc)
+    dH = np.ascontiguousarray(chart.metric_jacobian(xq.T).transpose(1, 2, 3, 0)).reshape(n * n, n, nq, m)
+    w = epow * ((0.5 * weights)[:, None] * areas)  # (nq, m)
+    J = np.add.reduce(dH * S.reshape(n * n, 1, 1, m)) * w  # w D_ai dh_ijc D_aj, (n, nq, m)
+    wH = np.add.reduce(H * w, axis=2)  # (n, n, m)
+    T = np.add.reduce(wH * D[:, None], axis=2)  # (alpha, n, m): sum_q w_q h_q D_alpha
+    rows = 2.0 * (grads[:, 0, None] * T[0] + grads[:, 1, None] * T[1])  # vertices 1, 2: (2, n, m)
+    g = bary.T @ J  # (n, 3, m)
+    g[:, 0] -= rows[0] + rows[1]  # vertex 0's row makes the D part sum to zero exactly
+    g[:, 1:] += rows.transpose(1, 0, 2)
+    g_out[:, sl] = g.transpose(0, 2, 1)
 
 
 def _total(terms):
@@ -303,27 +326,27 @@ def _assemble(mesh, chart, pts, p, rule=1, need_grad=True, threads=1):
     are written to disjoint slots and reduced in index order afterwards.
     """
     nt = mesh.num_triangles
+    comps = np.ascontiguousarray(pts.T)
     e_out = np.empty(nt)
-    g_out = np.empty((nt, 3, chart.dim)) if need_grad else None
+    g_out = np.empty((chart.dim, nt, 3)) if need_grad else None
     slices = [slice(lo, min(lo + _CHUNK, nt)) for lo in range(0, nt, _CHUNK)]
     if threads > 1 and len(slices) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_assemble_chunk, mesh, chart, pts, p, rule, sl, e_out, g_out)
+                pool.submit(_assemble_chunk, mesh, chart, comps, p, rule, sl, e_out, g_out)
                 for sl in slices
             ]
             for fut in futures:
                 fut.result()
     else:
         for sl in slices:
-            _assemble_chunk(mesh, chart, pts, p, rule, sl, e_out, g_out)
+            _assemble_chunk(mesh, chart, comps, p, rule, sl, e_out, g_out)
     total = _total(e_out)
     if not need_grad:
         return total, None
     idx = mesh.triangles.reshape(-1)
-    flat = g_out.reshape(-1, chart.dim)
-    grad_full = np.column_stack([np.bincount(idx, weights=flat[:, c], minlength=pts.shape[0])
-                                 for c in range(chart.dim)])
+    grad_full = np.column_stack([np.bincount(idx, weights=g_c.reshape(-1), minlength=pts.shape[0])
+                                 for g_c in g_out])
     return total, grad_full
 
 
@@ -536,12 +559,14 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     mem: list = []
     gamma = 1.0
     iterations = 0
-    stop_reason = "converged" if _sup_norm(g.reshape(-1, n)) <= config.grad_tol else None
+    res = _sup_norm(g.reshape(-1, n))
+    stop_reason = "converged" if res <= config.grad_tol else None
     while stop_reason is None:
         if iterations >= config.max_iter:
             stop_reason = "max_iter"
             break
         iterations += 1
+        restarted = False
         while True:
             d = -_two_loop(mem, g, gamma, precondition) if mem else -precondition(g)
             gd = float(np.dot(g, d))
@@ -553,12 +578,17 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
                 break
             mem.clear()  # the L-BFGS restart: retry once along -K_ii^{-1} g
             counts["n_restarts"] += 1
+            restarted = True
         if accepted is None:
             stop_reason = "stalled"
             break
         x_new, f_new, g_new = accepted
         if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
             raise DivergenceError("non-finite energy or gradient during descent")
+        res_new = _sup_norm(g_new.reshape(-1, n))
+        if restarted and f_new >= f and res_new >= res:
+            stop_reason = "stalled"  # the restart's step made no progress; keep x
+            break
         s = x_new - x
         y = g_new - g
         sy = float(np.dot(s, y))
@@ -567,16 +597,16 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
             if len(mem) > _MEMORY:
                 mem.pop(0)
             gamma = sy / float(np.dot(y, precondition(y)))
-        x, f, g = x_new, f_new, g_new
+        x, f, g, res = x_new, f_new, g_new, res_new
         trace.append(f)
-        if _sup_norm(g.reshape(-1, n)) <= config.grad_tol:
+        if res <= config.grad_tol:
             stop_reason = "converged"
 
     final = MapState(split(x))
     report = SolveReport(
         final_energy=f,
         energy_trace=trace,
-        residual=_sup_norm(g.reshape(-1, n)),
+        residual=res,
         iterations=iterations,
         mp_margin=check_max_principle(mesh, chart, final),
         stop_reason=stop_reason,
@@ -663,11 +693,14 @@ def save_boundary_csv(path, mesh: TriMesh, values) -> None:
 
 def load_boundary_csv(path, mesh: TriMesh, dim: int) -> np.ndarray:
     """Read boundary data as an (nv, ``dim``) array, zero off the rows read; every boundary
-    vertex must have a row, and a repeated vertex keeps its last row."""
+    vertex must have a row, every value must be finite, and a repeated vertex keeps its last row."""
     vertex, values, error = _read_vertex_table(path, "boundary", dim)
     bad = np.flatnonzero(vertex >= mesh.num_vertices)
     if bad.size:
         raise error(bad[0], f"boundary row names vertex {vertex[bad[0]]:g}, not a vertex of the mesh")
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
+    if bad.size:
+        raise error(bad[0], f"boundary row of vertex {vertex[bad[0]]:g} has a non-finite value")
     missing = np.setdiff1d(mesh.boundary_indices(), vertex)
     if missing.size:
         raise UsageError(f"{path}: boundary data missing for vertex {int(missing[0])}")
@@ -679,7 +712,10 @@ def load_boundary_csv(path, mesh: TriMesh, dim: int) -> np.ndarray:
 
 def save_solution_csv(path, state: MapState) -> None:
     """Write a map state as a vertex table, one row per vertex in vertex order; every
-    coordinate in ``%.17g``, so that ``load_solution_csv`` returns the same bytes."""
+    coordinate in ``%.17g``, so that ``load_solution_csv`` returns the same bytes.  A state
+    with no vertices is refused, since the reader needs at least one row."""
+    if not state.points.shape[0]:
+        raise UsageError("a solution file needs at least one vertex")
     _write_vertex_table(path, np.arange(state.points.shape[0]), state.points)
 
 

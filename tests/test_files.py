@@ -102,3 +102,57 @@ def test_vertex_table_header_must_be_exact(tmp_path, header, widen):
     save_boundary_csv(path, MESH, MESH.vertices)
     with pytest.raises(UsageError, match="line 1: bad boundary header 'vertex,x1,x2'$"):
         load_boundary_csv(path, MESH, 3)
+
+
+# writer, loader, and the loaded result as bytes
+ROUND_TRIPS = {
+    "mesh": (lambda p: save_mesh(p, MESH), load_mesh,
+             lambda m: m.vertices.tobytes() + m.triangles.tobytes() + m.boundary.tobytes()),
+    "warp samples": (lambda p: save_warp_csv(p, SinhWarp(), np.linspace(0.0, 2.0, 9)), load_warp_csv,
+                     lambda w: w.evaluate(np.linspace(0.1, 1.9, 7))[0].tobytes()),
+    "metric grid": (lambda p: save_metric_csv(p, GRID), load_metric_csv,
+                    lambda g: g.t_grid.tobytes() + g.theta_grid.tobytes() + g.j.tobytes()),
+    "boundary": (lambda p: save_boundary_csv(p, MESH, MESH.vertices), lambda p: load_boundary_csv(p, MESH, 2),
+                 lambda a: a.tobytes()),
+    "solution": (lambda p: save_solution_csv(p, MapState(MESH.vertices)), load_solution_csv,
+                 lambda s: s.points.tobytes()),
+}
+
+
+@pytest.mark.parametrize("case", list(ROUND_TRIPS))
+def test_loaders_skip_whitespace_lines_and_read_crlf(tmp_path, case):
+    write, load, as_bytes = ROUND_TRIPS[case]
+    path = tmp_path / "data.txt"
+    write(path)
+    want = as_bytes(load(path))
+    lines = path.read_text().splitlines()
+    for edit in (lambda ls: ls[:2] + ["   ", "\t"] + ls[2:] + [" "],  # whitespace-only lines are blank
+                 lambda ls: ls[:3] + [""] + ls[3:]):
+        edited = edit(lines)
+        for newline in ("\n", "\r\n"):
+            path.write_bytes((newline.join(edited) + newline).encode("ascii"))
+            assert as_bytes(load(path)) == want
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("ascii"))
+    assert as_bytes(load(path)) == want
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_boundary_file_non_finite_value_names_its_line(tmp_path, value):
+    path = tmp_path / "bc.csv"
+    save_boundary_csv(path, MESH, MESH.vertices)
+    lines = path.read_text().splitlines()
+    lines[4] = set_field(2, value)(lines[4])
+    lines.insert(2, "  ")
+    path.write_text("\n".join(lines) + "\n")
+    vertex = lines[5].split(",")[0]
+    with pytest.raises(UsageError, match=f"^{path}, line 6: boundary row of vertex {vertex} has a non-finite value$"):
+        load_boundary_csv(path, MESH, 2)
+
+
+def test_solution_file_refuses_a_state_without_vertices(tmp_path):
+    path = tmp_path / "state.csv"
+    with pytest.raises(UsageError, match="at least one vertex"):
+        save_solution_csv(path, MapState(np.zeros((0, 2))))
+    assert not path.exists()
+    save_solution_csv(path, MapState(np.zeros((1, 2))))  # one vertex round-trips
+    assert load_solution_csv(path).points.tobytes() == np.zeros((1, 2)).tobytes()

@@ -18,6 +18,12 @@ certify the cancellation and refuse evaluation inside the pole neighborhood.
 A batch with no point below ``R_TINY`` is evaluated with one warp call and
 no scatter; only a batch with pole points fills in the series by mask.
 
+``metric`` and ``metric_jacobian`` build their results entry-major, one row
+of m values per entry (i, j[, k]), and return point-major views of that
+buffer, not copies.  A caller that wants the point axis last transposes the
+view back for free; a caller that needs a C-contiguous point-major array
+copies it.
+
 Dimension 1 targets (the Euclidean line, h = 1) are supported so that scalar
 p-harmonic oracles can run through the same solver.
 """
@@ -33,6 +39,11 @@ __all__ = ["TargetChart", "R_TINY"]
 
 #: below this radius the series branch replaces the 0/0-prone formulas
 R_TINY = 1e-6
+
+
+def _row_norms(x):
+    """|x| of each row: the sum and square root that ``np.linalg.norm(x, axis=1)`` takes, without its wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 class TargetChart:
@@ -73,33 +84,34 @@ class TargetChart:
             squeeze = False
         if x.ndim != 2 or x.shape[1] != self._dim:
             raise UsageError(f"points must have shape (m, {self._dim})")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DomainError("chart points must be finite")
         return x, squeeze
 
     def dist_to_pole(self, x):
         """Geodesic distance to the pole, |x| in this chart."""
         x, squeeze = self._points(x)
-        r = np.linalg.norm(x, axis=1)
+        r = _row_norms(x)
         return float(r[0]) if squeeze else r
 
     def _radial(self, r, derivatives=False):
         """w, c = (1-w)/r^2 and, with ``derivatives``, w'/r and c'/r; series-safe."""
         small = r < R_TINY
-        pole = bool(np.any(small))
+        pole = bool(small.any())
         if pole and self._warp.third_at_zero is None:
             raise DomainError(f"chart metric within r < {R_TINY:g} of the pole needs an analytic warp")
         rb = r[~small] if pole else r
         w = c = dw = dc = rb  # an all-pole batch evaluates no warp
         if rb.size:
             s, d1, _ = self._warp.evaluate(rb)
-            if np.any(s <= 0.0):
+            if (s <= 0.0).any():
                 raise DomainError("warp must be positive away from the pole")
             w = (s / rb) ** 2
-            c = (1.0 - w) / rb**2
+            r2 = rb * rb
+            c = (1.0 - w) / r2
             if derivatives:
                 dw = 2.0 * s * (d1 * rb - s) / rb**4
-                dc = -(dw + 2.0 * c) / rb**2
+                dc = -(dw + 2.0 * c) / r2
         out = (w, c, dw, dc) if derivatives else (w, c)
         if not pole:
             return out
@@ -110,22 +122,30 @@ class TargetChart:
         return series[: len(out)]
 
     def metric(self, x):
-        """Metric matrices h = w I + c x x^T; shape (m, n, n) for batched points."""
+        """Metric matrices h = w I + c x x^T; shape (m, n, n) for batched points.
+
+        The result is a view of an entry-major (n, n, m) buffer (module
+        docstring); copy it where a C-contiguous array is needed.
+        """
         x, squeeze = self._points(x)
         m, n = x.shape
-        w, c = self._radial(np.linalg.norm(x, axis=1))
+        w, c = self._radial(_row_norms(x))
         xt = np.ascontiguousarray(x.T)  # entry-major: each (i, j) is one row over the m points
         h = c * (xt[:, None] * xt)
         h.reshape(n * n, m)[:: n + 1] += w
-        h = np.ascontiguousarray(h.transpose(2, 0, 1))
+        h = h.transpose(2, 0, 1)
         return h[0] if squeeze else h
 
     def metric_jacobian(self, x):
         """Derivatives dh[i,j,k] = d h_ij / d x^k (closed form in the module
-        docstring); shape (m, n, n, n)."""
+        docstring); shape (m, n, n, n).
+
+        The result is a view of an entry-major (n, n, n, m) buffer, as in
+        ``metric``.
+        """
         x, squeeze = self._points(x)
         m, n = x.shape
-        _, c, dw, dc = self._radial(np.linalg.norm(x, axis=1), derivatives=True)
+        _, c, dw, dc = self._radial(_row_norms(x), derivatives=True)
         xt = np.ascontiguousarray(x.T)  # entry-major, as in metric
         dh = (dc * (xt[:, None] * xt))[:, :, None] * xt
         dh.reshape(n * n, n, m)[:: n + 1] += dw * xt  # i = j
@@ -136,5 +156,5 @@ class TargetChart:
                     dh[i, j, i] += cx[j]
                     dh[i, j, j] += cx[i]
             dh[i, i, i] += cx[i] + cx[i]  # the two c terms as one sum
-        dh = np.ascontiguousarray(dh.transpose(3, 0, 1, 2))
+        dh = dh.transpose(3, 0, 1, 2)
         return dh[0] if squeeze else dh

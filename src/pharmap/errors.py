@@ -29,7 +29,13 @@ class ConstructionError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """An iteration produced a non-finite quantity."""
+    """An iteration produced a non-finite quantity.
+
+    ``report`` is the run's report up to the state it kept, where the raiser
+    attaches one (``solver.solve`` does), and None otherwise.
+    """
+
+    report = None
 
 
 def _doubling_search(k_max: float, failure) -> float:

@@ -30,6 +30,9 @@ and reads from those samples the convexity margin, the slope margin, head
 and tail mismatches and the curvatures; the values of rho on the head
 (``rho(r)``, which a ``SplineWarp`` takes from its value polynomial alone)
 and of sigma_k on the tail are evaluated again as independent references.
+The tail mismatch passes up to ``VALUE_TOL`` plus the rounding bound
+4 eps max|sigma_k| of the tail samples: both sides of the comparison are
+rounded values of size |sigma_k|, which reaches 1e5 and more at large k.
 
 The same surgery applies per ray to a 2-dimensional metric given by angular
 samples ``nu(., theta)``: one (k, R1, R2) is chosen so that every ray passes
@@ -81,7 +84,8 @@ __all__ = [
 CONVEXITY_TOL = 1e-9
 SLOPE_TOL = 1e-12
 CURVATURE_TOL = 1e-9
-VALUE_TOL = 1e-10  # admissible tail mismatch |tau - sigma_k| of a certified glued warp
+VALUE_TOL = 1e-10  # admissible tail mismatch |tau - sigma_k| of a certified glued warp, plus the rounding bound
+_TAIL_ROUNDING = 4.0 * np.finfo(float).eps  # rounding bound of the tail mismatch per unit of max|sigma_k| there
 _RAY_CERT_POINTS = 2001  # certification grid size of each glued ray in ``glue2d``
 _CERT_BLOCK = 8  # rays that ``glue2d`` samples and certifies together: keeps the (rays, points) arrays small
 
@@ -94,7 +98,7 @@ class GlueSpec:
     min(0.05, (R2-R1)/10) for the intermediate radii R1, R2 of ``choose_radii``.
     The scale is the smallest doubling k <= ``k_max`` that passes the module's
     feasibility rule.  A certified glued warp matches sigma_k on its tail to
-    within ``VALUE_TOL``.
+    within ``VALUE_TOL`` plus the rounding bound of the module docstring.
     """
 
     rho: WarpingFunction
@@ -333,7 +337,8 @@ def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: flo
 
     A k that fails the module's feasibility rule raises ``InfeasibleError``;
     every k that ``find_k`` returns passes it.  ``certify`` then holds the
-    tail mismatch to ``VALUE_TOL``.
+    tail mismatch to ``VALUE_TOL`` plus the rounding bound of the module
+    docstring.
     """
     return GluedWarp(rho, sigma_k, R1, R2, delta)
 
@@ -398,13 +403,15 @@ def _certify_rows(glued, grid, samples) -> list[GlueCertificate]:
         rho_vals = np.array([gw.rho(grid[:n_head]) for gw in glued])
         head_mismatch = np.max(np.abs(tau[:, :n_head] - rho_vals), axis=1)
     tail_mismatch = np.zeros(len(glued))
+    tail_tol = VALUE_TOL
     if tail < grid.size:
         sig_vals = first.sigma_k.evaluate(grid[tail:])[0]
         tail_mismatch = np.max(np.abs(tau[:, tail:] - sig_vals), axis=1)
+        tail_tol += _TAIL_ROUNDING * float(np.max(np.abs(sig_vals)))
 
     reports = _curvature_reports(first, grid[pos:], (tau[:, pos:], dtau[:, pos:], ddtau[:, pos:]))
     margins_ok = ((min_second >= -CONVEXITY_TOL) & (min_slope >= -SLOPE_TOL)
-                  & (head_mismatch == 0.0) & (tail_mismatch <= VALUE_TOL))
+                  & (head_mismatch == 0.0) & (tail_mismatch <= tail_tol))
     return [
         GlueCertificate(
             min_second_difference=float(second),
@@ -498,7 +505,8 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
     the plateau slopes of all rays are then solved at once from the same
     anchors and one evaluation of sigma_k(R2+delta).  The band half-width
     is that of ``glue_pipeline``, min(0.05, (R2-R1)/10), and each glued ray
-    must match sigma_k on its tail to within ``VALUE_TOL``.  The rays share
+    must match sigma_k on its tail to within ``VALUE_TOL`` plus the rounding
+    bound of the module docstring.  The rays share
     one certification grid, coarser than the default of ``glue_pipeline``,
     and are certified in blocks of a fixed number of rays, each ray's head
     sampled with its block and its head reference taken from ``rho(r)``;

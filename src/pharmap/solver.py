@@ -49,20 +49,27 @@ search after a restart accepts a step that lowers neither the energy nor the
 sup-norm residual.  Such a step makes no progress; without this rule a
 solve whose ``grad_tol`` no state at the floor reaches would trade restarts
 for equal-energy steps until ``max_iter``.  The solve keeps the state
-before that step.  A non-finite
-energy or gradient at an accepted step raises ``DivergenceError``.
+before that step.  A non-finite energy or gradient at the initial state or
+at an accepted step raises ``DivergenceError``; its ``report`` is the
+``SolveReport`` of the state the solve keeps, with ``stop_reason``
+``"nonfinite"``.
 
 The first trial of each line search assembles energy and gradient together,
 since it is accepted in most iterations; later trials assemble the energy
 alone.  Both give the same energy bytes.
 
-Assembly is evaluated in fixed-size triangle chunks.  A chunk stacks all of
-its quadrature points and queries the chart once for them: one ``metric``
-call and, for the gradient, one ``metric_jacobian`` call.  Everything else is
-held component-major, as (component, triangle) arrays with the triangle axis
-last: the corner points, D, S = D^T D and the gradient terms, and h and dh
-transposed once after the chart call.  Every contraction is then an
-elementwise product summed over the n <= 3 components.  D is formed from
+Assembly is evaluated in fixed-size triangle chunks.  A chunk's tables
+depend on the mesh alone (its areas, the gradient rows of its vertices 1
+and 2 component-major, and its triangle index columns) and are held per
+mesh, like the factor of K_ii, until the mesh is collected.  A chunk stacks
+all of its quadrature points and queries the chart once for them: one
+``metric`` call and, for the gradient, one ``metric_jacobian`` call.
+Everything else is held component-major, as (component, triangle) arrays
+with the triangle axis last: the corner points, D, S = D^T D and the
+gradient terms.  The chart builds h and dh entry-major and returns
+point-major views of them, so taking the triangle axis last again copies
+nothing.  Every contraction is then an elementwise product summed over the
+n <= 3 components.  D is formed from
 edge differences, D = G_1 (Q_1 - Q_0) + G_2 (Q_2 - Q_0), which are exact for
 nearby corners (Sterbenz); the sum over all three corners would cancel about
 log2(1/h) bits at mesh size h, and that noise in the per-triangle energies
@@ -94,7 +101,7 @@ from scipy.sparse.linalg import splu
 from scipy.spatial.distance import pdist
 
 from ._table import read_table, write_table
-from .chart import TargetChart
+from .chart import TargetChart, _row_norms
 from .errors import DivergenceError, DomainError, UsageError
 from .mesh import TriMesh
 
@@ -170,7 +177,8 @@ class SolveReport:
     residual reached ``grad_tol``; the property ``converged`` reads this),
     ``"max_iter"``, or ``"stalled"`` (no trial step passed the line search,
     also after a restart, or the step after a restart lowered neither the
-    energy nor the residual; see the module docstring).
+    energy nor the residual; see the module docstring).  The report that a
+    ``DivergenceError`` of ``solve`` carries says ``"nonfinite"``.
 
     Counters: ``n_f`` energy-only and ``n_fg`` energy+gradient assemblies,
     ``n_backtracks`` rejected trial steps, ``n_restarts`` failed line
@@ -265,21 +273,45 @@ def _check_p_and_quadrature(p, quadrature):
         raise UsageError("quadrature rule id must be 1 (centroid) or 3 (edge midpoints)")
 
 
-def _assemble_chunk(mesh, chart, comps, p, rule, sl, e_out, g_out):
-    """Per-triangle energies of the triangles ``sl`` into ``e_out[sl]`` and, unless ``g_out``
-    is None, their vertex gradients into ``g_out[:, sl]``; ``comps`` holds the map points
-    component-major, shape (n, nv)."""
+_CHUNK_TABLES = weakref.WeakKeyDictionary()  # TriMesh -> _chunk_tables(mesh)
+
+
+def _chunk_tables(mesh: TriMesh):
+    """Per chunk of at most ``_CHUNK`` triangles: its slice, its areas, the gradient rows of
+    its vertices 1 and 2 as (vertex 1..2, alpha, m) and its triangle index columns (3, m).
+
+    They depend on the mesh alone and are held like the factor of K_ii: the
+    first call builds them, later calls on the same mesh return the held
+    list until the mesh is collected.
+    """
+    try:
+        return _CHUNK_TABLES[mesh]
+    except KeyError:
+        pass
+    nt = mesh.num_triangles
+    tables = []
+    for lo in range(0, nt, _CHUNK):
+        sl = slice(lo, min(lo + _CHUNK, nt))
+        tables.append((sl, mesh.areas[sl], np.ascontiguousarray(mesh.grads[sl, 1:].transpose(1, 2, 0)),
+                       np.ascontiguousarray(mesh.triangles[sl].T)))
+    _CHUNK_TABLES[mesh] = tables
+    return tables
+
+
+def _assemble_chunk(chart, comps, p, rule, table, e_out, g_out):
+    """Per-triangle energies of the chunk ``table`` (an entry of ``_chunk_tables``) into
+    ``e_out[sl]`` and, unless ``g_out`` is None, their vertex gradients into ``g_out[:, sl]``;
+    ``comps`` holds the map points component-major, shape (n, nv)."""
     bary, weights = _QUAD_RULES[rule]
-    areas = mesh.areas[sl]
-    grads = np.ascontiguousarray(mesh.grads[sl, 1:].transpose(1, 2, 0))  # (vertex 1..2, alpha, m)
-    Q = np.take(comps, mesh.triangles[sl].T, axis=1)  # (n, 3, m)
+    sl, areas, grads, corners = table
+    Q = np.take(comps, corners, axis=1)  # (n, 3, m)
     n, _, m = Q.shape
     nq = weights.size
     edges = Q[:, 1:] - Q[:, :1]  # (n, 2, m): Q_1 - Q_0, Q_2 - Q_0
     D = grads[0][:, None] * edges[:, 0] + grads[1][:, None] * edges[:, 1]  # (alpha, n, m)
     S = D[0][:, None] * D[0] + D[1][:, None] * D[1]  # D^T D, (n, n, m)
     xq = (bary @ Q).reshape(n, nq * m)  # every quadrature point of the chunk, q-major
-    # the chart takes and gives point-major arrays; h and dh are transposed once, point axis last
+    # the chart takes and gives point-major views of entry-major buffers: no copy either way
     H = np.ascontiguousarray(chart.metric(xq.T).transpose(1, 2, 0)).reshape(n, n, nq, m)
     e = np.add.reduce((H * S[:, :, None]).reshape(n * n, nq, m))  # (nq, m)
     np.maximum(e, 0.0, out=e)  # clip the roundoff of the quadratic form
@@ -311,7 +343,7 @@ def _total(terms):
     the low parts are below eps * sigma, so their own rounding stays far
     below one ulp of the total.
     """
-    top = float(np.max(np.abs(terms), initial=0.0))
+    top = float(np.abs(terms).max(initial=0.0))
     if not top < 2.0**960:  # non-finite, or sigma would overflow
         return float(np.add.reduce(terms))
     sigma = math.ldexp(1.0, math.frexp(top)[1] + (terms.size + 1).bit_length())
@@ -329,18 +361,18 @@ def _assemble(mesh, chart, pts, p, rule=1, need_grad=True, threads=1):
     comps = np.ascontiguousarray(pts.T)
     e_out = np.empty(nt)
     g_out = np.empty((chart.dim, nt, 3)) if need_grad else None
-    slices = [slice(lo, min(lo + _CHUNK, nt)) for lo in range(0, nt, _CHUNK)]
-    if threads > 1 and len(slices) > 1:
+    tables = _chunk_tables(mesh)
+    if threads > 1 and len(tables) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_assemble_chunk, mesh, chart, comps, p, rule, sl, e_out, g_out)
-                for sl in slices
+                pool.submit(_assemble_chunk, chart, comps, p, rule, table, e_out, g_out)
+                for table in tables
             ]
             for fut in futures:
                 fut.result()
     else:
-        for sl in slices:
-            _assemble_chunk(mesh, chart, comps, p, rule, sl, e_out, g_out)
+        for table in tables:
+            _assemble_chunk(chart, comps, p, rule, table, e_out, g_out)
     total = _total(e_out)
     if not need_grad:
         return total, None
@@ -379,7 +411,7 @@ def residual(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadrature: 
 
 def _sup_norm(rows) -> float:
     """The largest norm of a row of ``rows``, 0 for no rows."""
-    return float(np.max(np.linalg.norm(rows, axis=1), initial=0.0))
+    return float(_row_norms(rows).max(initial=0.0))
 
 
 def _stiffness(mesh: TriMesh):
@@ -427,7 +459,7 @@ def _harmonic_extension(mesh: TriMesh, bvals) -> np.ndarray:
     factor = _interior_stiffness(mesh)
     if factor is not None:
         lu, K_ib = factor
-        pts[mesh.interior_indices()] = lu.solve(-K_ib @ bvals[bidx])
+        pts[mesh.interior_indices()] = lu.solve(-(K_ib @ bvals[bidx]))  # -K_ib would copy the sparse matrix
     return pts
 
 
@@ -490,7 +522,9 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     are accepted by the Armijo test while the energy can resolve it and by
     the approximate Wolfe conditions at its floating-point floor (module
     docstring); ``report.stop_reason`` is ``"converged"``, ``"max_iter"`` or
-    ``"stalled"``.
+    ``"stalled"``.  A non-finite energy or gradient raises ``DivergenceError``
+    with the report of the last finite state (or of the initial state) as
+    its ``report``.
     """
     bvals = _dirichlet_data(mesh, boundary_values, chart.dim)
     bidx = mesh.boundary_indices()
@@ -521,11 +555,37 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     def precondition(v):
         return factor[0].solve(v.reshape(iidx.size, n)).ravel()
 
+    def finish(stop_reason):
+        """The state x that the solve keeps and its report."""
+        final = MapState(split(x))
+        report = SolveReport(
+            final_energy=f,
+            energy_trace=trace,
+            residual=_sup_norm(g.reshape(-1, n)),
+            iterations=iterations,
+            mp_margin=check_max_principle(mesh, chart, final),
+            stop_reason=stop_reason,
+            **counts,
+        )
+        return final, report
+
+    def diverged(where):
+        """``DivergenceError`` carrying the report of the state x, which may be the initial one.
+
+        The chart refused any point whose radius is not finite, so only the
+        gradient of x can be non-finite or so large that its square overflows.
+        """
+        exc = DivergenceError(f"non-finite energy or gradient {where}")
+        with np.errstate(over="ignore"):
+            exc.report = finish("nonfinite")[1]
+        return exc
+
     x = pts[iidx].ravel().copy()
     f, g = f_and_g(x)
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
-        raise DivergenceError("non-finite energy or gradient at the initial state")
     trace = [f]
+    iterations = 0
+    if not np.isfinite(f) or not np.isfinite(g).all():
+        raise diverged("at the initial state")
 
     def line_search(x, f, d, gd):
         """Accepted (x, f, g) along d from step 1, or None; the first trial
@@ -558,7 +618,6 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
 
     mem: list = []
     gamma = 1.0
-    iterations = 0
     res = _sup_norm(g.reshape(-1, n))
     stop_reason = "converged" if res <= config.grad_tol else None
     while stop_reason is None:
@@ -583,8 +642,8 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
             stop_reason = "stalled"
             break
         x_new, f_new, g_new = accepted
-        if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
-            raise DivergenceError("non-finite energy or gradient during descent")
+        if not np.isfinite(f_new) or not np.isfinite(g_new).all():
+            raise diverged("during descent")
         res_new = _sup_norm(g_new.reshape(-1, n))
         if restarted and f_new >= f and res_new >= res:
             stop_reason = "stalled"  # the restart's step made no progress; keep x
@@ -592,7 +651,7 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
         s = x_new - x
         y = g_new - g
         sy = float(np.dot(s, y))
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > 1e-12 * math.sqrt(np.dot(s, s)) * math.sqrt(np.dot(y, y)):  # the bytes of np.linalg.norm
             mem.append((s, y, 1.0 / sy))
             if len(mem) > _MEMORY:
                 mem.pop(0)
@@ -602,17 +661,7 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
         if res <= config.grad_tol:
             stop_reason = "converged"
 
-    final = MapState(split(x))
-    report = SolveReport(
-        final_energy=f,
-        energy_trace=trace,
-        residual=res,
-        iterations=iterations,
-        mp_margin=check_max_principle(mesh, chart, final),
-        stop_reason=stop_reason,
-        **counts,
-    )
-    return final, report
+    return finish(stop_reason)
 
 
 def uniqueness_probe(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfig,

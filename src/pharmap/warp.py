@@ -54,9 +54,9 @@ SIGN_TOL = 1e-9
 
 def _as_radii(r):
     r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise DomainError("radii must be finite")
-    if np.any(r < 0.0):
+    if (r < 0.0).any():
         raise DomainError("radii must be nonnegative")
     return r
 

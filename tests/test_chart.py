@@ -261,3 +261,39 @@ def test_mixed_pole_batch_matches_single_points_and_reference(chart):
         assert np.array_equal(batch, reference(chart, x))
         for xi, got in zip(x, batch):
             assert np.array_equal(method(xi), got)
+
+
+@pytest.mark.parametrize("chart", [SINH2, SINH3, TargetChart.from_warp(OddPolynomialWarp([1.0, 0.5, 0.1]), 3),
+                                   FLAT2, TargetChart.euclidean_line()],
+                         ids=["sinh2", "sinh3", "poly3", "flat2", "line"])
+def test_metric_on_a_transposed_entry_major_view_gives_the_bytes_of_a_contiguous_copy(chart):
+    # the solver passes its quadrature points as the transpose of an (n, m) array
+    n = chart.dim
+    entry_major = np.random.default_rng(11).uniform(-2.0, 2.0, (n, 40))
+    entry_major[:, 0] = 0.0
+    entry_major[:, 1] *= 1e-7  # a pole point: the series branch
+    view = entry_major.T
+    points = np.ascontiguousarray(view)
+    assert n == 1 or not view.flags.c_contiguous
+    for method, reference in ((chart.metric, reference_metric),
+                              (chart.metric_jacobian, reference_metric_jacobian)):
+        got = method(view)
+        assert got.shape == (40,) + (n,) * (got.ndim - 1)
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(method(points)).tobytes()
+        assert np.array_equal(got, reference(chart, points))  # equal up to the sign of zeros, as above
+
+
+def test_metric_and_jacobian_return_views_of_an_entry_major_buffer():
+    x = np.random.default_rng(12).uniform(-1.0, 1.0, (7, 3))
+    for got in (SINH3.metric(x), SINH3.metric_jacobian(x)):
+        assert np.moveaxis(got, 0, -1).flags.c_contiguous
+        assert np.array_equal(np.ascontiguousarray(got), got)
+
+
+@pytest.mark.parametrize("method", ["metric", "metric_jacobian"])
+def test_a_finite_point_whose_radius_overflows_is_refused(method):
+    # |x|^2 overflows to inf although x is finite: the radius check still refuses it
+    with np.errstate(over="ignore"):
+        for x in (np.array([1e200, 0.0]), np.array([[0.5, 0.0], [0.0, -1e200]])):
+            with pytest.raises(DomainError, match="finite"):
+                getattr(SINH2, method)(x)

@@ -488,3 +488,17 @@ def test_glue_pipeline_certifies_at_the_smallest_feasible_k(coeffs, R_bar, R, k)
     assert not bracket_ok(rho, ScaledWarp(SIGMA, k / 2.0), gw.R1, gw.R2, gw.delta)
     with pytest.raises(InfeasibleError):
         GluedWarp(rho, ScaledWarp(SIGMA, k / 2.0), gw.R1, gw.R2, gw.delta)
+
+
+def test_glue_pipeline_accepts_a_tail_mismatch_within_the_rounding_of_large_tail_values():
+    # a fuzzed spec whose glued warp reaches |tau| ~ 6.5e5 at k = 16: its tail
+    # mismatch is 2^-33, one ulp there and just above the absolute VALUE_TOL
+    rho = OddPolynomialWarp([1.0, 1.6093316805363056, 1.490368086917542, 1.7647431286099426])
+    gw, cert = glue_pipeline(GlueSpec(rho, SIGMA, 1.7048358714740426, 4.644395500732631))
+    assert gw.k == 16.0
+    assert cert.tail_mismatch == 2.0**-33 > VALUE_TOL
+    grid = default_certification_grid(gw)
+    top = np.max(np.abs(gw.sigma_k.evaluate(grid[grid >= gw.edges[3]])[0]))
+    assert 6e5 < top < 7e5 and cert.tail_mismatch <= 4.0 * np.finfo(float).eps * top
+    assert cert.passed
+    assert not certify(gw.with_slope(gw.s - 1e-9), grid).passed  # a tail offset of 9.3e-10 still fails

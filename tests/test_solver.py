@@ -208,17 +208,25 @@ def test_scalar_case_equals_harmonic_init():
 
 
 def test_radial_p_harmonic_oracle_small():
-    # n=1 target on the annulus, p=3: u(r) = (sqrt(r)-1)/(sqrt(2)-1)
-    mesh = build_annulus(1.0, 2.0, 6, 32)
-    bvals = np.zeros((mesh.num_vertices, 1))
-    bidx = mesh.boundary_indices()
-    radii = np.linalg.norm(mesh.vertices[bidx], axis=1)
-    bvals[bidx, 0] = np.where(radii > 1.5, 1.0, 0.0)
-    state, report = solve(mesh, LINE, bvals, SolveConfig(p=3.0, grad_tol=1e-10, max_iter=3000))
-    assert report.converged
-    r_all = np.linalg.norm(mesh.vertices, axis=1)
-    exact = (np.sqrt(r_all) - 1.0) / (np.sqrt(2.0) - 1.0)
-    assert np.max(np.abs(state.points[:, 0] - exact)) < 0.02
+    # n=1 target on the annulus, p=3: u(r) = (sqrt(r)-1)/(sqrt(2)-1); on the
+    # 6x32, 12x64 and 24x128 annuli the P1 vertex error falls as h^2, to
+    # 4.82e-6 on the finest
+    errors = []
+    for nr in (6, 12, 24):
+        mesh = build_annulus(1.0, 2.0, nr, 32 * nr // 6)
+        bvals = np.zeros((mesh.num_vertices, 1))
+        bidx = mesh.boundary_indices()
+        radii = np.linalg.norm(mesh.vertices[bidx], axis=1)
+        bvals[bidx, 0] = np.where(radii > 1.5, 1.0, 0.0)
+        state, report = solve(mesh, LINE, bvals, SolveConfig(p=3.0, grad_tol=1e-10, max_iter=3000))
+        assert report.converged
+        r_all = np.linalg.norm(mesh.vertices, axis=1)
+        exact = (np.sqrt(r_all) - 1.0) / (np.sqrt(2.0) - 1.0)
+        errors.append(np.max(np.abs(state.points[:, 0] - exact)))
+    assert errors[0] < 0.02
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
+    assert errors[-1] <= 5.05e-6
 
 
 def test_residual_sensitivity_to_perturbation():
@@ -539,8 +547,17 @@ def test_solve_divergence_at_initial_state():
     iidx = mesh.interior_indices()
     pts[iidx] *= 1600.0
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError, match="at the initial state"):
+        with pytest.raises(DivergenceError, match="at the initial state") as info:
             solve(mesh, SINH2, mesh.vertices, SolveConfig(p=2.0), initial=MapState(pts))
+        want = energy(mesh, SINH2, MapState(pts), 2.0)
+    report = info.value.report
+    assert report.stop_reason == "nonfinite" and not report.converged
+    assert report.iterations == 0
+    assert (report.n_f, report.n_fg, report.n_backtracks, report.n_restarts) == (0, 1, 0, 0)
+    assert len(report.energy_trace) == 1 and not np.isfinite(report.final_energy)
+    assert np.float64(report.energy_trace[0]).tobytes() == np.float64(want).tobytes()
+    assert report.mp_margin == check_max_principle(mesh, SINH2, MapState(pts)) > 0.0
+    assert report.to_json_dict()["stop_reason"] == "nonfinite"
 
 
 def test_solve_divergence_during_descent(monkeypatch):
@@ -561,9 +578,18 @@ def test_solve_divergence_during_descent(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_assemble", poisoned)
     mesh, bvals = sin3_ring_problem()
-    with pytest.raises(DivergenceError, match="during descent"):
-        solve(mesh, SINH2, bvals, SolveConfig(p=3.0, grad_tol=1e-9))
+    config = SolveConfig(p=3.0, grad_tol=1e-9)
+    with pytest.raises(DivergenceError, match="during descent") as info:
+        solve(mesh, SINH2, bvals, config)
     assert fg_calls[0] == 2
+    # the report is that of the initial state, which the solve keeps, after one failed iteration
+    report = info.value.report
+    init = harmonic_init(mesh, bvals)
+    assert report.stop_reason == "nonfinite" and report.iterations == 1
+    assert (report.n_f, report.n_fg, report.n_backtracks, report.n_restarts) == (0, 2, 0, 0)
+    assert report.energy_trace == [report.final_energy] == [energy(mesh, SINH2, init, 3.0)]
+    assert report.residual == residual(mesh, SINH2, init, 3.0) > config.grad_tol
+    assert report.mp_margin == check_max_principle(mesh, SINH2, init)
 
 
 def test_solve_counters_match_assembly_calls(monkeypatch):
@@ -677,6 +703,25 @@ def test_one_factor_per_mesh(monkeypatch):
 def test_held_factor_does_not_keep_the_mesh_alive():
     mesh, bvals = wavy_ring_problem(4, 16)
     solve(mesh, SINH2, bvals, SolveConfig(p=3.0, grad_tol=1e-9))
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None
+
+
+def test_held_chunk_tables_do_not_keep_the_mesh_alive_and_energy_factors_nothing(monkeypatch):
+    import pharmap.solver as solver_module
+
+    mesh, bvals = wavy_ring_problem(4, 16)
+    state = harmonic_init(wavy_ring_problem(4, 16)[0], bvals)
+    calls = []
+    monkeypatch.setattr(solver_module, "splu", lambda *args, **kwargs: calls.append(args))
+    first = energy(mesh, SINH2, state, 3.0)
+    assert calls == [] and mesh not in solver_module._FACTORS and mesh in solver_module._CHUNK_TABLES
+    assert energy(mesh, SINH2, state, 3.0) == first
+    grad = energy_gradient(mesh, SINH2, state, 3.0)
+    assert calls == [] and mesh not in solver_module._FACTORS
+    assert grad.tobytes() == energy_gradient(wavy_ring_problem(4, 16)[0], SINH2, state, 3.0).tobytes()
     ref = weakref.ref(mesh)
     del mesh
     gc.collect()

@@ -21,7 +21,7 @@ from .errors import UsageError
 
 @dataclass(frozen=True)
 class GridRows:
-    """The rows (x_i, y_k, values[i, k]) of the product grid x by y, x slowest, every field in ``fmt``.
+    """The rows (x_i, y_k, values[i, k]) of the product grid x by y, x slowest, every field in ``%.17g``.
 
     ``values`` has shape (len(x), len(y)).  The file bytes are those of the
     2d-array block of these rows; each x_i and y_k is formatted once.
@@ -30,14 +30,13 @@ class GridRows:
     x: np.ndarray
     y: np.ndarray
     values: np.ndarray
-    fmt: str
 
     def text(self, delimiter: str) -> str:
-        def fields(axis):  # formatted once, escaped for the row template
-            return [(self.fmt % v).replace("%", "%%") for v in np.asarray(axis).tolist()]
+        def fields(axis):  # formatted once; "%.17g" gives no "%" to escape in the row template
+            return ["%.17g" % v for v in np.asarray(axis).tolist()]
 
         # the rows of x_i are x_i + tail_0 + x_i + tail_1 + ..., which is x_i.join(["", tail_0, tail_1, ...])
-        tails = [""] + [delimiter + y + delimiter + self.fmt + "\n" for y in fields(self.y)]
+        tails = [""] + [delimiter + y + delimiter + "%.17g\n" for y in fields(self.y)]
         template = "".join(x.join(tails) for x in fields(self.x))
         return template % tuple(np.asarray(self.values).ravel().tolist())
 

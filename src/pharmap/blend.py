@@ -36,7 +36,6 @@ from .errors import DomainError, UsageError, _doubling_search
 __all__ = [
     "PolarMetricGrid",
     "BlendResult",
-    "hess_T_coefficient",
     "hyperbolic_coefficient",
     "find_k_blend",
     "blend_metric",
@@ -94,7 +93,7 @@ class PolarMetricGrid:
         self.t_grid = np.asarray(self.t_grid, dtype=float)
         self.theta_grid = np.asarray(self.theta_grid, dtype=float)
         self.j = np.asarray(self.j, dtype=float)
-        if self.t_grid.ndim != 1 or np.any(self.t_grid <= 0.0) or np.any(np.diff(self.t_grid) <= 0.0):
+        if self.t_grid.ndim != 1 or not (np.all(self.t_grid > 0.0) and np.all(np.diff(self.t_grid) > 0.0)):
             raise UsageError("t_grid must be strictly increasing and positive")
         m = self.theta_grid.size
         if m < 3:
@@ -149,11 +148,6 @@ class BlendResult:
         }
 
 
-def hess_T_coefficient(grid: PolarMetricGrid) -> np.ndarray:
-    """The field (1/2) d_t j whose positivity makes T strictly convex off the rays."""
-    return 0.5 * grid.d_dt()
-
-
 def hyperbolic_coefficient(k: float, t) -> np.ndarray:
     """Angular coefficient sinh^2(sqrt(k) t)/k of the curvature -k hyperbolic plane."""
     if k <= 0.0:
@@ -178,12 +172,13 @@ def _c2(grid, mask):
     return float(np.min((np.sinh(grid.t_grid[mask]) ** 2)[:, None] / grid.j[mask]))
 
 
-def find_k_blend(grid: PolarMetricGrid, R1: float, R2: float, k_max: float = 2.0**40):
+def find_k_blend(grid: PolarMetricGrid, R1: float, R2: float):
     """Doubling search for the hyperbolic scale that dominates j on the annulus.
 
     Returns (k, c2) with c2 the annulus minimum of h_1/j; k is the smallest
-    doubling value satisfying both the c2-inequality at R1 and the pointwise
-    domination h_k >= j on every annulus sample.
+    doubling value up to 2^40 satisfying both the c2-inequality at R1 and the
+    pointwise domination h_k >= j on every annulus sample.  Past 2^40 it
+    raises ``SearchExhaustedError``.
     """
     mask = _annulus_mask(grid.t_grid, R1, R2)
     t_ann = grid.t_grid[mask]
@@ -197,9 +192,9 @@ def find_k_blend(grid: PolarMetricGrid, R1: float, R2: float, k_max: float = 2.0
             pointwise_ok = np.all(hyperbolic_coefficient(k, t_ann)[:, None] >= j_ann)
         if scale_ok and pointwise_ok:
             return None
-        return f"no k <= {k_max:g} dominates j on the annulus (c2 = {c2:.6g})"
+        return f"no k <= {k:g} dominates j on the annulus (c2 = {c2:.6g})"
 
-    return _doubling_search(k_max, failure), c2
+    return _doubling_search(failure), c2
 
 
 def partition_profile(t, R1: float, R2: float):
@@ -264,29 +259,26 @@ def blend_metric(grid: PolarMetricGrid, k: float, R1: float, R2: float) -> Blend
     )
 
 
-def save_metric_csv(path, grid: PolarMetricGrid, values: np.ndarray | None = None,
-                    value_name: str = "j") -> None:
+def save_metric_csv(path, grid: PolarMetricGrid) -> None:
     """Write a polar metric grid as CSV ``t,theta,j`` (row-major by t).
 
-    ``values`` (default ``grid.j``) must have shape (len(t_grid),
-    len(theta_grid)); ``value_name`` heads the third column.  Every t and
-    theta is formatted once, and only the value per row.
+    Every t and theta is formatted once, and only the value of j per row.
     """
-    values = np.asarray(grid.j if values is None else values, dtype=float)
-    shape = (grid.t_grid.size, grid.theta_grid.size)
-    if values.shape != shape:
-        raise UsageError(f"metric values must have shape (len(t_grid), len(theta_grid)) = {shape}, "
-                         f"got {values.shape}")
-    write_table(path, f"t,theta,{value_name}", GridRows(grid.t_grid, grid.theta_grid, values, "%.17g"))
+    write_table(path, "t,theta,j", GridRows(grid.t_grid, grid.theta_grid, grid.j))
 
 
 def load_metric_csv(path) -> PolarMetricGrid:
-    """Load a polar metric grid from CSV with header ``t,theta,j``.
+    """Load a polar metric grid from CSV with the exact header ``t,theta,j``.
 
-    The rows, in any order, must hold each (t, theta) pair of the product of
-    their t and theta values exactly once.
+    Every t and theta must be finite, and the rows, in any order, must hold
+    each (t, theta) pair of the product of their t and theta values exactly
+    once.
     """
-    _, data, error = read_table(path, "metric grid", "t,theta,[^,]*", columns=3)
+    _, data, error = read_table(path, "metric grid", "t,theta,j")
+    bad = np.flatnonzero(~np.isfinite(data[:, :2]).all(axis=1))
+    if bad.size:
+        raise error(bad[0], f"metric grid row has a non-finite (t, theta) = ({data[bad[0], 0]:g}, "
+                            f"{data[bad[0], 1]:g})")
     t_grid = np.unique(data[:, 0])
     theta_grid = np.unique(data[:, 1])
     if data.shape[0] != t_grid.size * theta_grid.size:

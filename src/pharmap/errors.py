@@ -5,8 +5,6 @@ outside a domain) raise subclasses of ``ValueError``; failed searches,
 constructions and iterations raise subclasses of ``RuntimeError``.
 """
 
-import math
-
 
 class UsageError(ValueError):
     """An argument or input file violates a documented precondition."""
@@ -17,7 +15,11 @@ class DomainError(ValueError):
 
 
 class SearchExhaustedError(RuntimeError):
-    """A doubling search hit its cap without satisfying the target inequality."""
+    """A doubling search found no scale k <= 2^40 that satisfies its target inequality.
+
+    The search ends at the fixed cap k = 2^40, or earlier where no larger k
+    can pass; glue's k search ends where sigma_k(R2+delta) overflows.
+    """
 
 
 class InfeasibleError(RuntimeError):
@@ -38,19 +40,19 @@ class DivergenceError(RuntimeError):
     report = None
 
 
-def _doubling_search(k_max: float, failure) -> float:
-    """Smallest k in 1, 2, 4, ... <= k_max for which ``failure(k)`` is None.
+_K_MAX = 2.0**40  # the last scale a doubling search tries
+
+
+def _doubling_search(failure) -> float:
+    """Smallest k in 1, 2, 4, ..., 2^40 for which ``failure(k)`` is None.
 
     ``failure(k)`` returns None when k passes, and otherwise the message to
-    raise should k be the last scale tried: past ``k_max`` the search raises
-    ``SearchExhaustedError`` with the message of the last failing k.  A
-    ``k_max`` below 1 (or NaN) leaves no scale to try, and an infinite one no
-    end to the search: both raise ``UsageError``.
+    raise should k be the last scale tried: past 2^40 the search raises
+    ``SearchExhaustedError`` with the message of k = 2^40.  A ``failure``
+    that sees that no larger k can pass ends the search by raising itself.
     """
-    if not 1.0 <= k_max < math.inf:  # written so that NaN fails
-        raise UsageError(f"the doubling search needs a finite k_max >= 1, got {k_max:g}")
     k = 1.0
-    while k <= k_max:
+    while k <= _K_MAX:
         message = failure(k)
         if message is None:
             return k

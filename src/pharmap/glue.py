@@ -55,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, InfeasibleError, UsageError, _doubling_search
+from .errors import (ConstructionError, DomainError, InfeasibleError, SearchExhaustedError, UsageError,
+                     _doubling_search)
 from .warp import (
     CurvatureReport,
     ScaledWarp,
@@ -96,16 +97,17 @@ class GlueSpec:
 
     The corner bands are fixed by the radii: their half-width is
     min(0.05, (R2-R1)/10) for the intermediate radii R1, R2 of ``choose_radii``.
-    The scale is the smallest doubling k <= ``k_max`` that passes the module's
-    feasibility rule.  A certified glued warp matches sigma_k on its tail to
-    within ``VALUE_TOL`` plus the rounding bound of the module docstring.
+    The scale is the smallest doubling k that passes the module's feasibility
+    rule; ``find_k`` searches k = 1, 2, 4, ... up to the fixed cap 2^40 and
+    stops early where sigma_k(R2+delta) overflows.  A certified glued warp
+    matches sigma_k on its tail to within ``VALUE_TOL`` plus the rounding
+    bound of the module docstring.
     """
 
     rho: WarpingFunction
     sigma: WarpingFunction
     R_bar: float
     R: float
-    k_max: float = 2.0**40
 
     def __post_init__(self):
         if not (0.0 < self.R_bar < self.R):
@@ -291,44 +293,59 @@ def choose_radii(spec: GlueSpec):
     return spec.R_bar + step, spec.R_bar + 2.0 * step
 
 
-def _secant_search(rho_a, lo, sigma, R1, R2, delta, k_max):
+def _secant_search(rho_a, lo, sigma, R1, R2, delta):
     """Smallest doubling scale k at which every ray passes ``_slope_bracket`` with a nonempty bracket.
 
     Those are the checks of ``GluedWarp``, so ``build_tau`` accepts the k
     found.  ``rho_a`` and ``lo`` are the rays' rho(R1-delta) and
     rho'(R1-delta), scalars or arrays over the rays, which the caller has
-    evaluated; sigma_k is evaluated once per k at R2+delta.
+    evaluated; sigma_k is evaluated once per k at R2+delta.  The search
+    ends at the first k where sigma_k(R2+delta) or sigma_k'(R2+delta)
+    overflows: both grow with k, and from there on every bracket test
+    compares NaN.  It then raises ``SearchExhaustedError`` naming the worst
+    ray at the last finite k.
     """
     d, span = R2 + delta, R2 - R1
     rho_a, lo = np.atleast_1d(rho_a, lo)
+    worst = "no smaller k was tried"  # the report of the last k with finite sigma_k(R2+delta)
 
     def failure(k):
-        sig_d, hi, _ = ScaledWarp(sigma, k).evaluate(d)
+        nonlocal worst
+        with np.errstate(over="ignore"):
+            sig_d, hi, _ = ScaledWarp(sigma, k).evaluate(d)
+        if not (np.isfinite(sig_d) and np.isfinite(hi)):
+            raise SearchExhaustedError(f"sigma_k(R2+delta) overflows at k={k:g} before the plateau slope "
+                                       f"of every ray lies in its monotone bracket; {worst}")
         _, f_lo, f_hi, slack = _slope_bracket(rho_a, lo, sig_d, hi, span, delta)
         if np.all((f_lo <= slack) & (f_hi >= -slack) & (lo <= hi)):
             return None
-        j = int(np.argmax(np.maximum(f_lo, -f_hi)))
-        return (f"no k <= {k_max:g} puts the plateau slope of every ray in its monotone bracket; "
-                f"worst ray {j} at k={k:g}: tail mismatch {f_lo[j]:.6g} at rho'(R1-delta) = {lo[j]:.6g}, "
-                f"{f_hi[j]:.6g} at sigma_k'(R2+delta) = {hi:.6g}")
+        bad = np.maximum(f_lo, -f_hi)
+        # where sigma_k swamps the rays' terms their rounded mismatches tie: the rays' own terms order them
+        own = np.where(f_lo >= -f_hi, rho_a + (delta + span) * lo, -(rho_a + delta * lo))
+        j = int(np.lexsort((-np.arange(bad.size), own, bad))[-1])
+        worst = (f"worst ray {j} at k={k:g}: tail mismatch {f_lo[j]:.6g} at rho'(R1-delta) = {lo[j]:.6g}, "
+                 f"{f_hi[j]:.6g} at sigma_k'(R2+delta) = {hi:.6g}")
+        return f"no k <= {k:g} puts the plateau slope of every ray in its monotone bracket; {worst}"
 
-    return _doubling_search(k_max, failure)
+    return _doubling_search(failure)
 
 
 def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
-           delta: float = 0.0, k_max: float = 2.0**40) -> float:
+           delta: float = 0.0) -> float:
     """Smallest doubling scale k whose plateau slope lies in its monotone bracket.
 
-    Scans k = 1, 2, 4, ... <= k_max with the module's feasibility rule (the
-    secant inequality at (R1, R2) when delta = 0); past the cap it raises
-    ``SearchExhaustedError`` with the two bracket-end mismatches at the last k.
+    Scans k = 1, 2, 4, ... <= 2^40 with the module's feasibility rule (the
+    secant inequality at (R1, R2) when delta = 0).  It stops at the first k
+    where sigma_k(R2+delta) or its slope overflows, or past the cap, and
+    raises ``SearchExhaustedError`` with the two bracket-end mismatches at
+    the last k with finite sigma_k(R2+delta).
     """
     if not (0.0 < R1 < R2):
         raise UsageError("find_k needs 0 < R1 < R2")
     if delta < 0.0 or 2.0 * delta >= R2 - R1:
         raise DomainError("find_k needs 0 <= delta < (R2-R1)/2")
     rho_a, drho_a, _ = rho.evaluate(R1 - delta)
-    return _secant_search(rho_a, drho_a, sigma, R1, R2, delta, k_max)
+    return _secant_search(rho_a, drho_a, sigma, R1, R2, delta)
 
 
 def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: float,
@@ -440,7 +457,7 @@ def _glue_plan(spec: GlueSpec):
 def glue_pipeline(spec: GlueSpec):
     """Full pipeline: validate, choose radii, search k, build tau, certify on the default grid."""
     R1, R2, delta = _glue_plan(spec)
-    k = find_k(spec.rho, spec.sigma, R1, R2, delta, spec.k_max)
+    k = find_k(spec.rho, spec.sigma, R1, R2, delta)
     gw = build_tau(spec.rho, ScaledWarp(spec.sigma, k), R1, R2, delta)
     return gw, certify(gw, default_certification_grid(gw))
 
@@ -491,8 +508,7 @@ def rays_from_polar_samples(t_grid, nu, dnu=None) -> list[SplineWarp]:
     return [SplineWarp(t_grid, nu[:, j], dnu[:, j]) for j in range(nu.shape[1])]
 
 
-def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
-           k_max: float = 2.0**40) -> Glue2DResult:
+def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float) -> Glue2DResult:
     """Glue a hyperbolic-type infinity onto a 2d metric given per ray.
 
     Each ray (the angular sample nu(., theta_j), a warping function of the
@@ -501,8 +517,10 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
     precondition.  Each ray is evaluated once, on the 256-point checking
     window with R1-delta appended: that call gives its convexity check and
     its anchors rho(R1-delta), rho'(R1-delta).  A single (k, R1, R2) is
-    chosen from the anchors so that every ray passes the feasibility rule;
-    the plateau slopes of all rays are then solved at once from the same
+    chosen from the anchors so that every ray passes the feasibility rule,
+    by the search of ``find_k``: k <= 2^40, ending where sigma_k(R2+delta)
+    overflows with a ``SearchExhaustedError`` that names the worst ray.
+    The plateau slopes of all rays are then solved at once from the same
     anchors and one evaluation of sigma_k(R2+delta).  The band half-width
     is that of ``glue_pipeline``, min(0.05, (R2-R1)/10), and each glued ray
     must match sigma_k on its tail to within ``VALUE_TOL`` plus the rounding
@@ -517,7 +535,7 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
     rays = list(rays)
     if theta_grid.ndim != 1 or len(rays) != theta_grid.size or not rays:
         raise UsageError("need one ray per theta sample")
-    R1, R2, band = _glue_plan(GlueSpec(rays[0], sigma, R_bar, R, k_max=k_max))
+    R1, R2, band = _glue_plan(GlueSpec(rays[0], sigma, R_bar, R))
 
     # the convexity window with the anchor R1-delta appended: one evaluation per ray
     window = np.append(np.linspace(band * 1e-3, R1 + 2.0 * band, 256), R1 - band)
@@ -532,7 +550,7 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float, *,
             )
         rho_a[j], drho_a[j] = value[-1], slope[-1]
 
-    k = _secant_search(rho_a, drho_a, sigma, R1, R2, band, k_max)
+    k = _secant_search(rho_a, drho_a, sigma, R1, R2, band)
     sigma_k = ScaledWarp(sigma, k)
     sig_d, dsig_d, _ = sigma_k.evaluate(R2 + band)
     slopes = _plateau_slopes(rho_a, drho_a, sig_d, dsig_d, R2 - R1, band)

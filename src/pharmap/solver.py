@@ -144,9 +144,6 @@ class MapState:
             raise UsageError("map state needs shape (nv, n)")
         object.__setattr__(self, "points", pts)
 
-    def copy(self) -> "MapState":
-        return MapState(self.points.copy())
-
 
 @dataclass
 class SolveConfig:
@@ -351,14 +348,14 @@ def _total(terms):
     return float(np.add.reduce(high)) + float(np.add.reduce(terms - high))
 
 
-def _assemble(mesh, chart, pts, p, rule=1, need_grad=True, threads=1):
-    """Per-triangle energies and (optionally) the full gradient array.
+def _assemble(mesh, chart, comps, p, rule=1, need_grad=True, threads=1):
+    """Energy and (optionally) the full gradient of the map points ``comps``, both component-major:
+    shape (n, nv).
 
     Chunk boundaries are fixed; threads only map chunk evaluations, results
     are written to disjoint slots and reduced in index order afterwards.
     """
     nt = mesh.num_triangles
-    comps = np.ascontiguousarray(pts.T)
     e_out = np.empty(nt)
     g_out = np.empty((chart.dim, nt, 3)) if need_grad else None
     tables = _chunk_tables(mesh)
@@ -377,17 +374,16 @@ def _assemble(mesh, chart, pts, p, rule=1, need_grad=True, threads=1):
     if not need_grad:
         return total, None
     idx = mesh.triangles.reshape(-1)
-    grad_full = np.column_stack([np.bincount(idx, weights=g_c.reshape(-1), minlength=pts.shape[0])
-                                 for g_c in g_out])
-    return total, grad_full
+    nv = comps.shape[1]
+    return total, np.array([np.bincount(idx, weights=g_c.reshape(-1), minlength=nv) for g_c in g_out])
 
 
 def energy(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadrature: int = 1,
            threads: int = 1) -> float:
     """Discrete p-energy of the map; nonnegative, zero iff du vanishes."""
     _check_p_and_quadrature(p, quadrature)
-    pts = _map_points(mesh, chart, state)
-    total, _ = _assemble(mesh, chart, pts, p, quadrature, need_grad=False, threads=threads)
+    comps = np.ascontiguousarray(_map_points(mesh, chart, state).T)
+    total, _ = _assemble(mesh, chart, comps, p, quadrature, need_grad=False, threads=threads)
     return total
 
 
@@ -398,9 +394,9 @@ def energy_gradient(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadr
     Rows follow ``mesh.interior_indices()``.
     """
     _check_p_and_quadrature(p, quadrature)
-    pts = _map_points(mesh, chart, state)
-    _, grad = _assemble(mesh, chart, pts, p, quadrature, need_grad=True, threads=threads)
-    return grad[mesh.interior_indices()]
+    comps = np.ascontiguousarray(_map_points(mesh, chart, state).T)
+    _, grad = _assemble(mesh, chart, comps, p, quadrature, need_grad=True, threads=threads)
+    return np.ascontiguousarray(grad[:, mesh.interior_indices()].T)
 
 
 def residual(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadrature: int = 1,
@@ -534,30 +530,35 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     pts[bidx] = bvals[bidx]  # boundary rows pinned bit-exactly
     n = chart.dim
     counts = {"n_f": 0, "n_fg": 0, "n_backtracks": 0, "n_restarts": 0}
+    # the map component-major; its boundary columns never change, and each
+    # assembly writes the interior columns from the vertex-major vector x
+    comps = np.ascontiguousarray(pts.T)
 
-    def split(x):
-        full = pts.copy()
-        full[iidx] = x.reshape(iidx.size, n)
-        return full
+    def put(x):
+        comps[:, iidx] = x.reshape(iidx.size, n).T
+        return comps
 
     def f_only(x):
         counts["n_f"] += 1
-        total, _ = _assemble(mesh, chart, split(x), config.p, config.quadrature,
+        total, _ = _assemble(mesh, chart, put(x), config.p, config.quadrature,
                              need_grad=False, threads=config.threads)
         return total
 
     def f_and_g(x):
         counts["n_fg"] += 1
-        total, grad = _assemble(mesh, chart, split(x), config.p, config.quadrature,
+        total, grad = _assemble(mesh, chart, put(x), config.p, config.quadrature,
                                 need_grad=True, threads=config.threads)
-        return total, grad[iidx].ravel()
+        return total, grad[:, iidx].T.ravel()
 
     def precondition(v):
         return factor[0].solve(v.reshape(iidx.size, n)).ravel()
 
     def finish(stop_reason):
-        """The state x that the solve keeps and its report."""
-        final = MapState(split(x))
+        """The state x that the solve keeps and its report.
+
+        ``comps`` may hold a rejected trial, so x is written into it first.
+        """
+        final = MapState(np.ascontiguousarray(put(x).T))
         report = SolveReport(
             final_energy=f,
             energy_trace=trace,

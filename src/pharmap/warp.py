@@ -20,7 +20,7 @@ the outer geometry in the gluing construction of :mod:`pharmap.glue`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BPoly
@@ -42,14 +42,13 @@ __all__ = [
     "curvature_tangential",
     "is_cartan_hadamard",
     "is_hyperbolic_type",
-    "certification_grid",
-    "parse_warp_spec",
     "save_warp_csv",
     "load_warp_csv",
 ]
 
 #: relative floor used by sign certifications: tol(v) = SIGN_TOL * (1 + |v|)
 SIGN_TOL = 1e-9
+_HYPERBOLIC_SCALES = tuple(float(2**m) for m in range(13))  # the scales of ``is_hyperbolic_type``
 
 
 def _as_radii(r):
@@ -286,11 +285,10 @@ class SplineWarp(WarpingFunction):
         return s if r.ndim else s[0]
 
     @classmethod
-    def sample(cls, warp: WarpingFunction, radii, with_second=True):
-        """Resample another warp on the given knots."""
+    def sample(cls, warp: WarpingFunction, radii):
+        """Resample another warp on the given knots, with its second derivatives (the quintic)."""
         radii = _as_radii(np.asarray(radii, dtype=float))
-        s, d1, d2 = warp.evaluate(radii)
-        return cls(radii, s, d1, d2 if with_second else None)
+        return cls(radii, *warp.evaluate(radii))
 
 
 @dataclass(frozen=True)
@@ -341,7 +339,7 @@ class HyperbolicTypeReport:
     min_ddsigma: float
     worst_slope_gap: float
     min_growth_step: float
-    k_list: tuple = field(default_factory=tuple)
+    k_list: tuple
 
     def __bool__(self):
         return self.is_hyperbolic
@@ -426,91 +424,39 @@ def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
     return _curvature_reports(w, grid, [v[None] for v in w.evaluate(grid)])[0]
 
 
-def is_hyperbolic_type(w: WarpingFunction, grid=None, k_list=None) -> HyperbolicTypeReport:
-    """Check the hyperbolic-type conditions on a finite grid and scale list.
+def is_hyperbolic_type(w: WarpingFunction, grid) -> HyperbolicTypeReport:
+    """Check the hyperbolic-type conditions on a finite grid and the scales k = 2^0, ..., 2^12.
 
     Certifies (i) convexity ``sigma'' >= -tol`` on the grid and (ii) for every
     scale k that ``sigma_k' >= sigma_k - tol`` with ``sigma_k`` strictly
-    increasing along the scale list at each radius (finite surrogate for
-    divergence as k -> infinity).
+    increasing along the scales at each radius (finite surrogate for
+    divergence as k -> infinity).  ``w`` is evaluated once, on the scaled
+    radii sqrt(k) r of every scale stacked as rows; the row of k = 1 is the
+    grid itself and gives the convexity samples.
     """
-    if grid is None:
-        grid = certification_grid(1e-2, 10.0)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0.0):
         raise UsageError("hyperbolic-type grid must be nonempty and positive")
-    if k_list is None:
-        k_list = tuple(float(2**m) for m in range(13))
-    k_list = tuple(float(k) for k in k_list)
-    if any(k <= 0 for k in k_list) or any(b <= a for a, b in zip(k_list, k_list[1:])):
-        raise UsageError("scale list must be positive and increasing")
-
-    _, _, d2 = w.evaluate(grid)
-    min_dd = float(np.min(d2))
-    convex_ok = _is_convex(d2)
-
-    worst_gap = np.inf
-    min_growth = np.inf
-    slope_ok = True
-    growth_ok = True
-    prev_vals = None
+    sqrt_k = np.sqrt(np.array(_HYPERBOLIC_SCALES))[:, None]
     # a scaled warp that overflows gives inf - inf = NaN, which fails both tests
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in k_list:
-            vals, dvals, _ = ScaledWarp(w, k).evaluate(grid)
-            gap = np.min(dvals - vals)
-            worst_gap = float(np.minimum(worst_gap, gap))
-            if not gap >= -SIGN_TOL * (1.0 + float(np.max(np.abs(vals)))):
-                slope_ok = False
-            if prev_vals is not None:
-                step = np.min(vals - prev_vals)
-                min_growth = float(np.minimum(min_growth, step))
-                if not step > 0.0:
-                    growth_ok = False
-            prev_vals = vals
-    ok = convex_ok and slope_ok and growth_ok
+        s, dvals, d2 = w.evaluate(sqrt_k * grid)  # sigma_k = s / sqrt(k), sigma_k' = sigma'(sqrt(k) r)
+        vals = s / sqrt_k
+        gaps = np.min(dvals - vals, axis=1)
+        slope_ok = bool(np.all(gaps >= -SIGN_TOL * (1.0 + np.max(np.abs(vals), axis=1))))
+        steps = np.min(np.diff(vals, axis=0), axis=1)
+    convex_ok = _is_convex(d2[0])
+    growth_ok = bool(np.all(steps > 0.0))
     return HyperbolicTypeReport(
-        is_hyperbolic=ok,
+        is_hyperbolic=convex_ok and slope_ok and growth_ok,
         convex_ok=convex_ok,
         slope_ok=slope_ok,
         growth_ok=growth_ok,
-        min_ddsigma=min_dd,
-        worst_slope_gap=worst_gap,
-        min_growth_step=min_growth,
-        k_list=k_list,
+        min_ddsigma=float(np.min(d2[0])),
+        worst_slope_gap=float(np.min(gaps)),
+        min_growth_step=float(np.min(steps)),
+        k_list=_HYPERBOLIC_SCALES,
     )
-
-
-def certification_grid(r_min: float, r_max: float, points_per_decade: int = 512) -> np.ndarray:
-    """Log-spaced grid with a fixed point density per decade."""
-    if not (0.0 < r_min < r_max):
-        raise UsageError("grid needs 0 < r_min < r_max")
-    decades = np.log10(r_max / r_min)
-    n = max(2, int(np.ceil(points_per_decade * decades)) + 1)
-    return np.geomspace(r_min, r_max, n)
-
-
-def parse_warp_spec(spec: str) -> WarpingFunction:
-    """Build a warp from a spec string.
-
-    Accepted forms: ``identity``, ``sinh``, ``poly:c1,c3,...`` (odd-power
-    coefficients, c1 must be 1; ``poly:1,1`` is r + r^3) and ``file:PATH``
-    (warp sample CSV).
-    """
-    spec = spec.strip()
-    if spec == "identity":
-        return IdentityWarp()
-    if spec == "sinh":
-        return SinhWarp()
-    if spec.startswith("poly:"):
-        try:
-            coeffs = [float(tok) for tok in spec[5:].split(",") if tok.strip()]
-        except ValueError as exc:
-            raise UsageError(f"bad polynomial warp spec {spec!r}") from exc
-        return OddPolynomialWarp(coeffs)
-    if spec.startswith("file:"):
-        return load_warp_csv(spec[5:])
-    raise UsageError(f"unknown warp spec {spec!r} (expected identity|sinh|poly:...|file:...)")
 
 
 def save_warp_csv(path, w: WarpingFunction, grid) -> None:

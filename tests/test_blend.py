@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from pharmap.blend import (
     PolarMetricGrid,
     blend_metric,
     find_k_blend,
-    hess_T_coefficient,
     hyperbolic_coefficient,
     load_metric_csv,
     partition_profile,
@@ -38,25 +38,28 @@ def test_hyperbolic_coefficient_values():
     assert hyperbolic_coefficient(7.3, 0.0) == 0.0
 
 
+# the coefficient of Hess T off the rays is (1/2) d_t j (module docstring of blend)
+
+
 def test_hess_T_coefficient_analytic():
     g = grid_from(SINH2, T_GRID, gen_dt=SINH2_DT)
-    coeff = hess_T_coefficient(g)
+    coeff = 0.5 * g.d_dt()
     want = 0.5 * np.sinh(2.0 * T_GRID)
     assert np.allclose(coeff, want[:, None], rtol=1e-14)
     g2 = grid_from(SQUARE, T_GRID, gen_dt=SQUARE_DT)
-    assert np.allclose(hess_T_coefficient(g2), T_GRID[:, None], rtol=1e-14)
+    assert np.allclose(0.5 * g2.d_dt(), T_GRID[:, None], rtol=1e-14)
 
 
 def test_hess_T_coefficient_finite_difference_route():
     g = grid_from(SINH2, T_GRID)  # no analytic derivative
-    coeff = hess_T_coefficient(g)
+    coeff = 0.5 * g.d_dt()
     want = 0.5 * np.sinh(2.0 * T_GRID)
     assert np.max(np.abs(coeff - want[:, None]) / (1 + np.abs(want[:, None]))) < 1e-7
 
 
 def test_hess_T_coefficient_constant_metric_is_degenerate():
     g = PolarMetricGrid(T_GRID, 2 * np.pi * np.arange(8) / 8, np.full((T_GRID.size, 8), 5.0))
-    assert np.max(np.abs(hess_T_coefficient(g))) < 1e-10
+    assert np.max(np.abs(0.5 * g.d_dt())) < 1e-10
 
 
 def test_grid_validation():
@@ -71,6 +74,14 @@ def test_grid_validation():
         grid_from(lambda t, h: 2.0 + np.sin(0.5 * h), T_GRID)  # not 2pi-periodic
 
 
+def test_grid_rejects_a_nan_radius():
+    # np.diff of [0.5, nan, 2] is [nan, nan], and no NaN is <= 0
+    theta = 2 * np.pi * np.arange(4) / 4
+    for t in ([0.5, np.nan, 2.0], [np.nan, 1.0, 2.0], [0.5, 1.0, np.nan]):
+        with pytest.raises(UsageError, match="t_grid must be strictly increasing and positive"):
+            PolarMetricGrid(t, theta, np.ones((3, 4)))
+
+
 def test_find_k_blend_square_metric():
     g = grid_from(SQUARE, T_GRID, gen_dt=SQUARE_DT)
     k, c2 = find_k_blend(g, 1.0, 2.0)
@@ -80,12 +91,6 @@ def test_find_k_blend_square_metric():
     mask = (T_GRID >= 1.0) & (T_GRID <= 2.0)
     oracle = np.min(np.sinh(T_GRID[mask]) ** 2 / T_GRID[mask] ** 2)
     assert c2 == pytest.approx(oracle, rel=1e-14)
-
-
-@pytest.mark.parametrize("k_max", [0.5, 0.0, -1.0, math.nan, math.inf])
-def test_find_k_blend_k_max_below_one_is_a_usage_error(k_max):
-    with pytest.raises(UsageError, match="k_max >= 1"):
-        find_k_blend(grid_from(SQUARE, T_GRID), 1.0, 2.0, k_max=k_max)
 
 
 @pytest.mark.parametrize("t", [[0.1, 0.3, 0.4], [0.1, 0.3, 0.4, 0.8]])
@@ -130,8 +135,11 @@ def test_find_k_blend_steep_metric_requires_large_k():
 
     assert feasible(k)
     assert not feasible(k / 2.0)
-    with pytest.raises(SearchExhaustedError):
-        find_k_blend(g, 1.0, 2.0, k_max=k / 4.0)
+    # near the pole, on the annulus sqrt(k) t <= 2^20 * 5e-7 < 0.53 for every k <= 2^40, so
+    # h_k(t) = sinh(sqrt(k) t)^2 / k < 1.1 t^2, far below j = 1
+    near_pole = PolarMetricGrid(np.linspace(1e-8, 1e-6, 50), 2 * np.pi * np.arange(4) / 4, np.ones((50, 4)))
+    with pytest.raises(SearchExhaustedError, match=re.escape(f"no k <= {2.0**40:g} dominates j on the annulus")):
+        find_k_blend(near_pole, 2e-8, 5e-7)
 
 
 def test_partition_identity_and_monotonicity():
@@ -256,13 +264,13 @@ def test_metric_csv_round_trip(tmp_path):
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
 
 
-def reference_metric_csv(path, grid, values, value_name):
+def reference_metric_csv(path, grid):
     """The row-by-row writer: one ``"%.17g,%.17g,%.17g\\n"`` per (t, theta) pair, t slowest."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"t,theta,{value_name}\n")
+        fh.write("t,theta,j\n")
         for i, t in enumerate(grid.t_grid):
             for k, theta in enumerate(grid.theta_grid):
-                fh.write("%.17g,%.17g,%.17g\n" % (t, theta, values[i, k]))
+                fh.write("%.17g,%.17g,%.17g\n" % (t, theta, grid.j[i, k]))
 
 
 def test_metric_csv_bytes_equal_the_row_by_row_writer(tmp_path):
@@ -270,21 +278,39 @@ def test_metric_csv_bytes_equal_the_row_by_row_writer(tmp_path):
     t = np.sort(rng.uniform(0.1, 3.0, 9))
     for theta0 in (0.0, 0.3):
         theta = theta0 + 2.0 * np.pi * np.arange(7) / 7
-        g = PolarMetricGrid(t, theta, np.exp(rng.normal(size=(9, 7))))
-        extreme = rng.normal(size=(9, 7)) * 10.0 ** rng.integers(-300, 300, size=(9, 7))
-        extreme.flat[:3] = -0.0, 2.5e-310, -1e308
-        for values, value_name in ((None, "j"), (None, "j_hat"), (extreme, "dt_j")):
-            save_metric_csv(tmp_path / "got.csv", g, values=values, value_name=value_name)
-            reference_metric_csv(tmp_path / "want.csv", g, g.j if values is None else values, value_name)
+        extreme = np.abs(rng.normal(size=(9, 7))) * 10.0 ** rng.integers(-300, 300, size=(9, 7))
+        extreme.flat[:2] = 2.5e-310, 1e308
+        for j in (np.exp(rng.normal(size=(9, 7))), extreme):
+            g = PolarMetricGrid(t, theta, j)
+            save_metric_csv(tmp_path / "got.csv", g)
+            reference_metric_csv(tmp_path / "want.csv", g)
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_save_metric_csv_rejects_misshapen_values(tmp_path):
+def test_load_metric_csv_requires_the_exact_header(tmp_path):
     g = grid_from(SQUARE, np.linspace(0.5, 2.0, 7), ntheta=5)
-    for values in (g.j.T, g.j[:, :4], g.j.ravel()):
-        with pytest.raises(UsageError, match=r"shape \(len\(t_grid\), len\(theta_grid\)\) = \(7, 5\), got "):
-            save_metric_csv(tmp_path / "grid.csv", g, values=values)
-    assert not (tmp_path / "grid.csv").exists()
+    path = tmp_path / "grid.csv"
+    save_metric_csv(path, g)
+    body = path.read_text().split("\n", 1)[1]
+    for header in ("t,theta,dt_j", "t,theta,j_hat", "t,theta,"):
+        path.write_text(header + "\n" + body)
+        with pytest.raises(UsageError, match=f"line 1: bad metric grid header '{header}'"):
+            load_metric_csv(path)
+
+
+@pytest.mark.parametrize("field", ["nan", "inf"])
+def test_load_metric_csv_names_the_line_of_a_non_finite_radius_or_angle(tmp_path, field):
+    theta = 2.0 * np.pi * np.arange(4) / 4
+    g = PolarMetricGrid([0.5, 1.0], theta, [[1.6, 1.7, 1.4, 1.5], [2.6, 2.7, 2.4, 2.5]])
+    path = tmp_path / "grid.csv"
+    save_metric_csv(path, g)
+    lines = path.read_text().splitlines()
+    for row, line in ((6, f"{field},0,2.6"), (3, f"0.5,{field},1.7")):
+        path.write_text("\n".join(lines[:row] + [line] + lines[row + 1:]) + "\n")
+        with pytest.raises(UsageError) as err:
+            load_metric_csv(path)
+        assert str(err.value) == f"{path}, line {row + 1}: metric grid row has a non-finite (t, theta) = " + (
+            f"({field}, 0)" if row == 6 else f"(0.5, {field})")
 
 
 def test_load_metric_csv_rejects_a_repeated_pair(tmp_path):

@@ -100,16 +100,26 @@ def test_find_k_exhausts_for_flat_outer():
     # sigma_k = r for every k, delta = 0: tau(3; s) = rho(2) + s = 10 + s against sigma_k(3) = 3,
     # so the mismatch is 10 + 13 - 3 = 20 at s = rho'(2) = 13 and 10 + 1 - 3 = 8 at s = sigma_k'(3) = 1
     with pytest.raises(SearchExhaustedError) as err:
-        find_k(RHO, IdentityWarp(), 2.0, 3.0, 0.0, k_max=2.0**20)
+        find_k(RHO, IdentityWarp(), 2.0, 3.0, 0.0)
     message = str(err.value)
-    assert f"worst ray 0 at k={2.0**20:g}:" in message
+    assert f"worst ray 0 at k={2.0**40:g}:" in message
     assert "tail mismatch 20 at rho'(R1-delta) = 13, 8 at sigma_k'(R2+delta) = 1" in message
 
 
-def test_find_k_deterministic_under_larger_cap():
-    k1 = find_k(RHO, SIGMA, 2.0, 3.0, 0.05, k_max=2.0**20)
-    k2 = find_k(RHO, SIGMA, 2.0, 3.0, 0.05, k_max=2.0**40)
-    assert k1 == k2 == 2.0
+def test_find_k_stops_where_sigma_k_overflows():
+    # sinh(sqrt(k) 2.8) overflows first at k = 2^16; from there on every bracket test compares NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SearchExhaustedError) as err:
+            find_k(OddPolynomialWarp([1.0, 1e4]), SIGMA, 0.5, 2.6, 0.2)
+    message = str(err.value)
+    assert message.startswith(f"sigma_k(R2+delta) overflows at k={2.0**16:g} ")
+    assert f"worst ray 0 at k={2.0**15:g}: tail mismatch " in message and "nan" not in message
+    # sinh(720) overflows already at k = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SearchExhaustedError, match=r"overflows at k=1 .*; no smaller k was tried$"):
+            find_k(RHO, SIGMA, 700.0, 720.0, 0.0)
 
 
 def test_build_tau_identity_self_glue():
@@ -221,9 +231,6 @@ def test_tail_identification_constant_offset():
 def test_glue_spec_validation():
     with pytest.raises(UsageError):
         GlueSpec(RHO, IdentityWarp(), 1.0, 4.0).validate()  # outer warp not hyperbolic
-    for k_max in (0.5, math.nan):
-        with pytest.raises(UsageError):
-            glue_pipeline(GlueSpec(RHO, SIGMA, 1.0, 4.0, k_max=k_max))
 
 
 def test_glue_spec_rejects_an_outer_warp_that_overflows_on_the_glue_grid():
@@ -294,15 +301,6 @@ def test_glue_certificate_json_keys_equal_fields():
     assert json.loads(json.dumps(cert.to_json_dict(gw))) == fields
 
 
-@pytest.mark.parametrize("k_max", [0.5, 0.0, -1.0, math.nan, math.inf])
-def test_k_max_below_one_is_a_usage_error(k_max):
-    with pytest.raises(UsageError, match="k_max >= 1"):
-        find_k(RHO, SIGMA, 2.0, 3.0, 0.0, k_max=k_max)
-    theta = 2 * np.pi * np.arange(4) / 4
-    with pytest.raises(UsageError, match="k_max >= 1"):
-        glue2d([RHO] * 4, theta, SIGMA, 1.0, 4.0, k_max=k_max)
-
-
 def test_glue2d_flat_disk_reduces_to_identity_case():
     ntheta = 8
     theta = 2 * np.pi * np.arange(ntheta) / ntheta
@@ -341,26 +339,31 @@ def test_glue2d_concave_ray_rejected():
 
 
 def test_glue2d_infeasible_names_worst_ray():
+    # rays r + 1e21 (2 + sin theta) r^3, of which ray 1 (c = 3e21) is the steepest; R1, R2 = 2, 3 and
+    # delta = 0.05.  No k passes, and sinh(sqrt(k) 3.05) overflows first at k = 2^16: the search ends
+    # there and reports k = 2^15, where sigma_k swamps the rays' terms and their rounded mismatches tie
     ntheta = 4
     theta = 2 * np.pi * np.arange(ntheta) / ntheta
-    rays = [OddPolynomialWarp([1.0, 2.0 + math.sin(t)]) for t in theta]
-    with pytest.raises(SearchExhaustedError) as err:
-        glue2d(rays, theta, SIGMA, 1.0, 4.0, k_max=1.0)
-    # ray 1 (r + 3 r^3) is the steepest; R1, R2 = 2, 3 and delta = 0.05 at k = 1
-    lower = 1.0 + 9.0 * 1.95**2
-    upper = math.cosh(3.05)
+    rays = [OddPolynomialWarp([1.0, 1e21 * (2.0 + math.sin(t))]) for t in theta]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SearchExhaustedError) as err:
+            glue2d(rays, theta, SIGMA, 1.0, 4.0)
+    k, c = 2.0**15, 3e21
+    lower = 1.0 + 3.0 * c * 1.95**2
+    upper = math.cosh(math.sqrt(k) * 3.05)
 
-    def mismatch(c, s):  # tau(3.05; s) - sinh(3.05) for the ray r + c r^3
-        head = 1.95 + c * 1.95**3 + 0.05 * (1.0 + 3.0 * c * 1.95**2 + s)
-        return head + 0.9 * s + 0.05 * (s + upper) - math.sinh(3.05)
+    def mismatch(s):  # tau(3.05; s) - sigma_k(3.05) for the ray r + c r^3
+        head = 1.95 + c * 1.95**3 + 0.05 * (lower + s)
+        return head + 0.9 * s + 0.05 * (s + upper) - math.sinh(math.sqrt(k) * 3.05) / math.sqrt(k)
 
-    f_lo, f_hi = mismatch(3.0, lower), mismatch(3.0, upper)
-    assert f_lo > 0.0
-    assert f_lo > max(max(mismatch(c, 1.0 + 3.0 * c * 1.95**2), -mismatch(c, upper)) for c in (1.0, 2.0))
+    f_lo, f_hi = mismatch(lower), mismatch(upper)
     message = str(err.value)
-    assert "worst ray 1 at k=1:" in message
+    assert message.startswith(f"sigma_k(R2+delta) overflows at k={2.0**16:g} ")
+    assert f"worst ray 1 at k={k:g}:" in message
     assert (f"tail mismatch {f_lo:.6g} at rho'(R1-delta) = {lower:.6g}, "
             f"{f_hi:.6g} at sigma_k'(R2+delta) = {upper:.6g}") in message
+    assert "nan" not in message and "inf" not in message
 
 
 def test_glue2d_sampled_rays_match_analytic():
@@ -469,7 +472,7 @@ def glue_specs(draw):
 def test_find_k_returns_the_smallest_k_that_build_tau_accepts(spec):
     R1, R2 = choose_radii(spec)
     delta = min(0.05, (R2 - R1) / 10.0)
-    k = find_k(spec.rho, spec.sigma, R1, R2, delta, spec.k_max)
+    k = find_k(spec.rho, spec.sigma, R1, R2, delta)
     assert build_tau(spec.rho, ScaledWarp(spec.sigma, k), R1, R2, delta).k == k
     if k > 1.0:
         with pytest.raises(InfeasibleError):

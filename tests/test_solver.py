@@ -620,10 +620,10 @@ def test_fused_line_search_energy_equals_energy_only_assembly(monkeypatch):
     states = []
     assemble = solver_module._assemble
 
-    def recording(mesh, chart, pts, p, rule=1, need_grad=True, threads=1):
-        total, grad = assemble(mesh, chart, pts, p, rule, need_grad=need_grad, threads=threads)
+    def recording(mesh, chart, comps, p, rule=1, need_grad=True, threads=1):
+        total, grad = assemble(mesh, chart, comps, p, rule, need_grad=need_grad, threads=threads)
         if need_grad:
-            states.append((pts.copy(), total))
+            states.append((comps.T.copy(), total))  # comps holds the map component-major, (n, nv)
         return total, grad
 
     monkeypatch.setattr(solver_module, "_assemble", recording)

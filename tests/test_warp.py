@@ -15,13 +15,11 @@ from pharmap.warp import (
     ScaledWarp,
     SinhWarp,
     SplineWarp,
-    certification_grid,
     curvature_radial,
     curvature_tangential,
     is_cartan_hadamard,
     is_hyperbolic_type,
     load_warp_csv,
-    parse_warp_spec,
     save_warp_csv,
 )
 
@@ -179,12 +177,11 @@ def test_curvature_scaling_law():
 
 def test_is_hyperbolic_type():
     grid = np.linspace(0.05, 5.0, 200)
-    ks = [1.0, 2.0, 4.0, 8.0, 16.0]
-    assert is_hyperbolic_type(SinhWarp(), grid, ks).is_hyperbolic
-    rep_id = is_hyperbolic_type(IdentityWarp(), grid, ks)
+    assert is_hyperbolic_type(SinhWarp(), grid).is_hyperbolic
+    rep_id = is_hyperbolic_type(IdentityWarp(), grid)
     assert not rep_id.is_hyperbolic
     assert not rep_id.growth_ok  # sigma_k = r does not diverge in k
-    rep_poly = is_hyperbolic_type(R_PLUS_R3, grid, ks)
+    rep_poly = is_hyperbolic_type(R_PLUS_R3, grid)
     assert not rep_poly.is_hyperbolic
     assert not rep_poly.slope_ok  # sigma_k' < sigma_k at large r (e.g. r=4, k=1)
     overflow = np.geomspace(1e-2, 11.2, 512)  # sinh(sqrt(4096) * 11.2) overflows
@@ -200,8 +197,7 @@ def test_spline_round_trip():
     knots = np.linspace(0.0, 4.0, 400)
     mid = 0.5 * (knots[:-1] + knots[1:])
     for w in (SinhWarp(), R_PLUS_R3):
-        for with_second in (True, False):
-            spline = SplineWarp.sample(w, knots, with_second=with_second)
+        for spline in (SplineWarp.sample(w, knots), SplineWarp(knots, *w.evaluate(knots)[:2])):  # quintic, cubic
             s_ref, d_ref, _ = w.evaluate(mid)
             s_got, d_got, _ = spline.evaluate(mid)
             assert np.max(np.abs(s_got - s_ref)) <= 1e-8
@@ -238,7 +234,8 @@ def spline_queries(draw):
     base = draw(st.sampled_from([SinhWarp(), R_PLUS_R3]))
     first = draw(st.sampled_from([0.0, 0.5]))
     knots = np.linspace(first, first + draw(st.floats(0.5, 3.0)), draw(st.integers(2, 40)))
-    spline = SplineWarp.sample(base, knots, with_second=draw(st.booleans()))
+    quintic = draw(st.booleans())
+    spline = SplineWarp.sample(base, knots) if quintic else SplineWarp(knots, *base.evaluate(knots)[:2])
     shape = draw(st.sampled_from([(), (7,), (3, 4)]))
     size = math.prod(shape)
     radius = st.one_of(st.floats(first, knots[-1] + 2.0), st.sampled_from(list(knots)),
@@ -269,26 +266,10 @@ def test_spline_validation():
         SplineWarp([0.0, 1.0], [0.5, 1.0], [1.0, 1.0])  # sigma(0) != 0
 
 
-def test_certification_grid():
-    g = certification_grid(0.01, 1.0)
-    assert g[0] == pytest.approx(0.01) and g[-1] == pytest.approx(1.0)
-    assert g.size >= 1024
-    assert np.all(np.diff(np.log(g)) > 0)
-    with pytest.raises(UsageError):
-        certification_grid(1.0, 0.5)
-
-
-def test_parse_warp_spec_and_csv_round_trip(tmp_path):
-    assert isinstance(parse_warp_spec("identity"), IdentityWarp)
-    assert isinstance(parse_warp_spec("sinh"), SinhWarp)
-    poly = parse_warp_spec("poly:1,1")
-    assert poly.evaluate(2.0) == (10.0, 13.0, 12.0)
-    with pytest.raises(UsageError):
-        parse_warp_spec("banana")
-
+def test_warp_csv_round_trip(tmp_path):
     path = tmp_path / "warp.csv"
     save_warp_csv(path, SinhWarp(), np.linspace(0.0, 3.0, 200))
-    loaded = parse_warp_spec(f"file:{path}")
+    loaded = load_warp_csv(path)
     r = np.linspace(0.1, 2.9, 23)
     s_ref, d_ref, _ = SinhWarp().evaluate(r)
     s_got, d_got, _ = loaded.evaluate(r)
@@ -300,9 +281,6 @@ def test_odd_polynomial_rejects_non_finite_coefficients():
     for bad in ([1.0, math.nan], [1.0, math.inf], [1.0, 0.5, -math.inf]):
         with pytest.raises(UsageError, match="finite"):
             OddPolynomialWarp(bad)
-    for spec in ("poly:1,nan", "poly:1,inf", "poly:1,1,-inf"):
-        with pytest.raises(UsageError, match="finite"):
-            parse_warp_spec(spec)
 
 
 def test_curvature_report_json_fields():

@@ -46,7 +46,13 @@ certifies the rays in fixed blocks as (rays, points) arrays, each block with
 one evaluation of sigma_k on the tail for the samples and one for the
 reference; a block's head samples are dropped before the next block.
 ``certify`` is the one-ray case of that block certifier, and ``GluedWarp``
-evaluation the one-ray case of its sampling.
+evaluation the one-ray case of its sampling.  Where glue handles many rays
+at once (the convexity window, a block's head samples and its head
+reference), it evaluates them as one table: spline rays on one knot array
+as columns of their stacked Bernstein coefficients, odd polynomials with
+equal coefficient counts by one Horner pass over their coefficient table,
+and any other list ray by ray.  Each row equals the ray's own evaluation
+byte for byte, so the path changes no result.
 """
 
 from __future__ import annotations
@@ -62,8 +68,11 @@ from .warp import (
     ScaledWarp,
     SplineWarp,
     WarpingFunction,
+    _build_splines,
     _curvature_reports,
+    _evaluated_jointly,
     _is_convex,
+    _ray_samples,
     is_hyperbolic_type,
 )
 
@@ -124,9 +133,13 @@ def _slope_bracket(rho_a, drho_a, sig_d, dsig_d, span, delta):
     """Tail mismatch at s = 0 and at both bracket ends, and the slack of the feasibility rule.
 
     A k is feasible iff f_lo <= slack and f_hi >= -slack; ``rho_a``, ``drho_a`` may be arrays over rays.
+    The ends are evaluated with overflow ignored: a finite sigma_k'(R2+delta)
+    times R2 - R1 can exceed the float range, and an infinite f_hi is a
+    legitimate, very positive mismatch.
     """
-    mismatch0 = rho_a + delta * (drho_a + dsig_d) - sig_d
-    return mismatch0, mismatch0 + span * drho_a, mismatch0 + span * dsig_d, 1e-12 * max(1.0, abs(sig_d))
+    with np.errstate(over="ignore"):
+        mismatch0 = rho_a + delta * (drho_a + dsig_d) - sig_d
+        return mismatch0, mismatch0 + span * drho_a, mismatch0 + span * dsig_d, 1e-12 * max(1.0, abs(sig_d))
 
 
 class GluedWarp(WarpingFunction):
@@ -224,7 +237,8 @@ def _plateau_slopes(rho_a, lo, sig_d, hi, span, delta):
 def _glued_samples(glued, r):
     """(tau, tau', tau'') of glued warps sharing (R1, R2, delta, sigma_k), each of shape (len(glued), *r.shape).
 
-    Each warp's head comes from its own rho.  On the bands and the plateau,
+    The heads come from one joint evaluation of the warps' rhos, each row
+    that of its own rho.  On the bands and the plateau,
     [R1-delta, R2+delta), all warps are computed at once: each point reads
     (value, slope, curvature) at the left edge of its piece from the
     (warps, 3 pieces, 3) table of the warps.  The shared tail is one
@@ -235,12 +249,10 @@ def _glued_samples(glued, r):
     flat = r.reshape(-1)
     # writes go through row views and integer indices: o[:, mask] is several times slower
     out = tuple(np.empty((len(glued), flat.size)) for _ in range(3))
-    head = flat < edges[0]
-    if np.any(head):
-        r_head = flat[head]
-        for row, gw in enumerate(glued):
-            for o, v in zip(out, gw.rho.evaluate(r_head)):
-                o[row][head] = v
+    head = np.flatnonzero(flat < edges[0])
+    if head.size:
+        for o, v in zip(out, _ray_samples([gw.rho for gw in glued], flat[head])):
+            o[:, head] = v
     band = np.flatnonzero((flat >= edges[0]) & (flat < edges[3]))
     r_band = flat[band]
     piece = (r_band >= edges[1]).astype(np.intp) + (r_band >= edges[2])  # left ramp, plateau, right ramp
@@ -398,9 +410,9 @@ def _certify_rows(glued, grid, samples) -> list[GlueCertificate]:
     """``certify`` of glued warps that share (R1, R2, delta, sigma_k), from their samples on one grid.
 
     ``samples`` are (tau, tau', tau'') of shape (len(glued), grid.size) on a
-    grid that ``certify`` accepts; every margin is read along axis 1.  Each
-    warp's rho values are evaluated again on the head, through ``rho(r)``,
-    the shared sigma_k once on the tail.  The grid is increasing, so the
+    grid that ``certify`` accepts; every margin is read along axis 1.  The
+    rho values are evaluated again on the head, jointly for all warps and
+    each row equal to its ``rho(r)``, the shared sigma_k once on the tail.  The grid is increasing, so the
     head, the tail and the positive radii are slices of it.
     """
     tau, dtau, ddtau = samples
@@ -417,7 +429,7 @@ def _certify_rows(glued, grid, samples) -> list[GlueCertificate]:
 
     head_mismatch = np.zeros(len(glued))
     if n_head:
-        rho_vals = np.array([gw.rho(grid[:n_head]) for gw in glued])
+        rho_vals = _ray_samples([gw.rho for gw in glued], grid[:n_head], derivatives=False)
         head_mismatch = np.max(np.abs(tau[:, :n_head] - rho_vals), axis=1)
     tail_mismatch = np.zeros(len(glued))
     tail_tol = VALUE_TOL
@@ -487,7 +499,11 @@ def rays_from_polar_samples(t_grid, nu, dnu=None) -> list[SplineWarp]:
     """Per-ray spline warps from angular samples nu of shape (nt, ntheta).
 
     ``t_grid`` must start at 0 so the glued heads stay evaluable down to the
-    pole.  Missing radial derivatives are taken from a C^2 value spline.
+    pole.  Missing radial derivatives are taken from one C^2 value spline
+    through all columns.  The rays are checked and built in one pass over
+    all columns (``warp._build_splines``), each owning its coefficients, and
+    ``glue2d`` evaluates them together as stacked columns.  Each ray equals
+    the ``SplineWarp`` built from its column alone.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -498,14 +514,40 @@ def rays_from_polar_samples(t_grid, nu, dnu=None) -> list[SplineWarp]:
     if dnu is None:
         from scipy.interpolate import CubicSpline
 
-        dnu = np.empty_like(nu)
-        for j in range(nu.shape[1]):
-            dnu[:, j] = CubicSpline(t_grid, nu[:, j])(t_grid, 1)
+        dnu = CubicSpline(t_grid, nu)(t_grid, 1)
     else:
         dnu = np.asarray(dnu, dtype=float)
         if dnu.shape != nu.shape:
             raise UsageError("dnu must match nu")
-    return [SplineWarp(t_grid, nu[:, j], dnu[:, j]) for j in range(nu.shape[1])]
+    return _build_splines(t_grid, nu, dnu)
+
+
+def _convex_anchors(rays, theta_grid, window):
+    """Each ray's value and slope at the last point of ``window``, once it is convex on the other points.
+
+    The rays are evaluated together (``_ray_samples``) where they can be;
+    where that fails, or they cannot, one by one, so that the first ray in
+    order that fails evaluation or convexity raises, with the error it
+    raises alone.  The window samples are dropped on return.
+    """
+    rows = None
+    if _evaluated_jointly(rays):
+        try:
+            rows = zip(*_ray_samples(rays, window))
+        except (ValueError, ArithmeticError, Warning):  # a bad radius, or an overflow raised as an error
+            pass
+    if rows is None:
+        rows = (ray.evaluate(window) for ray in rays)
+    rho_a = np.empty(len(rays))
+    drho_a = np.empty(len(rays))
+    for j, (value, slope, curv) in enumerate(rows):
+        if not _is_convex(curv[:-1]):
+            raise UsageError(
+                f"ray {j} (theta={theta_grid[j]:.6g}) is concave on the checking window; "
+                "the 2d metric is not nonpositively curved there"
+            )
+        rho_a[j], drho_a[j] = value[-1], slope[-1]
+    return rho_a, drho_a
 
 
 def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float) -> Glue2DResult:
@@ -514,9 +556,13 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float) -> 
     Each ray (the angular sample nu(., theta_j), a warping function of the
     radius) must be convex on the checking window: the single curvature of
     the 2d metric is -nu_rr/nu, so convexity is the nonpositive-curvature
-    precondition.  Each ray is evaluated once, on the 256-point checking
-    window with R1-delta appended: that call gives its convexity check and
-    its anchors rho(R1-delta), rho'(R1-delta).  A single (k, R1, R2) is
+    precondition.  The rays are evaluated once, together, on the 256-point
+    checking window with R1-delta appended (as one table where their types
+    allow it, see the module docstring): that call gives each ray's
+    convexity check and its anchors rho(R1-delta), rho'(R1-delta).  Where
+    the joint evaluation fails, the rays are evaluated one by one, so the
+    first ray in order that fails evaluation or convexity raises, with the
+    error it raises alone.  A single (k, R1, R2) is
     chosen from the anchors so that every ray passes the feasibility rule,
     by the search of ``find_k``: k <= 2^40, ending where sigma_k(R2+delta)
     overflows with a ``SearchExhaustedError`` that names the worst ray.
@@ -537,19 +583,9 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float) -> 
         raise UsageError("need one ray per theta sample")
     R1, R2, band = _glue_plan(GlueSpec(rays[0], sigma, R_bar, R))
 
-    # the convexity window with the anchor R1-delta appended: one evaluation per ray
+    # the convexity window with the anchor R1-delta appended: one evaluation of all rays
     window = np.append(np.linspace(band * 1e-3, R1 + 2.0 * band, 256), R1 - band)
-    rho_a = np.empty(len(rays))
-    drho_a = np.empty(len(rays))
-    for j, ray in enumerate(rays):
-        value, slope, curv = ray.evaluate(window)
-        if not _is_convex(curv[:-1]):
-            raise UsageError(
-                f"ray {j} (theta={theta_grid[j]:.6g}) is concave on the checking window; "
-                "the 2d metric is not nonpositively curved there"
-            )
-        rho_a[j], drho_a[j] = value[-1], slope[-1]
-
+    rho_a, drho_a = _convex_anchors(rays, theta_grid, window)
     k = _secant_search(rho_a, drho_a, sigma, R1, R2, band)
     sigma_k = ScaledWarp(sigma, k)
     sig_d, dsig_d, _ = sigma_k.evaluate(R2 + band)

@@ -134,22 +134,7 @@ class OddPolynomialWarp(WarpingFunction):
         self.third_at_zero = 6.0 * coeffs[1] if coeffs.size > 1 else 0.0
 
     def _eval(self, r):
-        s = np.zeros_like(r)
-        d1 = np.zeros_like(r)
-        d2 = np.zeros_like(r)
-        r2 = r * r
-        # Horner in r^2 for each of sigma/r, sigma', sigma''/r.
-        for c in self.coefficients[::-1]:
-            s = s * r2 + c
-        s = s * r
-        for m in range(self.coefficients.size - 1, -1, -1):
-            n = 2 * m + 1
-            d1 = d1 * r2 + n * self.coefficients[m]
-        for m in range(self.coefficients.size - 1, 0, -1):
-            n = 2 * m + 1
-            d2 = d2 * r2 + n * (n - 1) * self.coefficients[m]
-        d2 = d2 * r
-        return s, d1, d2
+        return _odd_polynomial(self.coefficients, r)
 
     def __repr__(self):
         return f"<OddPolynomialWarp {list(self.coefficients)}>"
@@ -178,17 +163,47 @@ class ScaledWarp(WarpingFunction):
         return f"<ScaledWarp k={self.k} of {self.base!r}>"
 
 
-def _hermite_bernstein(radii, values, derivs, second_derivs=None):
-    """Bernstein coefficients, shape (degree + 1, intervals), of the Hermite pieces.
+def _odd_polynomial(coefficients, r, derivatives=True):
+    """(sigma, sigma', sigma'') at ``r`` of the odd polynomial whose r^(2m+1) coefficient is ``coefficients[m]``.
 
-    On [x0, x1] with h = x1 - x0 the q-th derivative at x0 is d!/(d-q)! h^-q
-    times the q-th forward difference of the first coefficients (backward
-    differences of the last ones at x1): the recurrence of
-    ``BPoly.from_derivatives``, for all intervals at once.
+    Horner in r^2 for each of sigma/r, sigma' and sigma''/r.  A 1d array
+    of coefficients gives samples of the shape of ``r``; coefficients of
+    shape (terms, rows, 1, ...), one column per polynomial, give one Horner
+    pass for the table of them and samples of shape (rows, *r.shape).
+    Without ``derivatives`` it returns sigma alone.
     """
-    h = np.diff(radii)
+    r2 = r * r
+    s = np.zeros(coefficients.shape[1:2] + r.shape)
+    for c in coefficients[::-1]:
+        s = s * r2 + c
+    s = s * r
+    if not derivatives:
+        return s
+    d1 = np.zeros_like(s)
+    d2 = np.zeros_like(s)
+    for m in range(len(coefficients) - 1, -1, -1):
+        n = 2 * m + 1
+        d1 = d1 * r2 + n * coefficients[m]
+    for m in range(len(coefficients) - 1, 0, -1):
+        n = 2 * m + 1
+        d2 = d2 * r2 + n * (n - 1) * coefficients[m]
+    d2 = d2 * r
+    return s, d1, d2
+
+
+def _hermite_bernstein(radii, values, derivs, second_derivs=None, out=None):
+    """Bernstein coefficients, shape (degree + 1, intervals, *columns), of the Hermite pieces.
+
+    The knot data have shape (knots, *columns); the coefficients are written
+    to ``out`` where it is given.  On [x0, x1] with
+    h = x1 - x0 the q-th derivative at x0 is d!/(d-q)! h^-q times the q-th
+    forward difference of the first coefficients (backward differences of
+    the last ones at x1): the recurrence of ``BPoly.from_derivatives``, for
+    all intervals and columns at once.
+    """
+    h = np.diff(radii).reshape((-1,) + (1,) * (values.ndim - 1))
     degree = 3 if second_derivs is None else 5
-    c = np.empty((degree + 1, h.size))
+    c = np.empty((degree + 1,) + h.shape[:1] + values.shape[1:]) if out is None else out
     c[0] = values[:-1]
     c[-1] = values[1:]
     c[1] = derivs[:-1] / degree * h + c[0]
@@ -198,6 +213,87 @@ def _hermite_bernstein(radii, values, derivs, second_derivs=None):
         c[2] = (second_derivs[:-1] / scale * h**2 - c[0]) + 2.0 * c[1]
         c[-3] = (second_derivs[1:] / scale * h**2 + 2.0 * c[-2]) - c[-1]
     return c
+
+
+# the checks of ``_build_splines`` in order: a column that fails several raises the first
+_SPLINE_CHECKS = (
+    (UsageError, "knot data must be finite"),
+    (UsageError, "knot radii must be strictly increasing"),
+    (DomainError, "knot radii must be nonnegative"),
+    (UsageError, "a warp sampled from r=0 must have sigma(0)=0 and sigma'(0)=1"),
+    (UsageError, "second-derivative knots must match the radii and be finite"),
+)
+
+
+def _build_splines(radii, values, derivs, second_derivs=None, warps=None) -> list["SplineWarp"]:
+    """Spline warps on one knot array, one per column of the knot data of shape (knots, columns).
+
+    The checks, the Bernstein coefficients, both derivative polynomials and
+    the Taylor tails are computed for all columns in one pass; ``warps``, new
+    ``SplineWarp``s by default, receive one column each.  A failing check
+    raises what the columns would raise one by one: the first failing check
+    of the first failing column.  Each warp owns contiguous copies of its
+    coefficients, allocated before the shared work buffer of all columns,
+    which is dropped on return: no table outlives the build, and the freed
+    buffer leaves no hole below the warps' arrays, so a build of many
+    columns needs no more resident memory than building them one by one.
+    """
+    radii = np.asarray(radii, dtype=float)
+    values = np.asarray(values, dtype=float)
+    derivs = np.asarray(derivs, dtype=float)
+    if radii.ndim != 1 or radii.size < 2:
+        raise UsageError("spline warp needs at least two knots")
+    if values.ndim != 2 or values.shape[0] != radii.size or derivs.shape != values.shape:
+        raise UsageError("knot arrays must share one shape")
+    columns = values.shape[1]
+    ok = np.ones((len(_SPLINE_CHECKS), columns), dtype=bool)  # check by column
+    finite_radii = np.isfinite(radii).all()
+    ok[0] = finite_radii & np.isfinite(values).all(axis=0) & np.isfinite(derivs).all(axis=0)
+    ok[1] = finite_radii and (np.diff(radii) > 0.0).all()
+    ok[2] = radii[0] >= 0.0
+    if radii[0] == 0.0:
+        ok[3] = (np.abs(values[0]) <= 1e-9) & (np.abs(derivs[0] - 1.0) <= 1e-9)
+    if second_derivs is not None:
+        second_derivs = np.asarray(second_derivs, dtype=float)
+        ok[4] = second_derivs.shape == values.shape and np.isfinite(second_derivs).all(axis=0)
+    if not ok.all():
+        column = np.argmin(ok.all(axis=0))
+        error, message = _SPLINE_CHECKS[np.argmin(ok[:, column])]
+        raise error(message)
+    if warps is None:
+        warps = [SplineWarp.__new__(SplineWarp) for _ in range(columns)]
+    degree = 3 if second_derivs is None else 5
+    orders = (degree + 1, degree, degree - 1)  # coefficients per interval of sigma, sigma', sigma''
+    # each warp's own coefficients, one column each; several columns are computed in a work
+    # buffer allocated after them and copied out, one column is computed in place
+    owned = [[np.empty((n, radii.size - 1)) for n in orders] for _ in warps]
+    if columns == 1:
+        work = [a[..., None] for a in owned[0]]
+    else:
+        bounds = np.cumsum((0,) + orders) * (radii.size - 1) * columns
+        buffer = np.empty(bounds[-1])
+        work = [buffer[a:b].reshape(n, radii.size - 1, columns) for n, a, b in zip(orders, bounds, bounds[1:])]
+    c, dc, ddc = work
+    _hermite_bernstein(radii, values, derivs, second_derivs, out=c)
+    dx = np.diff(radii)[:, None]
+    for low, high in ((c, dc), (dc, ddc)):  # BPoly.derivative's k * diff(c) / dx, in place
+        np.subtract(low[1:], low[:-1], out=high)
+        high *= len(high)
+        high /= dx
+    # Taylor tail data at the last knot (one-sided limits of the splines)
+    rN = radii[-1]
+    tails = [BPoly.construct_fast(a, radii)(x) for a, x in zip(work, (rN, rN, rN - 1e-12))]
+    for j, (w, arrays) in enumerate(zip(warps, owned)):
+        if columns > 1:
+            for a, table in zip(arrays, work):
+                a[...] = table[..., j]
+        w.radii = radii
+        w.values = values[:, j]
+        w.derivs = derivs[:, j]
+        w.second_derivs = None if second_derivs is None else second_derivs[:, j]
+        w._polys = [BPoly.construct_fast(a, radii) for a in arrays]
+        w._tail = tuple(float(t[j]) for t in tails)
+    return warps
 
 
 class SplineWarp(WarpingFunction):
@@ -210,78 +306,24 @@ class SplineWarp(WarpingFunction):
     knot the warp continues with the second-order Taylor tail, which keeps
     convexity whenever the terminal second derivative is nonnegative.
     Evaluation below the first knot raises, except when the knots start at 0.
+    A spline warp is the one-column case of ``_build_splines``, which
+    ``glue.rays_from_polar_samples`` runs on all its rays at once.
     """
 
     kind = "SampledSpline"
 
     def __init__(self, radii, values, derivs, second_derivs=None):
-        radii = np.asarray(radii, dtype=float)
-        values = np.asarray(values, dtype=float)
-        derivs = np.asarray(derivs, dtype=float)
-        if radii.ndim != 1 or radii.size < 2:
-            raise UsageError("spline warp needs at least two knots")
-        if values.shape != radii.shape or derivs.shape != radii.shape:
-            raise UsageError("knot arrays must share one shape")
-        if not np.all(np.isfinite(radii)) or not np.all(np.isfinite(values)) or not np.all(np.isfinite(derivs)):
-            raise UsageError("knot data must be finite")
-        if np.any(np.diff(radii) <= 0.0):
-            raise UsageError("knot radii must be strictly increasing")
-        if radii[0] < 0.0:
-            raise DomainError("knot radii must be nonnegative")
-        if radii[0] == 0.0:
-            if abs(values[0]) > 1e-9 or abs(derivs[0] - 1.0) > 1e-9:
-                raise UsageError("a warp sampled from r=0 must have sigma(0)=0 and sigma'(0)=1")
-        if second_derivs is not None:
-            second_derivs = np.asarray(second_derivs, dtype=float)
-            if second_derivs.shape != radii.shape or not np.all(np.isfinite(second_derivs)):
-                raise UsageError("second-derivative knots must match the radii and be finite")
-        self.radii = radii
-        self.values = values
-        self.derivs = derivs
-        self.second_derivs = second_derivs
-        self._poly = BPoly(_hermite_bernstein(radii, values, derivs, second_derivs), radii)
-        self._dpoly = self._poly.derivative()
-        self._ddpoly = self._dpoly.derivative()
-        # Taylor tail data at the last knot (one-sided limits of the spline).
-        rN = radii[-1]
-        self._tail = (rN, float(self._poly(rN)), float(self._dpoly(rN)), float(self._ddpoly(rN - 1e-12)))
-
-    def _split(self, r):
-        """Mask of the radii up to the last knot, those radii clipped to the knots, the others' distance past it."""
-        if np.any(r < self.radii[0] - 1e-12):
-            raise DomainError(
-                f"spline warp evaluated below first knot r={self.radii[0]:g} (no analytic head)"
-            )
-        rN = self._tail[0]
-        inside = r <= rN
-        return inside, np.clip(r[inside], self.radii[0], rN), r[~inside] - rN
+        column = (None if v is None else np.asarray(v, dtype=float)[..., None]
+                  for v in (values, derivs, second_derivs))
+        _build_splines(radii, *column, warps=[self])
 
     def _eval(self, r):
-        inside, ri, dr = self._split(r)
-        s = np.empty_like(r)
-        d1 = np.empty_like(r)
-        d2 = np.empty_like(r)
-        _, v, dv, ddv = self._tail
-        s[inside] = self._poly(ri)
-        d1[inside] = self._dpoly(ri)
-        d2[inside] = self._ddpoly(ri)
-        out = ~inside
-        if dr.size:
-            s[out] = v + dv * dr + 0.5 * ddv * dr * dr
-            d1[out] = dv + ddv * dr
-            d2[out] = ddv
-        return s, d1, d2
+        return tuple(v[0] for v in _spline_rows([self], r))
 
     def __call__(self, r):
         """``evaluate(r)[0]``, bit for bit, from the value polynomial and the Taylor tail alone."""
         r = _as_radii(r)
-        radii = r if r.ndim else r[None]
-        inside, ri, dr = self._split(radii)
-        s = np.empty_like(radii)
-        _, v, dv, ddv = self._tail
-        s[inside] = self._poly(ri)
-        if dr.size:
-            s[~inside] = v + dv * dr + 0.5 * ddv * dr * dr
+        s = _spline_rows([self], r if r.ndim else r[None], derivatives=False)[0]
         return s if r.ndim else s[0]
 
     @classmethod
@@ -289,6 +331,83 @@ class SplineWarp(WarpingFunction):
         """Resample another warp on the given knots, with its second derivatives (the quintic)."""
         radii = _as_radii(np.asarray(radii, dtype=float))
         return cls(radii, *warp.evaluate(radii))
+
+
+def _spline_rows(rays, r, derivatives=True):
+    """(sigma, sigma', sigma'') of spline warps on one knot array and of one degree at the radii ``r``.
+
+    One ``BPoly`` call per derivative order, on the rays' coefficient
+    columns stacked (a single ray's own polynomials), and the Taylor
+    tails past the last knot for all rays at once; the arrays have shape
+    (len(rays), *r.shape).  Without ``derivatives`` it returns sigma alone.
+    Radii below the first knot raise, those within 1e-12 of it are clipped
+    onto it.
+    """
+    knots = rays[0].radii
+    flat = r.reshape(-1)
+    if (flat < knots[0] - 1e-12).any():
+        raise DomainError(f"spline warp evaluated below first knot r={knots[0]:g} (no analytic head)")
+    rN = knots[-1]
+    polys = rays[0]._polys[:3 if derivatives else 1]
+    tails = rays[0]._tail
+    past = np.flatnonzero(flat > rN)
+    dr = flat[past] - rN
+    if len(rays) > 1:
+        polys = [BPoly.construct_fast(np.stack([w._polys[o].c for w in rays], axis=-1), knots)
+                 for o in range(len(polys))]
+        tails = np.array([w._tail for w in rays]).T
+        dr = dr[:, None]
+    # BPoly's values, (points,) for one ray and (points, rays) for several; the tails replace
+    # the values past the last knot
+    ri = np.clip(flat, knots[0], rN)
+    out = [p(ri) for p in polys]
+    if past.size:
+        v, dv, ddv = tails
+        out[0][past] = v + dv * dr + 0.5 * ddv * dr * dr
+        if derivatives:
+            out[1][past] = dv + ddv * dr
+            out[2][past] = ddv
+    out = [o.reshape(flat.size, -1).T.reshape((len(rays),) + r.shape) for o in out]
+    return tuple(out) if derivatives else out[0]
+
+
+def _ray_samples(rays, r, derivatives=True):
+    """(sigma, sigma', sigma'') of each warp of ``rays`` at the radii ``r``, or sigma alone, as (rays, ...) arrays.
+
+    Row j equals ``rays[j].evaluate(r)`` (``rays[j](r)`` for sigma alone)
+    byte for byte, and bad radii raise as there.  Spline warps on one knot
+    array and of one degree are evaluated as columns of their stacked
+    coefficients, odd polynomials with equal coefficient counts by one
+    Horner pass; any other list ray by ray, through each ray's own
+    ``evaluate`` (see ``_evaluated_jointly``).
+    """
+    r = _as_radii(r)
+    joint = _evaluated_jointly(rays)
+    if joint is SplineWarp:
+        return _spline_rows(rays, r, derivatives)
+    if joint is OddPolynomialWarp:
+        table = np.array([w.coefficients for w in rays]).T
+        return _odd_polynomial(table.reshape(table.shape + (1,) * r.ndim), r, derivatives)
+    if derivatives:
+        return tuple(np.array(v) for v in zip(*(w.evaluate(r) for w in rays)))
+    return np.array([w(r) for w in rays])
+
+
+def _evaluated_jointly(rays):
+    """The class whose joint evaluation ``_ray_samples`` uses for the nonempty list ``rays``, or None.
+
+    Only instances of exactly ``SplineWarp`` or ``OddPolynomialWarp`` take
+    it: a subclass may evaluate otherwise.
+    """
+    first = rays[0]
+    if type(first) is SplineWarp and all(
+            type(w) is SplineWarp and len(w._polys[0].c) == len(first._polys[0].c)
+            and (w.radii is first.radii or np.array_equal(w.radii, first.radii)) for w in rays):
+        return SplineWarp
+    if type(first) is OddPolynomialWarp and all(
+            type(w) is OddPolynomialWarp and w.coefficients.size == first.coefficients.size for w in rays):
+        return OddPolynomialWarp
+    return None
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from pharmap.glue import (
     glue_pipeline,
     rays_from_polar_samples,
 )
-from pharmap.warp import IdentityWarp, OddPolynomialWarp, ScaledWarp, SinhWarp, is_cartan_hadamard
+from pharmap.warp import (IdentityWarp, OddPolynomialWarp, ScaledWarp, SinhWarp, SplineWarp, WarpingFunction,
+                          _evaluated_jointly, is_cartan_hadamard)
 
 RHO = OddPolynomialWarp([1.0, 1.0])  # r + r^3
 SIGMA = SinhWarp()
@@ -120,6 +121,19 @@ def test_find_k_stops_where_sigma_k_overflows():
         warnings.simplefilter("error")
         with pytest.raises(SearchExhaustedError, match=r"overflows at k=1 .*; no smaller k was tried$"):
             find_k(RHO, SIGMA, 700.0, 720.0, 0.0)
+
+
+def test_find_k_takes_an_overflowing_bracket_end_as_a_mismatch():
+    # sigma_k'(R2+delta) is finite up to k = 4096, but times R2 - R1 it exceeds the float range there:
+    # f_hi = +inf is a very positive mismatch, so the search goes on to the overflow of sigma_k at k = 8192
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SearchExhaustedError) as err:
+            find_k(OddPolynomialWarp([1.0, 1e100]), SIGMA, 1.0, 709 / 64 - 1 / 16, 1 / 16)
+    message = str(err.value)
+    assert message.startswith(f"sigma_k(R2+delta) overflows at k={8192:g} ")
+    assert f"worst ray 0 at k={4096:g}: tail mismatch " in message
+    assert ", inf at sigma_k'(R2+delta) = " in message
 
 
 def test_build_tau_identity_self_glue():
@@ -415,6 +429,59 @@ def test_glue2d_blocks_equal_per_ray_certify(n, sampled):
         for a, b in zip(got.evaluate(grid), want.evaluate(grid)):
             assert a.tobytes() == b.tobytes()
         assert_same_certificate(result.certificates[j], certify(want, grid))
+
+
+class Forwarding(WarpingFunction):
+    """A warp that forwards ``evaluate`` to ``base``: glue evaluates a list of them ray by ray."""
+
+    def __init__(self, base):
+        self.base = base
+        self.kind = base.kind
+        self.third_at_zero = base.third_at_zero
+
+    def evaluate(self, r):
+        return self.base.evaluate(r)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_glue2d_gives_the_same_result_on_rays_evaluated_jointly_and_one_by_one(sampled):
+    theta, rays = cubic_rays(2 * _CERT_BLOCK + 3, sampled)
+    assert _evaluated_jointly(rays) is (SplineWarp if sampled else OddPolynomialWarp)
+    wrapped = [Forwarding(ray) for ray in rays]
+    assert _evaluated_jointly(wrapped) is None
+    joint = glue2d(rays, theta, SIGMA, 1.0, 4.0)
+    alone = glue2d(wrapped, theta, SIGMA, 1.0, 4.0)
+    assert joint.passed and alone.passed
+    for name in ("k", "R1", "R2", "delta", "lip"):
+        assert getattr(joint, name) == getattr(alone, name), name
+    assert joint.slopes.tobytes() == alone.slopes.tobytes()
+    for got, want in zip(joint.glued, alone.glued):
+        assert got._anchors == want._anchors and got.s == want.s
+    for got, want in zip(joint.certificates, alone.certificates):
+        assert_same_certificate(got, want)
+
+
+def test_glue2d_reports_the_first_ray_in_order_that_fails():
+    theta = 2 * np.pi * np.arange(4) / 4
+    t = np.linspace(0.0, 4.5, 200)
+    concave = rays_from_polar_samples(t, (t - 0.1 * t**3)[:, None])[0]
+    # knots from 0.5: the checking window starts at delta * 1e-3, where this ray cannot be evaluated
+    late = SplineWarp.sample(RHO, np.linspace(0.5, 4.5, 50))
+    with pytest.raises(DomainError, match="below first knot"):
+        glue2d([RHO, late, RHO, RHO], theta, SIGMA, 1.0, 4.0)
+    concave_first = "^ray 1 \\(theta=1.5708\\) is concave on the checking window"
+    with pytest.raises(UsageError, match=concave_first):
+        glue2d([RHO, concave, late, RHO], theta, SIGMA, 1.0, 4.0)
+    # odd polynomials are evaluated jointly; r + 2.5e307 r^3 overflows on the window, which
+    # raises under warnings as errors, and ray by ray the concave ray before it raises first
+    rays = [RHO, OddPolynomialWarp([1.0, -0.1]), OddPolynomialWarp([1.0, 2.5e307]), RHO]
+    assert _evaluated_jointly(rays) is OddPolynomialWarp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            glue2d([RHO, OddPolynomialWarp([1.0, 2.5e307])], theta[:2], SIGMA, 1.0, 4.0)
+        with pytest.raises(UsageError, match=concave_first):
+            glue2d(rays, theta, SIGMA, 1.0, 4.0)
 
 
 def test_certify_rows_rejects_only_the_corrupted_rows_of_a_mixed_block():

@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BPoly
 
 from pharmap.errors import DomainError, UsageError
 from pharmap.glue import GlueSpec, glue_pipeline
@@ -15,6 +16,10 @@ from pharmap.warp import (
     ScaledWarp,
     SinhWarp,
     SplineWarp,
+    _build_splines,
+    _evaluated_jointly,
+    _hermite_bernstein,
+    _ray_samples,
     curvature_radial,
     curvature_tangential,
     is_cartan_hadamard,
@@ -296,3 +301,128 @@ def test_scaled_warp_nesting():
     r = np.linspace(0.0, 2.0, 9)
     for got, want in zip(w.evaluate(r), ref.evaluate(r)):
         assert np.allclose(got, want, rtol=1e-14)
+
+
+# two spline columns on the knots 0.5, 1e5; the first one's terminal second derivative underflows to -0.0
+NEGATIVE_ZERO_TAIL = _build_splines([0.5, 1e5], [[0.0, 0.5], [0.0, 1e5]], [[1e-320, 1.0], [-1e-320, 1.0]])
+
+
+@st.composite
+def ray_lists(draw):
+    """A list of rays that ``_ray_samples`` evaluates jointly, or ray by ray, and 1d radii to evaluate it at.
+
+    Spline rays are columns r + c r^3 (c in [0, 3]) sampled on one knot array
+    from 0 or 0.5, cubic or quintic: all columns built together, a run of
+    them, or each column built on its own.  Odd-polynomial rays share
+    their coefficient count.  A mixed list adds r + r^3 to spline rays.  The
+    radii lie at knots, between them, past the last one and within 1e-13
+    below the first.
+    """
+    kind = draw(st.sampled_from(["together", "run", "alone", "mixed", "odd"]))
+    if kind == "odd":
+        terms = draw(st.integers(1, 4))
+        coefficients = st.lists(st.floats(-2.0, 3.0), min_size=terms - 1, max_size=terms - 1)
+        rays = [OddPolynomialWarp([1.0] + draw(coefficients)) for _ in range(draw(st.integers(1, 5)))]
+        return rays, np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12)))
+    first = draw(st.sampled_from([0.0, 0.5]))
+    knots = np.linspace(first, first + draw(st.floats(0.5, 3.0)), draw(st.integers(2, 30)))
+    cubic = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5)))
+    t = knots[:, None]
+    data = [t + cubic * t**3, 1.0 + 3.0 * cubic * t**2] + ([6.0 * cubic * t] if draw(st.booleans()) else [])
+    if kind == "alone":
+        rays = [SplineWarp(knots, *(d[:, j] for d in data)) for j in range(cubic.size)]
+    else:
+        rays = _build_splines(knots, *data)
+    if kind == "run":
+        lo = draw(st.integers(0, cubic.size - 1))
+        rays = rays[lo:draw(st.integers(lo + 1, cubic.size))]
+    if kind == "mixed":
+        rays.insert(draw(st.integers(0, len(rays))), R_PLUS_R3)
+    radius = st.one_of(st.floats(first, knots[-1] + 2.0), st.sampled_from(list(knots)),
+                       st.just(max(first - 1e-13, 0.0)))
+    return rays, np.array(draw(st.lists(radius, min_size=1, max_size=12)))
+
+
+def spline_reference(ray, r):
+    """(sigma, sigma', sigma'') of a spline ray the way a spline on its own evaluates: one polynomial per
+    order built from the ray's knot data alone, masked onto the radii up to the last knot, and the Taylor
+    tail from float anchors past it."""
+    poly = BPoly(_hermite_bernstein(ray.radii, ray.values, ray.derivs, ray.second_derivs), ray.radii)
+    polys = (poly, poly.derivative(), poly.derivative().derivative())
+    rN = ray.radii[-1]
+    v, dv, ddv = float(polys[0](rN)), float(polys[1](rN)), float(polys[2](rN - 1e-12))
+    inside = r <= rN
+    out = [np.empty_like(r) for _ in polys]
+    for o, p in zip(out, polys):
+        o[inside] = p(np.clip(r[inside], ray.radii[0], rN))
+    dr = r[~inside] - rN
+    out[0][~inside] = v + dv * dr + 0.5 * ddv * dr * dr
+    out[1][~inside] = dv + ddv * dr
+    out[2][~inside] = ddv
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ray_lists())
+@example((NEGATIVE_ZERO_TAIL, np.array([0.5, 7.0, 1e5, 1.5e5, 2e5])))
+def test_joint_evaluation_equals_each_rays_own_evaluation(case):
+    rays, r = case
+    mixed = len({type(w) for w in rays}) > 1
+    assert _evaluated_jointly(rays) is (None if mixed else type(rays[0]))
+    got = _ray_samples(rays, r)
+    values = _ray_samples(rays, r, derivatives=False)
+    assert all(v.shape == (len(rays), r.size) for v in got + (values,))
+    for j, ray in enumerate(rays):
+        assert values[j].tobytes() == ray(r).tobytes()
+        for a, b in zip(got, ray.evaluate(r)):
+            assert a[j].tobytes() == b.tobytes()
+        if type(ray) is SplineWarp:  # and equals a spline on its own, also in the sign of a zero tail sigma''
+            for a, b in zip(got, spline_reference(ray, r)):
+                assert a[j].tobytes() == b.tobytes()
+    first = rays[0]
+    if type(first) is SplineWarp and first.radii[0] > 0.0:
+        bad = np.append(r, first.radii[0] - 1e-6)
+        with pytest.raises(DomainError) as joint:
+            _ray_samples(rays, bad)
+        with pytest.raises(DomainError) as own:
+            first.evaluate(bad)
+        assert str(joint.value) == str(own.value)
+
+
+def test_a_terminal_second_derivative_of_negative_zero_is_kept_past_the_last_knot():
+    rays, r = NEGATIVE_ZERO_TAIL, np.array([0.5, 1e5, 2e5, 3e5])
+    got = _ray_samples(rays, r)[2]
+    assert np.signbit(got[0, 2:]).all() and (got[0, 2:] == 0.0).all()
+    for j, ray in enumerate(rays):
+        assert got[j].tobytes() == ray.evaluate(r)[2].tobytes()
+
+
+def test_splines_built_together_own_contiguous_coefficients():
+    knots = np.linspace(0.0, 2.0, 20)[:, None]
+    cubic = np.array([1.0, 2.0, 3.0])
+    values = knots + cubic * knots**3
+    rays = _build_splines(knots[:, 0], values, 1.0 + 3.0 * cubic * knots**2)
+    assert all(w.radii is rays[0].radii and np.shares_memory(w.values, values) for w in rays)
+    # a ray evaluated on its own copies nothing, and no table of all rays is kept
+    polys = [p for w in rays for p in w._polys]
+    assert all(p.c.flags.c_contiguous and p.c.ndim == 2 for p in polys)
+    assert not any(np.shares_memory(a.c, b.c) for a in polys for b in polys if a is not b)
+
+
+def test_build_reports_the_first_failure_of_the_first_failing_column():
+    knots = np.linspace(0.0, 1.0, 5)
+    good = np.stack([knots, np.ones(5)], axis=1)
+    values = np.stack([knots, knots, knots], axis=1)
+    derivs = np.ones((5, 3))
+    with pytest.raises(UsageError, match="sigma\\(0\\)=0"):
+        bad_pole, bad_data = values.copy(), derivs.copy()
+        bad_pole[0, 1] = 0.5  # column 1 fails the pole check
+        bad_data[3, 2] = np.nan  # column 2 fails the earlier finiteness check, but it comes later
+        _build_splines(knots, bad_pole, bad_data)
+    with pytest.raises(UsageError, match="finite"):
+        bad_data = derivs.copy()
+        bad_data[3, 0] = np.inf
+        _build_splines(knots, values, bad_data)
+    with pytest.raises(UsageError, match="share one shape"):
+        _build_splines(knots, good, derivs)
+    assert _build_splines(knots, np.empty((5, 0)), np.empty((5, 0))) == []

@@ -25,34 +25,51 @@ feasible when this root lies in the monotone bracket
     rho'(R1)  <=  (sigma_k(R2) - rho(R1)) / (R2 - R1)  <=  sigma_k'(R2).
 
 ``find_k`` returns the smallest doubling k that passes it, and ``GluedWarp``
-raises on a k that fails it.  ``certify`` evaluates ``tau`` once on its grid
-and reads from those samples the convexity margin, the slope margin, head
-and tail mismatches and the curvatures; the values of rho on the head
-(``rho(r)``, which a ``SplineWarp`` takes from its value polynomial alone)
-and of sigma_k on the tail are evaluated again as independent references.
-The tail mismatch passes up to ``VALUE_TOL`` plus the rounding bound
-4 eps max|sigma_k| of the tail samples: both sides of the comparison are
-rounded values of size |sigma_k|, which reaches 1e5 and more at large k.
+raises on a k that fails it.
+
+Convexity is the whole contract: with tau(0) = 0 and tau'(0) = 1, tau'' >= 0
+alone gives nonpositive curvature (Greene & Wu, LNM 699, 1979).  So
+``glue_pipeline`` and ``glue2d`` prove the certificate of a glued warp from a
+few scalars, without sampling, when rho and sigma_k are of the package's warp
+types (``warp._convexity_bound``): tau'' is rho'' on the head, bounded below
+by the Bernstein coefficients of a spline (the convex-hull property) and by 0
+for the analytic types; the two ramp curvatures and 0 on the bands and the
+plateau; and sigma_k'' on the tail, bounded the same way.  tau' is smallest
+at the pole, where it is rho'(0), as long as tau'' >= 0 (a head bound that is
+negative within the sign tolerance is charged to the slope margin); the head
+mismatch is 0 by construction; and
+the tail mismatch is the one offset |tau(R2+delta) - sigma_k(R2+delta)|,
+held to ``VALUE_TOL`` plus the rounding bound 4 eps |sigma_k(R2+delta)| of
+two rounded values of that size, which reaches 1e5 and more at large k.
+
+Any other warp, a subclass of the package's types included, is certified
+from samples, and ``certify`` is that sampled audit for any glued warp: it
+evaluates ``tau`` once on its grid and reads from those samples the
+convexity margin, the slope margin, head and tail mismatches and the
+curvatures; the values of rho on the head (``rho(r)``, which a
+``SplineWarp`` takes from its value polynomial alone) and of sigma_k on the
+tail are evaluated again as independent references.  Its tail mismatch
+passes up to ``VALUE_TOL`` plus 4 eps max|sigma_k| of the tail samples.
 
 The same surgery applies per ray to a 2-dimensional metric given by angular
 samples ``nu(., theta)``: one (k, R1, R2) is chosen so that every ray passes
 the rule, the plateau slopes of all rays are solved at once, and the joint
 certificate additionally reports a Lipschitz bound on s(theta).  The rays
-share their band edges, sigma_k and so the certification grid.
-``glue2d`` evaluates each ray once, on its convexity window with R1-delta
-appended, which gives the convexity check and the anchors rho(R1-delta),
-rho'(R1-delta) of the search for k; it evaluates sigma_k(R2+delta) once and
-certifies the rays in fixed blocks as (rays, points) arrays, each block with
-one evaluation of sigma_k on the tail for the samples and one for the
-reference; a block's head samples are dropped before the next block.
-``certify`` is the one-ray case of that block certifier, and ``GluedWarp``
-evaluation the one-ray case of its sampling.  Where glue handles many rays
-at once (the convexity window, a block's head samples and its head
-reference), it evaluates them as one table: spline rays on one knot array
-as columns of their stacked Bernstein coefficients, odd polynomials with
-equal coefficient counts by one Horner pass over their coefficient table,
-and any other list ray by ray.  Each row equals the ray's own evaluation
-byte for byte, so the path changes no result.
+share their band edges and sigma_k.  ``glue2d`` proves a ray of the
+package's types convex on its checking window from its coefficients and
+evaluates it only at the window's ends and at R1-delta, for the anchors
+rho(R1-delta), rho'(R1-delta) of the search for k.  Any other ray is
+sampled on the 256-point window with R1-delta appended, and its glued warp
+is certified from samples in fixed blocks as (rays, points) arrays, each
+block with one evaluation of sigma_k on the tail for the samples and one
+for the reference; a block's head samples are dropped before the next
+block.  ``certify`` is the one-ray case of that block certifier, and
+``GluedWarp`` evaluation the one-ray case of its sampling.  Where glue
+samples many rays at once, it evaluates them as one table: spline rays on
+one knot array as columns of their stacked Bernstein coefficients, odd
+polynomials with equal coefficient counts by one Horner pass over their
+coefficient table, and any other list ray by ray.  Each row equals the
+ray's own evaluation byte for byte.
 """
 
 from __future__ import annotations
@@ -69,6 +86,9 @@ from .warp import (
     SplineWarp,
     WarpingFunction,
     _build_splines,
+    _convex_rows,
+    _convexity_bound,
+    _convexity_bounds,
     _curvature_reports,
     _evaluated_jointly,
     _is_convex,
@@ -81,7 +101,6 @@ __all__ = [
     "GluedWarp",
     "GlueCertificate",
     "Glue2DResult",
-    "choose_radii",
     "find_k",
     "build_tau",
     "certify",
@@ -105,7 +124,8 @@ class GlueSpec:
     """Inputs of the gluing pipeline.
 
     The corner bands are fixed by the radii: their half-width is
-    min(0.05, (R2-R1)/10) for the intermediate radii R1, R2 of ``choose_radii``.
+    min(0.05, (R2-R1)/10) for the intermediate radii R1, R2 at the interior
+    thirds of (R_bar, R).
     The scale is the smallest doubling k that passes the module's feasibility
     rule; ``find_k`` searches k = 1, 2, 4, ... up to the fixed cap 2^40 and
     stops early where sigma_k(R2+delta) overflows.  A certified glued warp
@@ -273,7 +293,26 @@ def _glued_samples(glued, r):
 
 @dataclass
 class GlueCertificate:
-    """Machine-checked evidence that a glued warp satisfies its contract."""
+    """Machine-checked evidence that a glued warp satisfies its contract.
+
+    A certificate proved from structure (``glue_pipeline`` and ``glue2d`` on
+    the package's warp types, see the module docstring) reads:
+
+    - ``min_second_difference``: the proved lower bound of tau'' (at most 0,
+      the curvature of the plateau);
+    - ``min_slope_minus_one``: rho'(0) - 1, which is min tau' - 1 once
+      tau'' >= 0, less (R1-delta) |m| where the bound m of rho'' on the head
+      is negative but within the sign tolerance;
+    - ``head_mismatch``: 0, by construction;
+    - ``tail_mismatch``: |tau(R2+delta) - sigma_k(R2+delta)|, the one offset
+      of tau from sigma_k on the tail;
+    - ``curvature``: a report without samples (see ``CurvatureReport``)
+      whose verdict is tau'' >= 0 and tau'(0) >= 1.
+
+    A sampled certificate (``certify``) reads these margins from samples of
+    tau on its grid, ``min_second_difference`` as the undivided second
+    difference, and holds the sampled curvatures.
+    """
 
     min_second_difference: float
     min_slope_minus_one: float
@@ -289,20 +328,14 @@ class GlueCertificate:
             "min_slope_minus_one": float(self.min_slope_minus_one),
             "head_mismatch": float(self.head_mismatch),
             "tail_mismatch": float(self.tail_mismatch),
-            "max_sec_rad": float(np.max(self.curvature.sec_rad)),
-            "max_sec_tg": float(np.max(self.curvature.sec_tg)),
+            "max_sec_rad": None if self.curvature.sec_rad is None else float(np.max(self.curvature.sec_rad)),
+            "max_sec_tg": None if self.curvature.sec_tg is None else float(np.max(self.curvature.sec_tg)),
             "curvature_nonpositive": bool(self.curvature.is_nonpositive),
             "value_tol": VALUE_TOL,
         }
         if gw is not None:
             doc.update({"R1": gw.R1, "R2": gw.R2, "delta": gw.delta, "k": gw.k, "s": gw.s})
         return doc
-
-
-def choose_radii(spec: GlueSpec):
-    """Intermediate radii at the interior thirds of (R_bar, R)."""
-    step = (spec.R - spec.R_bar) / 3.0
-    return spec.R_bar + step, spec.R_bar + 2.0 * step
 
 
 def _secant_search(rho_a, lo, sigma, R1, R2, delta):
@@ -332,8 +365,10 @@ def _secant_search(rho_a, lo, sigma, R1, R2, delta):
         if np.all((f_lo <= slack) & (f_hi >= -slack) & (lo <= hi)):
             return None
         bad = np.maximum(f_lo, -f_hi)
-        # where sigma_k swamps the rays' terms their rounded mismatches tie: the rays' own terms order them
-        own = np.where(f_lo >= -f_hi, rho_a + (delta + span) * lo, -(rho_a + delta * lo))
+        # where sigma_k swamps the rays' terms their rounded mismatches tie: the rays' own terms order them;
+        # like the bracket ends, they may exceed the float range, and an infinite term still orders them
+        with np.errstate(over="ignore"):
+            own = np.where(f_lo >= -f_hi, rho_a + (delta + span) * lo, -(rho_a + delta * lo))
         j = int(np.lexsort((-np.arange(bad.size), own, bad))[-1])
         worst = (f"worst ray {j} at k={k:g}: tail mismatch {f_lo[j]:.6g} at rho'(R1-delta) = {lo[j]:.6g}, "
                  f"{f_hi[j]:.6g} at sigma_k'(R2+delta) = {hi:.6g}")
@@ -458,20 +493,80 @@ def _certify_rows(glued, grid, samples) -> list[GlueCertificate]:
 def _glue_plan(spec: GlueSpec):
     """Validate ``spec`` and return the intermediate radii and band (R1, R2, delta).
 
-    The band half-width is min(0.05, (R2-R1)/10), well inside the (R2-R1)/2
-    that ``build_tau`` needs.
+    R1 and R2 are the interior thirds of (R_bar, R).  The band half-width is
+    min(0.05, (R2-R1)/10), well inside the (R2-R1)/2 that ``build_tau`` needs.
     """
     spec.validate()
-    R1, R2 = choose_radii(spec)
+    step = (spec.R - spec.R_bar) / 3.0
+    R1, R2 = spec.R_bar + step, spec.R_bar + 2.0 * step
     return R1, R2, min(0.05, (R2 - R1) / 10.0)
 
 
+def _each_row(rays, points):
+    """(sigma, sigma', sigma'') of each ray at ``points``, in ray order, evaluated together where they can be.
+
+    Where the joint evaluation (``_ray_samples``) fails or cannot be made,
+    each ray is evaluated alone as its row is read, so the first ray in
+    order that fails raises, with the error it raises alone.
+    """
+    if rays and _evaluated_jointly(rays):
+        try:
+            return list(zip(*_ray_samples(rays, points)))
+        except (ValueError, ArithmeticError, Warning):  # a bad radius, or an overflow raised as an error
+            pass
+    return (ray.evaluate(points) for ray in rays)
+
+
+def _proved_certificates(glued, head_bounds, tail_bound) -> list[GlueCertificate]:
+    """Certificates of glued warps that share (R1, R2, delta, sigma_k), proved from a few scalars of each.
+
+    ``head_bounds`` bound each rho'' from below on an interval that holds
+    the head [0, R1-delta], ``tail_bound`` bounds sigma_k'' on the tail
+    [R2+delta, inf).  With the ramp and plateau curvatures of ``_pieces``
+    they bound tau'' everywhere.  A certificate passes when that bound
+    passes the sign tolerance of ``warp._convex_rows``, the slope margin of
+    ``GlueCertificate`` is at least -``SLOPE_TOL`` and the tail offset is
+    within its tolerance.  rho is evaluated at 0 only, for all rays together
+    (``_each_row``).
+    """
+    sig_d = glued[0]._tail[0]
+    tail_tol = VALUE_TOL + _TAIL_ROUNDING * abs(sig_d)
+    lows = [float(min(head, tail_bound, *(curv for _, _, curv in gw._pieces)))
+            for gw, head in zip(glued, head_bounds)]
+    convex = _convex_rows(np.array(lows)[:, None])
+    certs = []
+    slopes0 = _each_row([gw.rho for gw in glued], np.zeros(1))
+    for gw, head, low, ok, (_, slope0, _) in zip(glued, head_bounds, lows, convex, slopes0):
+        # tau' - 1 >= rho'(0) - 1 on the head, less what a negative head bound within the tolerance takes
+        slope = float(slope0[0]) - 1.0 + gw.edges[0] * min(head, 0.0)
+        nonpositive = bool(ok) and slope >= -SLOPE_TOL
+        gap = abs(gw._tail[1] - sig_d)
+        certs.append(GlueCertificate(
+            min_second_difference=low,
+            min_slope_minus_one=slope,
+            head_mismatch=0.0,
+            tail_mismatch=gap,
+            curvature=CurvatureReport(None, None, None, nonpositive, max(0.0, -low)),
+            passed=bool(nonpositive and gap <= tail_tol),
+        ))
+    return certs
+
+
 def glue_pipeline(spec: GlueSpec):
-    """Full pipeline: validate, choose radii, search k, build tau, certify on the default grid."""
+    """Full pipeline: validate, choose radii, search k, build tau and certify it.
+
+    The certificate is proved from structure when rho and sigma are of the
+    package's warp types (the head bound is taken on [0, R1-delta]), else
+    it is ``certify`` on the default grid; see ``GlueCertificate``.
+    """
     R1, R2, delta = _glue_plan(spec)
     k = find_k(spec.rho, spec.sigma, R1, R2, delta)
     gw = build_tau(spec.rho, ScaledWarp(spec.sigma, k), R1, R2, delta)
-    return gw, certify(gw, default_certification_grid(gw))
+    a, _, _, d = gw.edges
+    head, tail = _convexity_bound(spec.rho, 0.0, a), _convexity_bound(gw.sigma_k, d, np.inf)
+    if head is None or tail is None:
+        return gw, certify(gw, default_certification_grid(gw))
+    return gw, _proved_certificates([gw], [head], tail)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -522,60 +617,66 @@ def rays_from_polar_samples(t_grid, nu, dnu=None) -> list[SplineWarp]:
     return _build_splines(t_grid, nu, dnu)
 
 
-def _convex_anchors(rays, theta_grid, window):
-    """Each ray's value and slope at the last point of ``window``, once it is convex on the other points.
+def _convex_anchors(rays, theta_grid, lo, hi, a):
+    """Each ray's value and slope at ``a`` once it is convex on the checking window, and its convexity bound.
 
-    The rays are evaluated together (``_ray_samples``) where they can be;
-    where that fails, or they cannot, one by one, so that the first ray in
-    order that fails evaluation or convexity raises, with the error it
-    raises alone.  The window samples are dropped on return.
+    A ray of the package's warp types is proved convex on [0, hi] from its
+    coefficients (``warp._convexity_bounds``, which gives its bound) and is
+    evaluated at lo, hi and a only: those points raise what the sampled
+    window raises for these types, a spline below its first knot and an
+    overflow of a warp that grows with r.  Any other ray is sampled on 256
+    points of [lo, hi] and at a, and its bound is None.  The rows are read
+    in ray order (``_each_row``, for each of the two groups), so the first
+    ray in order that fails evaluation or convexity raises, with the error
+    it raises alone.
     """
-    rows = None
-    if _evaluated_jointly(rays):
-        try:
-            rows = zip(*_ray_samples(rays, window))
-        except (ValueError, ArithmeticError, Warning):  # a bad radius, or an overflow raised as an error
-            pass
-    if rows is None:
-        rows = (ray.evaluate(window) for ray in rays)
+    bounds = _convexity_bounds(rays, 0.0, hi)
+    groups = {
+        proved: iter(_each_row([ray for ray, b in zip(rays, bounds) if (b is not None) is proved], points))
+        for proved, points in ((True, np.array([lo, hi, a])), (False, np.append(np.linspace(lo, hi, 256), a)))
+    }
+    convex = _convex_rows(np.array([0.0 if b is None else b for b in bounds])[:, None])
     rho_a = np.empty(len(rays))
     drho_a = np.empty(len(rays))
-    for j, (value, slope, curv) in enumerate(rows):
-        if not _is_convex(curv[:-1]):
+    for j, bound in enumerate(bounds):
+        value, slope, curv = next(groups[bound is not None])
+        if not (_is_convex(curv[:-1]) if bound is None else convex[j]):
             raise UsageError(
                 f"ray {j} (theta={theta_grid[j]:.6g}) is concave on the checking window; "
                 "the 2d metric is not nonpositively curved there"
             )
         rho_a[j], drho_a[j] = value[-1], slope[-1]
-    return rho_a, drho_a
+    return rho_a, drho_a, bounds
 
 
 def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float) -> Glue2DResult:
     """Glue a hyperbolic-type infinity onto a 2d metric given per ray.
 
     Each ray (the angular sample nu(., theta_j), a warping function of the
-    radius) must be convex on the checking window: the single curvature of
-    the 2d metric is -nu_rr/nu, so convexity is the nonpositive-curvature
-    precondition.  The rays are evaluated once, together, on the 256-point
-    checking window with R1-delta appended (as one table where their types
-    allow it, see the module docstring): that call gives each ray's
-    convexity check and its anchors rho(R1-delta), rho'(R1-delta).  Where
-    the joint evaluation fails, the rays are evaluated one by one, so the
-    first ray in order that fails evaluation or convexity raises, with the
-    error it raises alone.  A single (k, R1, R2) is
-    chosen from the anchors so that every ray passes the feasibility rule,
-    by the search of ``find_k``: k <= 2^40, ending where sigma_k(R2+delta)
-    overflows with a ``SearchExhaustedError`` that names the worst ray.
-    The plateau slopes of all rays are then solved at once from the same
-    anchors and one evaluation of sigma_k(R2+delta).  The band half-width
-    is that of ``glue_pipeline``, min(0.05, (R2-R1)/10), and each glued ray
-    must match sigma_k on its tail to within ``VALUE_TOL`` plus the rounding
-    bound of the module docstring.  The rays share
-    one certification grid, coarser than the default of ``glue_pipeline``,
-    and are certified in blocks of a fixed number of rays, each ray's head
-    sampled with its block and its head reference taken from ``rho(r)``;
-    each certificate equals that of ``certify`` on the ray's default grid
-    of that size.
+    radius) must be convex on the checking window, which reaches R1+2delta:
+    the single curvature of the 2d metric is -nu_rr/nu, so convexity is the
+    nonpositive-curvature precondition.  A ray of the package's warp types
+    is proved convex on [0, R1+2delta] from its coefficients and evaluated
+    only at the window's ends and at R1-delta; any other ray is sampled on
+    the 256-point window from delta*1e-3 with R1-delta appended (see the
+    module docstring).  That gives each ray's convexity check and its
+    anchors rho(R1-delta), rho'(R1-delta); the first ray in order that fails
+    evaluation or convexity raises, with the error it raises alone.  A
+    single (k, R1, R2) is chosen from the anchors so that every ray passes
+    the feasibility rule, by the search of ``find_k``: k <= 2^40, ending
+    where sigma_k(R2+delta) overflows with a ``SearchExhaustedError`` that
+    names the worst ray.  The plateau slopes of all rays are then solved at
+    once from the same anchors and one evaluation of sigma_k(R2+delta).
+    The band half-width is that of ``glue_pipeline``, min(0.05, (R2-R1)/10).
+
+    When sigma_k is of the package's types, the certificate of each proved
+    ray is proved from structure as in ``glue_pipeline`` (see
+    ``GlueCertificate``), its head bound being the ray's bound on the
+    window.  The other rays share one certification grid, coarser than the
+    default of ``glue_pipeline``, and are certified from samples in blocks
+    of a fixed number of rays, each ray's head sampled with its block and
+    its head reference taken from ``rho(r)``; each such certificate equals
+    that of ``certify`` on the ray's default grid of that size.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     rays = list(rays)
@@ -583,20 +684,30 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float) -> 
         raise UsageError("need one ray per theta sample")
     R1, R2, band = _glue_plan(GlueSpec(rays[0], sigma, R_bar, R))
 
-    # the convexity window with the anchor R1-delta appended: one evaluation of all rays
-    window = np.append(np.linspace(band * 1e-3, R1 + 2.0 * band, 256), R1 - band)
-    rho_a, drho_a = _convex_anchors(rays, theta_grid, window)
+    rho_a, drho_a, bounds = _convex_anchors(rays, theta_grid, band * 1e-3, R1 + 2.0 * band, R1 - band)
     k = _secant_search(rho_a, drho_a, sigma, R1, R2, band)
     sigma_k = ScaledWarp(sigma, k)
     sig_d, dsig_d, _ = sigma_k.evaluate(R2 + band)
     slopes = _plateau_slopes(rho_a, drho_a, sig_d, dsig_d, R2 - R1, band)
     glued = [GluedWarp.__new__(GluedWarp)._place(ray, sigma_k, R1, R2, band, (ra, dra, sig_d, dsig_d), s)
              for ray, ra, dra, s in zip(rays, rho_a, drho_a, slopes)]
-    grid = default_certification_grid(glued[0], _RAY_CERT_POINTS)
-    certs = []
-    for lo in range(0, len(glued), _CERT_BLOCK):
-        block = glued[lo:lo + _CERT_BLOCK]
-        certs += _certify_rows(block, grid, _glued_samples(block, grid))
+    tail = _convexity_bound(sigma_k, R2 + band, np.inf)
+    if tail is None:
+        bounds = [None] * len(glued)
+    proved = [j for j, b in enumerate(bounds) if b is not None]
+    sampled = [j for j, b in enumerate(bounds) if b is None]
+    certs = [None] * len(glued)
+    if proved:
+        for j, cert in zip(proved, _proved_certificates([glued[j] for j in proved], [bounds[j] for j in proved],
+                                                         tail)):
+            certs[j] = cert
+    if sampled:
+        grid = default_certification_grid(glued[0], _RAY_CERT_POINTS)
+        for start in range(0, len(sampled), _CERT_BLOCK):
+            block = sampled[start:start + _CERT_BLOCK]
+            rows = [glued[j] for j in block]
+            for j, cert in zip(block, _certify_rows(rows, grid, _glued_samples(rows, grid))):
+                certs[j] = cert
     dtheta = 2.0 * np.pi / theta_grid.size
     steps = np.abs(np.diff(np.concatenate([slopes, slopes[:1]])))
     lip = float(np.max(steps) / dtheta) if slopes.size > 1 else 0.0

@@ -38,8 +38,6 @@ __all__ = [
     "ModelManifold",
     "CurvatureReport",
     "HyperbolicTypeReport",
-    "curvature_radial",
-    "curvature_tangential",
     "is_cartan_hadamard",
     "is_hyperbolic_type",
     "save_warp_csv",
@@ -49,6 +47,7 @@ __all__ = [
 #: relative floor used by sign certifications: tol(v) = SIGN_TOL * (1 + |v|)
 SIGN_TOL = 1e-9
 _HYPERBOLIC_SCALES = tuple(float(2**m) for m in range(13))  # the scales of ``is_hyperbolic_type``
+_SUBDIVISIONS = 6  # halvings of a spline piece whose sigma'' coefficients dip below the sign tolerance
 
 
 def _as_radii(r):
@@ -69,8 +68,8 @@ class WarpingFunction:
     float64 scalars, those of the one-element evaluation.
 
     ``third_at_zero`` holds sigma'''(0) when it is analytically known; it is
-    the ingredient for pole limits (curvature at r=0, chart metric series).
-    Sampled warps leave it as None and refuse those limits.
+    the ingredient of the chart metric's series at the pole.  Sampled warps
+    leave it as None, and the chart refuses the pole for them.
     """
 
     kind = "Abstract"
@@ -291,6 +290,7 @@ def _build_splines(radii, values, derivs, second_derivs=None, warps=None) -> lis
         w.values = values[:, j]
         w.derivs = derivs[:, j]
         w.second_derivs = None if second_derivs is None else second_derivs[:, j]
+        w._coeffs = arrays  # of sigma, sigma', sigma'', read without BPoly's checked accessor
         w._polys = [BPoly.construct_fast(a, radii) for a in arrays]
         w._tail = tuple(float(t[j]) for t in tails)
     return warps
@@ -352,14 +352,18 @@ def _spline_rows(rays, r, derivatives=True):
     tails = rays[0]._tail
     past = np.flatnonzero(flat > rN)
     dr = flat[past] - rN
+    ri = np.clip(flat, knots[0], rN)
     if len(rays) > 1:
-        polys = [BPoly.construct_fast(np.stack([w._polys[o].c for w in rays], axis=-1), knots)
-                 for o in range(len(polys))]
+        # only the pieces that hold a radius are stacked: in that slice of the knots BPoly finds
+        # each radius in the piece it finds it in among all knots (the right one at a knot)
+        piece = np.clip(np.searchsorted(knots, ri, side="right") - 1, 0, knots.size - 2)
+        lo, hi = (int(piece.min()), int(piece.max()) + 1) if piece.size else (0, 1)
+        polys = [BPoly.construct_fast(np.stack([w._coeffs[o][:, lo:hi] for w in rays], axis=-1),
+                                      knots[lo:hi + 1]) for o in range(len(polys))]
         tails = np.array([w._tail for w in rays]).T
         dr = dr[:, None]
     # BPoly's values, (points,) for one ray and (points, rays) for several; the tails replace
     # the values past the last knot
-    ri = np.clip(flat, knots[0], rN)
     out = [p(ri) for p in polys]
     if past.size:
         v, dv, ddv = tails
@@ -401,13 +405,88 @@ def _evaluated_jointly(rays):
     """
     first = rays[0]
     if type(first) is SplineWarp and all(
-            type(w) is SplineWarp and len(w._polys[0].c) == len(first._polys[0].c)
+            type(w) is SplineWarp and (w.second_derivs is None) is (first.second_derivs is None)
             and (w.radii is first.radii or np.array_equal(w.radii, first.radii)) for w in rays):
         return SplineWarp
     if type(first) is OddPolynomialWarp and all(
             type(w) is OddPolynomialWarp and w.coefficients.size == first.coefficients.size for w in rays):
         return OddPolynomialWarp
     return None
+
+
+def _split(c, t):
+    """Bernstein coefficients of each column of ``c`` on [0, t] and on [t, 1], by de Casteljau's algorithm."""
+    left, right = [c[0]], [c[-1]]
+    while len(c) > 1:
+        c = (1.0 - t) * c[:-1] + t * c[1:]
+        left.append(c[0])
+        right.append(c[-1])
+    return np.array(left), np.array(right[::-1])
+
+
+def _spline_convexity_bounds(splines, lo, hi):
+    """Lower bounds of sigma'' on [lo, hi] of spline warps on one knot array and of one degree.
+
+    On each knot interval that meets [lo, hi], restricted to it, the
+    Bernstein coefficients of sigma'' bound it from below (the convex-hull
+    property).  A piece whose coefficients fail the sign tolerance of
+    ``_convex_rows`` while its two end values, which are values of sigma'',
+    pass it is halved by de Casteljau's algorithm, at most
+    ``_SUBDIVISIONS`` times.  Past the last knot sigma'' is the constant
+    of the Taylor tail.
+    """
+    knots = splines[0].radii
+    first = max(int(np.searchsorted(knots, lo, side="right")) - 1, 0)
+    stop = min(int(np.searchsorted(knots, hi)), knots.size - 1)  # the intervals first, ..., stop - 1
+    left = knots[first:stop]
+    h = knots[first + 1:stop + 1] - left
+    end = np.clip((hi - left) / h, 0.0, 1.0)
+    start = np.clip((lo - left) / h, 0.0, 1.0) / end
+    # one column per (interval, spline), restricted to [lo, hi]
+    order = len(splines[0]._coeffs[2])
+    pieces = np.stack([w._coeffs[2][:, first:stop] for w in splines], axis=-1).reshape(order, -1)
+    owner = np.tile(np.arange(len(splines)), left.size)
+    pieces = _split(_split(pieces, np.repeat(end, len(splines)))[0], np.repeat(start, len(splines)))[1]
+    for _ in range(_SUBDIVISIONS):
+        halve = ~_convex_rows(pieces.T) & _convex_rows(pieces[[0, -1]].T)
+        if not halve.any():
+            break
+        pieces = np.concatenate([pieces[:, ~halve], *_split(pieces[:, halve], 0.5)], axis=1)
+        owner = np.concatenate([owner[~halve], owner[halve], owner[halve]])
+    bounds = np.full(len(splines), np.inf)
+    np.minimum.at(bounds, owner, pieces.min(axis=0, initial=np.inf))
+    if hi > knots[-1]:
+        bounds = np.minimum(bounds, [w._tail[2] for w in splines])
+    return bounds
+
+
+def _convexity_bound(w: WarpingFunction, lo, hi):
+    """A lower bound of sigma'' on [lo, hi] read from the coefficients of ``w``, or None where it has none.
+
+    Only the exact types of the package take it (a subclass may evaluate
+    otherwise): sinh and the identity are convex, and so is an odd
+    polynomial whose coefficients past the linear one are nonnegative (the
+    bound is sigma''(0) = 0); a ``ScaledWarp`` scales the bound of its base
+    on the scaled interval by sqrt(k); a ``SplineWarp`` bounds sigma'' by
+    the Bernstein coefficients of its pieces (``_spline_convexity_bounds``).
+    ``hi`` may be inf.
+    """
+    kind = type(w)
+    if kind is ScaledWarp:
+        base = _convexity_bound(w.base, w._sqrt_k * lo, w._sqrt_k * hi)
+        return None if base is None else w._sqrt_k * base
+    if kind is SplineWarp:
+        return float(_spline_convexity_bounds([w], lo, hi)[0])
+    if kind is OddPolynomialWarp:
+        return 0.0 if (w.coefficients[1:] >= 0.0).all() else None
+    return 0.0 if kind in (IdentityWarp, SinhWarp) else None
+
+
+def _convexity_bounds(warps, lo, hi) -> list:
+    """``_convexity_bound`` of each warp; splines that ``_ray_samples`` evaluates together are bounded together."""
+    if _evaluated_jointly(warps) is SplineWarp:
+        return [float(b) for b in _spline_convexity_bounds(warps, lo, hi)]
+    return [_convexity_bound(w, lo, hi) for w in warps]
 
 
 @dataclass(frozen=True)
@@ -424,19 +503,25 @@ class ModelManifold:
 
 @dataclass
 class CurvatureReport:
-    """Sampled curvatures of a warp with a nonpositivity verdict."""
+    """Curvatures of a warp with a nonpositivity verdict.
 
-    grid: np.ndarray
-    sec_rad: np.ndarray
-    sec_tg: np.ndarray
+    A sampled report holds the grid and the two sectional curvatures there,
+    and ``worst_violation`` is their largest value.  A report proved from
+    structure (the glue certificates of the package's warp types) holds no
+    samples: its three arrays are None, and ``worst_violation`` is
+    max(0, -m) for the proved lower bound m of sigma''.
+    """
+
+    grid: np.ndarray | None
+    sec_rad: np.ndarray | None
+    sec_tg: np.ndarray | None
     is_nonpositive: bool
     worst_violation: float
 
     def to_json_dict(self):
         return {
-            "grid": [float(x) for x in self.grid],
-            "sec_rad": [float(x) for x in self.sec_rad],
-            "sec_tg": [float(x) for x in self.sec_tg],
+            **{name: None if getattr(self, name) is None else [float(x) for x in getattr(self, name)]
+               for name in ("grid", "sec_rad", "sec_tg")},
             "is_nonpositive": bool(self.is_nonpositive),
             "worst_violation": float(self.worst_violation),
         }
@@ -474,52 +559,26 @@ def _is_convex(d2) -> bool:
     return bool(_convex_rows(d2))
 
 
-def _sectional_curvatures(w: WarpingFunction, r, samples=None):
-    """``(sec_rad, sec_tg)`` of the model of ``w`` at ``r``, from its ``samples`` there if given.
+def _sectional_curvatures(w: WarpingFunction, samples):
+    """``(sec_rad, sec_tg)`` of the model of ``w`` from its ``samples`` (sigma, sigma', sigma'') at positive radii.
 
-    At r=0 both curvatures take the limit -sigma'''(0), which only analytic
-    warps know; elsewhere sigma must be positive.  A scalar radius gives floats.
-    The samples may have a leading axis of rows (warps that share ``w``'s pole
-    limit) before the one of ``r``.
+    The samples may have a leading axis of rows (warps of one kind) before
+    the one of the radii; sigma must be positive.
     """
-    r = np.asarray(r, dtype=float)
-    radii = np.atleast_1d(r)
-    s, d1, d2 = w.evaluate(radii) if samples is None else samples  # evaluate validates the radii
-    sec_rad = np.empty_like(s)
-    sec_tg = np.empty_like(s)
-    pole = radii == 0.0
-    if np.any(pole):
-        if w.third_at_zero is None:
-            raise DomainError("curvature at r=0 is 0/0; only analytic warps know the limit -sigma'''(0)")
-        sec_rad[..., pole] = sec_tg[..., pole] = -w.third_at_zero
-    body = ~pole
-    if np.any(body & (s <= 0.0)):
+    s, d1, d2 = samples
+    if np.any(s <= 0.0):
         raise DomainError(f"warp {w.kind} is nonpositive at some positive radius; curvature undefined")
-    np.divide(-d2, s, out=sec_rad, where=body)
-    np.divide(1.0 - d1 * d1, s * s, out=sec_tg, where=body)
-    if r.ndim:
-        return sec_rad, sec_tg
-    return float(sec_rad[0]), float(sec_tg[0])
-
-
-def curvature_radial(w: WarpingFunction, r):
-    """Radial sectional curvature ``-sigma''/sigma`` (limit -sigma'''(0) at r=0)."""
-    return _sectional_curvatures(w, r)[0]
-
-
-def curvature_tangential(w: WarpingFunction, r):
-    """Tangential sectional curvature ``(1 - sigma'^2)/sigma^2`` (limit -sigma'''(0) at r=0)."""
-    return _sectional_curvatures(w, r)[1]
+    return -d2 / s, (1.0 - d1 * d1) / (s * s)
 
 
 def _curvature_reports(w: WarpingFunction, grid, samples) -> list[CurvatureReport]:
     """The reports of ``is_cartan_hadamard``, one per row of samples (sigma, sigma', sigma'') on ``grid``.
 
-    The samples have shape (rows, grid.size); the rows share ``grid`` and
-    ``w``'s kind and pole limit, and each report holds its rows of the
+    The samples have shape (rows, grid.size) on the positive ``grid``; the
+    rows share ``w``'s kind, and each report holds its rows of the
     curvature arrays.
     """
-    sec_rad, sec_tg = _sectional_curvatures(w, grid, samples)
+    sec_rad, sec_tg = _sectional_curvatures(w, samples)
     curv = np.maximum(sec_rad, sec_tg)
     nonpos = _convex_rows(samples[2]) & np.all(curv <= SIGN_TOL * (1.0 + np.abs(curv)), axis=-1)
     return [

@@ -14,10 +14,11 @@ from pharmap.glue import (
     GlueSpec,
     GluedWarp,
     _certify_rows,
+    _glue_plan,
     _glued_samples,
+    _proved_certificates,
     build_tau,
     certify,
-    choose_radii,
     default_certification_grid,
     find_k,
     glue2d,
@@ -25,7 +26,7 @@ from pharmap.glue import (
     rays_from_polar_samples,
 )
 from pharmap.warp import (IdentityWarp, OddPolynomialWarp, ScaledWarp, SinhWarp, SplineWarp, WarpingFunction,
-                          _evaluated_jointly, is_cartan_hadamard)
+                          _convexity_bound, _evaluated_jointly, is_cartan_hadamard)
 
 RHO = OddPolynomialWarp([1.0, 1.0])  # r + r^3
 SIGMA = SinhWarp()
@@ -67,10 +68,12 @@ def secant_ok(rho, sigma_k, R1, R2):
 
 
 def test_choose_radii():
-    assert choose_radii(GlueSpec(RHO, SIGMA, 1.0, 4.0)) == (2.0, 3.0)
-    assert choose_radii(GlueSpec(RHO, SIGMA, 1.0, 2.5)) == (1.5, 2.0)
+    # the interior thirds of (R_bar, R), and the band half-width min(0.05, (R2-R1)/10)
+    assert _glue_plan(GlueSpec(RHO, SIGMA, 1.0, 4.0)) == (2.0, 3.0, 0.05)
+    assert _glue_plan(GlueSpec(RHO, SIGMA, 1.0, 2.5)) == (1.5, 2.0, 0.05)
+    assert _glue_plan(GlueSpec(RHO, SIGMA, 1.0, 1.6)) == pytest.approx((1.2, 1.4, 0.02), rel=1e-14)
     with pytest.raises(UsageError):
-        choose_radii(GlueSpec(RHO, SIGMA, 2.0, 2.0))
+        _glue_plan(GlueSpec(RHO, SIGMA, 2.0, 2.0))
 
 
 def test_find_k_matches_direct_secant_evaluation():
@@ -136,6 +139,14 @@ def test_find_k_takes_an_overflowing_bracket_end_as_a_mismatch():
     assert ", inf at sigma_k'(R2+delta) = " in message
 
 
+def test_find_k_orders_rays_whose_own_terms_overflow():
+    # rho'(R1-delta) (R2-R1) of r + 1e306 r^3 exceeds the float range; the search still ends on its own error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SearchExhaustedError, match="worst ray 0 at k="):
+            find_k(OddPolynomialWarp([1.0, 1e306]), SIGMA, 1.2, 200.0, 0.1)
+
+
 def test_build_tau_identity_self_glue():
     gw = build_tau(IdentityWarp(), IdentityWarp(), 1.0, 2.0, 0.05)
     assert gw.s == pytest.approx(1.0, abs=1e-13)
@@ -193,11 +204,22 @@ def test_certify_full_pipeline_passes():
     gw, cert = glue_pipeline(GlueSpec(RHO, SIGMA, 1.0, 4.0))
     assert gw.k == 2.0
     assert cert.passed
-    assert cert.min_second_difference >= -1e-9
-    assert cert.min_slope_minus_one >= -1e-12
+    # proved from structure: rho'' = 6r and sinh'' are >= 0, the ramps curve up, the plateau's 0 is the
+    # smallest curvature, and tau'(0) = rho'(0) = 1
+    assert cert.min_second_difference == 0.0 and min(c for _, _, c in gw._pieces) == 0.0
+    assert cert.min_slope_minus_one == 0.0
     assert cert.head_mismatch == 0.0
-    assert cert.tail_mismatch <= 1e-10
-    assert np.max(np.maximum(cert.curvature.sec_rad, cert.curvature.sec_tg)) <= 1e-9
+    d = np.asarray(gw.edges[3])
+    assert cert.tail_mismatch == abs(gw.evaluate(d)[0] - gw.sigma_k.evaluate(d)[0]) <= 1e-10
+    assert cert.curvature.grid is cert.curvature.sec_rad is cert.curvature.sec_tg is None
+    assert cert.curvature.is_nonpositive and cert.curvature.worst_violation == 0.0
+    # the sampled audit passes too, and its tail samples include R2+delta
+    audit = certify(gw, default_certification_grid(gw))
+    assert audit.passed
+    assert audit.min_second_difference >= -1e-9
+    assert audit.min_slope_minus_one == cert.min_slope_minus_one
+    assert cert.tail_mismatch <= audit.tail_mismatch <= 1e-10
+    assert np.max(np.maximum(audit.curvature.sec_rad, audit.curvature.sec_tg)) <= 1e-9
 
 
 def test_certify_head_exactness_dense():
@@ -221,6 +243,22 @@ def test_certify_catches_corrupted_slope():
     bad_cert = certify(bad, default_certification_grid(bad))
     assert not bad_cert.passed
     assert bad_cert.tail_mismatch > 0.4
+
+
+def test_glue_pipeline_proves_spline_heads_from_their_coefficients():
+    t = np.linspace(0.0, 4.5, 200)
+    spline = SplineWarp(t, *RHO.evaluate(t)[:2])  # r + r^3, whose sigma'' = 6r the cubic pieces hold exactly
+    gw, cert = glue_pipeline(GlueSpec(spline, SIGMA, 1.0, 4.0))
+    assert gw.k == 2.0 and cert.passed and cert.curvature.sec_rad is None
+    assert -1e-12 < cert.min_second_difference <= 0.0
+    # r - 0.3 r^3 has sigma'' = -1.8r: the bound on the head [0, R1-delta] is -1.8 * 1.95; the glued
+    # warp dips below 0 there, and the certificate fails without sampling it
+    concave = SplineWarp(t, t - 0.3 * t**3, 1.0 - 0.9 * t**2)
+    gw, cert = glue_pipeline(GlueSpec(concave, SIGMA, 1.0, 4.0))
+    assert not cert.passed and not cert.curvature.is_nonpositive
+    assert cert.min_second_difference == pytest.approx(-1.8 * gw.edges[0], rel=1e-12)
+    with pytest.raises(DomainError, match="nonpositive at some positive radius"):
+        certify(gw, default_certification_grid(gw))
 
 
 def test_certify_grid_validation():
@@ -298,21 +336,24 @@ def test_certify_evaluates_the_glued_warp_once():
 
 
 def test_glue_certificate_json_keys_equal_fields():
-    gw, cert = glue_pipeline(GlueSpec(RHO, SIGMA, 1.0, 4.0))
-    fields = {
-        "pass": cert.passed,
-        "min_second_difference": cert.min_second_difference,
-        "min_slope_minus_one": cert.min_slope_minus_one,
-        "head_mismatch": cert.head_mismatch,
-        "tail_mismatch": cert.tail_mismatch,
-        "max_sec_rad": np.max(cert.curvature.sec_rad),
-        "max_sec_tg": np.max(cert.curvature.sec_tg),
-        "curvature_nonpositive": cert.curvature.is_nonpositive,
-        "value_tol": VALUE_TOL,
-    }
-    assert json.loads(json.dumps(cert.to_json_dict())) == fields
-    fields.update(R1=gw.R1, R2=gw.R2, delta=gw.delta, k=gw.k, s=gw.s)
-    assert json.loads(json.dumps(cert.to_json_dict(gw))) == fields
+    gw, proved = glue_pipeline(GlueSpec(RHO, SIGMA, 1.0, 4.0))
+    audit = certify(gw, default_certification_grid(gw))
+    for cert in (proved, audit):
+        sampled = cert is audit  # a certificate proved from structure holds no sampled curvatures
+        fields = {
+            "pass": cert.passed,
+            "min_second_difference": cert.min_second_difference,
+            "min_slope_minus_one": cert.min_slope_minus_one,
+            "head_mismatch": cert.head_mismatch,
+            "tail_mismatch": cert.tail_mismatch,
+            "max_sec_rad": np.max(cert.curvature.sec_rad) if sampled else None,
+            "max_sec_tg": np.max(cert.curvature.sec_tg) if sampled else None,
+            "curvature_nonpositive": cert.curvature.is_nonpositive,
+            "value_tol": VALUE_TOL,
+        }
+        assert json.loads(json.dumps(cert.to_json_dict())) == fields
+        fields.update(R1=gw.R1, R2=gw.R2, delta=gw.delta, k=gw.k, s=gw.s)
+        assert json.loads(json.dumps(cert.to_json_dict(gw))) == fields
 
 
 def test_glue2d_flat_disk_reduces_to_identity_case():
@@ -414,8 +455,10 @@ def assert_same_certificate(got, want):
 @pytest.mark.parametrize("sampled", [False, True])
 @pytest.mark.parametrize("n", [1, _CERT_BLOCK - 1, _CERT_BLOCK, _CERT_BLOCK + 1, 33])
 def test_glue2d_blocks_equal_per_ray_certify(n, sampled):
-    # oracle: each ray glued by build_tau on its own and certified on its own default grid
+    # oracle: each ray glued by build_tau on its own and certified on its own default grid; generic
+    # rays take the sampled window and block certifier
     theta, rays = cubic_rays(n, sampled)
+    rays = [Forwarding(ray) for ray in rays]
     result = glue2d(rays, theta, SIGMA, 1.0, 4.0)
     assert result.passed and len(result.certificates) == n
     sigma_k = ScaledWarp(SIGMA, result.k)
@@ -445,6 +488,8 @@ class Forwarding(WarpingFunction):
 
 @pytest.mark.parametrize("sampled", [False, True])
 def test_glue2d_gives_the_same_result_on_rays_evaluated_jointly_and_one_by_one(sampled):
+    # the package's rays are proved convex and certified from their coefficients; the same rays behind a
+    # generic wrapper are sampled one by one: the same k, anchors, slopes and verdicts
     theta, rays = cubic_rays(2 * _CERT_BLOCK + 3, sampled)
     assert _evaluated_jointly(rays) is (SplineWarp if sampled else OddPolynomialWarp)
     wrapped = [Forwarding(ray) for ray in rays]
@@ -457,7 +502,31 @@ def test_glue2d_gives_the_same_result_on_rays_evaluated_jointly_and_one_by_one(s
     assert joint.slopes.tobytes() == alone.slopes.tobytes()
     for got, want in zip(joint.glued, alone.glued):
         assert got._anchors == want._anchors and got.s == want.s
+    grid = default_certification_grid(joint.glued[0], 2001)
+    for gw, got, want in zip(joint.glued, joint.certificates, alone.certificates):
+        assert got.curvature.sec_rad is None and want.curvature.sec_rad is not None
+        assert got.curvature.is_nonpositive
+        assert got.curvature.worst_violation == max(0.0, -got.min_second_difference) <= 1e-9
+        assert -1e-12 <= got.min_slope_minus_one <= want.min_slope_minus_one  # a proved lower bound
+        assert got.head_mismatch == want.head_mismatch == 0.0
+        assert got.tail_mismatch <= want.tail_mismatch  # the sampled tail starts at R2+delta
+        # a proved lower bound of tau'' lies below every sample of it
+        assert got.min_second_difference <= np.min(gw.evaluate(grid)[2])
+
+
+def test_glue2d_samples_rays_without_a_structural_proof_together():
+    # r + c r^3 - 1e-3 r^5 is convex on the checking window, but a negative coefficient leaves it
+    # without a structural proof: the rays are sampled, as one table, with the results of one by one
+    theta, cubic = cubic_rays(2 * _CERT_BLOCK + 3, False)
+    rays = [OddPolynomialWarp([1.0, ray.coefficients[1], -1e-3]) for ray in cubic]
+    assert all(_convexity_bound(ray, 0.0, 1.0) is None for ray in rays)
+    assert _evaluated_jointly(rays) is OddPolynomialWarp
+    joint = glue2d(rays, theta, SIGMA, 1.0, 4.0)
+    alone = glue2d([Forwarding(ray) for ray in rays], theta, SIGMA, 1.0, 4.0)
+    assert joint.passed and alone.passed
+    assert joint.k == alone.k and joint.slopes.tobytes() == alone.slopes.tobytes()
     for got, want in zip(joint.certificates, alone.certificates):
+        assert got.curvature.sec_rad is not None
         assert_same_certificate(got, want)
 
 
@@ -467,26 +536,65 @@ def test_glue2d_reports_the_first_ray_in_order_that_fails():
     concave = rays_from_polar_samples(t, (t - 0.1 * t**3)[:, None])[0]
     # knots from 0.5: the checking window starts at delta * 1e-3, where this ray cannot be evaluated
     late = SplineWarp.sample(RHO, np.linspace(0.5, 4.5, 50))
-    with pytest.raises(DomainError, match="below first knot"):
-        glue2d([RHO, late, RHO, RHO], theta, SIGMA, 1.0, 4.0)
     concave_first = "^ray 1 \\(theta=1.5708\\) is concave on the checking window"
-    with pytest.raises(UsageError, match=concave_first):
-        glue2d([RHO, concave, late, RHO], theta, SIGMA, 1.0, 4.0)
-    # odd polynomials are evaluated jointly; r + 2.5e307 r^3 overflows on the window, which
-    # raises under warnings as errors, and ray by ray the concave ray before it raises first
-    rays = [RHO, OddPolynomialWarp([1.0, -0.1]), OddPolynomialWarp([1.0, 2.5e307]), RHO]
-    assert _evaluated_jointly(rays) is OddPolynomialWarp
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(RuntimeWarning, match="overflow"):
-            glue2d([RHO, OddPolynomialWarp([1.0, 2.5e307])], theta[:2], SIGMA, 1.0, 4.0)
+    # the package's rays are proved convex from their coefficients, generic ones sampled: the same errors
+    for wrap in (lambda ray: ray, Forwarding):
+        with pytest.raises(DomainError, match="below first knot"):
+            glue2d([wrap(ray) for ray in (RHO, late, RHO, RHO)], theta, SIGMA, 1.0, 4.0)
         with pytest.raises(UsageError, match=concave_first):
-            glue2d(rays, theta, SIGMA, 1.0, 4.0)
+            glue2d([wrap(ray) for ray in (RHO, concave, late, RHO)], theta, SIGMA, 1.0, 4.0)
+        # r + 2.5e307 r^3 overflows on the window, which raises under warnings as errors, and the
+        # concave ray before it raises first, also where the odd polynomials are evaluated together
+        big = OddPolynomialWarp([1.0, 2.5e307])
+        rays = [wrap(ray) for ray in (RHO, OddPolynomialWarp([1.0, -0.1]), big, RHO)]
+        assert _evaluated_jointly(rays) is (None if wrap is Forwarding else OddPolynomialWarp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                glue2d([wrap(RHO), wrap(big)], theta[:2], SIGMA, 1.0, 4.0)
+            with pytest.raises(UsageError, match=concave_first):
+                glue2d(rays, theta, SIGMA, 1.0, 4.0)
+
+
+def test_glue2d_rejects_a_ray_whose_curvature_dips_between_the_sampled_points():
+    # one ray's slope is lowered by 1e-3 at a knot t_m with neighbours 1e-4 away: sigma'' dips to about
+    # -25 just left of t_m, and no point of the checking window or of the certification grid sees it
+    theta, cubic = cubic_rays(8, False)
+    c = np.array([ray.coefficients[1] for ray in cubic])
+    t_m, eps, bad = 1.0004, 1e-4, 5
+    t = np.union1d(np.linspace(0.0, 4.5, 600), [t_m - eps, t_m, t_m + eps])[:, None]
+    dnu = 1.0 + 3.0 * c * t**2
+    dnu[t[:, 0] == t_m, bad] -= 1e-3
+    rays = rays_from_polar_samples(t[:, 0], t + c * t**3, dnu)
+    assert np.min(rays[bad].evaluate(np.linspace(t_m - eps, t_m, 101))[2]) < -20.0
+    sampled = glue2d([Forwarding(ray) for ray in rays], theta, SIGMA, 1.0, 4.0)
+    grid = default_certification_grid(sampled.glued[0], 2001)
+    window = np.linspace(sampled.delta * 1e-3, sampled.R1 + 2.0 * sampled.delta, 256)
+    for points in (grid, window):
+        assert not np.any((points > t_m - eps) & (points < t_m + eps))
+    assert sampled.passed  # the sampled window and certificate accept the ray
+    concave = f"^ray {bad} \\(theta={theta[bad]:.6g}\\) is concave on the checking window"
+    with pytest.raises(UsageError, match=concave):
+        glue2d(rays, theta, SIGMA, 1.0, 4.0)
+
+
+def test_glue2d_charges_a_head_concave_within_the_tolerance_to_the_slope_margin():
+    # sigma = r - 5e-12 r^2 has sigma'' = -1e-11, which the sign tolerance lets pass, but on the head
+    # [0, R1-delta] it takes tau' to 1 - 1.95e-11, below 1 - SLOPE_TOL: both certificates fail on it
+    t = np.linspace(0.0, 4.5, 10)
+    ray = SplineWarp(t, t - 5e-12 * t**2, 1.0 - 1e-11 * t)
+    proved = glue2d([ray], [0.0], SIGMA, 1.0, 4.0)
+    sampled = glue2d([Forwarding(ray)], [0.0], SIGMA, 1.0, 4.0)
+    assert proved.k == sampled.k and not proved.passed and not sampled.passed
+    cert = proved.certificates[0]
+    assert cert.min_second_difference == pytest.approx(-1e-11, rel=1e-3)
+    assert cert.min_slope_minus_one == pytest.approx(-1.95e-11, rel=1e-3)
+    assert sampled.certificates[0].min_slope_minus_one == pytest.approx(-1.95e-11, rel=1e-3)
 
 
 def test_certify_rows_rejects_only_the_corrupted_rows_of_a_mixed_block():
     theta, rays = cubic_rays(_CERT_BLOCK // 2, False)
-    good = glue2d(rays, theta, SIGMA, 1.0, 4.0).glued
+    good = glue2d([Forwarding(ray) for ray in rays], theta, SIGMA, 1.0, 4.0).glued
     block = [gw if j % 2 else gw.with_slope(gw.s - 0.5) for gw in good for j in range(2)]
     grid = default_certification_grid(block[0], 2001)
     certs = _certify_rows(block, grid, _glued_samples(block, grid))
@@ -537,8 +645,7 @@ def glue_specs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(glue_specs())
 def test_find_k_returns_the_smallest_k_that_build_tau_accepts(spec):
-    R1, R2 = choose_radii(spec)
-    delta = min(0.05, (R2 - R1) / 10.0)
+    R1, R2, delta = _glue_plan(spec)
     k = find_k(spec.rho, spec.sigma, R1, R2, delta)
     assert build_tau(spec.rho, ScaledWarp(spec.sigma, k), R1, R2, delta).k == k
     if k > 1.0:
@@ -561,14 +668,76 @@ def test_glue_pipeline_certifies_at_the_smallest_feasible_k(coeffs, R_bar, R, k)
 
 
 def test_glue_pipeline_accepts_a_tail_mismatch_within_the_rounding_of_large_tail_values():
-    # a fuzzed spec whose glued warp reaches |tau| ~ 6.5e5 at k = 16: its tail
-    # mismatch is 2^-33, one ulp there and just above the absolute VALUE_TOL
+    # a fuzzed spec whose glued warp reaches |tau| ~ 6.5e5 at k = 16
     rho = OddPolynomialWarp([1.0, 1.6093316805363056, 1.490368086917542, 1.7647431286099426])
     gw, cert = glue_pipeline(GlueSpec(rho, SIGMA, 1.7048358714740426, 4.644395500732631))
     assert gw.k == 16.0
-    assert cert.tail_mismatch == 2.0**-33 > VALUE_TOL
-    grid = default_certification_grid(gw)
-    top = np.max(np.abs(gw.sigma_k.evaluate(grid[grid >= gw.edges[3]])[0]))
-    assert 6e5 < top < 7e5 and cert.tail_mismatch <= 4.0 * np.finfo(float).eps * top
+    # proved: the one tail offset, at R2+delta, is one ulp of sigma_k(R2+delta) ~ 3.5e5
+    sig_d = gw.sigma_k.evaluate(np.asarray(gw.edges[3]))[0]
+    assert 3e5 < sig_d < 4e5 and cert.tail_mismatch == np.spacing(sig_d) == 2.0**-34
     assert cert.passed
+    # plateau slopes a few ulps up move the offset past VALUE_TOL but within 4 eps |sigma_k(R2+delta)|,
+    # until the fifth; a tail offset of 9.3e-10 fails
+    tol = VALUE_TOL + 4.0 * np.finfo(float).eps * sig_d
+    slopes = [gw.s]
+    for _ in range(6):
+        slopes.append(np.nextafter(slopes[-1], np.inf))
+    certs = [_proved_certificates([gw.with_slope(s)], [0.0], 0.0)[0] for s in slopes[1:]]
+    assert VALUE_TOL < certs[0].tail_mismatch
+    assert [c.passed for c in certs] == [c.tail_mismatch <= tol for c in certs] == [True] * 5 + [False]
+    assert not _proved_certificates([gw.with_slope(gw.s - 1e-9)], [0.0], 0.0)[0].passed
+    # the sampled audit: its tail mismatch is 2^-33, one ulp at the top of the tail and just above the
+    # absolute VALUE_TOL
+    grid = default_certification_grid(gw)
+    audit = certify(gw, grid)
+    assert audit.tail_mismatch == 2.0**-33 > VALUE_TOL
+    top = np.max(np.abs(gw.sigma_k.evaluate(grid[grid >= gw.edges[3]])[0]))
+    assert 6e5 < top < 7e5 and audit.tail_mismatch <= 4.0 * np.finfo(float).eps * top
+    assert audit.passed
     assert not certify(gw.with_slope(gw.s - 1e-9), grid).passed  # a tail offset of 9.3e-10 still fails
+
+
+@st.composite
+def convexity_rays(draw):
+    """Rays for the structural and the sampled convexity check.
+
+    A cubic or quintic spline on 4 to 20 knots of [0, 4.5] through
+    r + a r^2 + b r^3 + c r^5, the quintic's second-derivative knots moved by
+    up to 0.5, or an odd polynomial with coefficients of mixed signs.
+    """
+    kind = draw(st.sampled_from(["cubic", "quintic", "odd"]))
+    if kind == "odd":
+        return OddPolynomialWarp([1.0] + draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)))
+    a, b, c = draw(st.floats(-0.5, 1.0)), draw(st.floats(-0.5, 1.0)), draw(st.floats(-0.02, 0.05))
+    t = np.linspace(0.0, 4.5, draw(st.integers(4, 20)))
+    knots = (t, t + a * t**2 + b * t**3 + c * t**5, 1.0 + 2.0 * a * t + 3.0 * b * t**2 + 5.0 * c * t**4)
+    if kind == "cubic":
+        return SplineWarp(*knots)
+    moves = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=t.size, max_size=t.size)))
+    return SplineWarp(*knots, 2.0 * a + 6.0 * b * t + 20.0 * c * t**3 + moves)
+
+
+def glue2d_outcome(rays):
+    """What ``glue2d`` on sinh with R_bar = 1, R = 4 gives: the verdict, k and slopes, or the error."""
+    theta = 2 * np.pi * np.arange(len(rays)) / len(rays)
+    try:
+        result = glue2d(rays, theta, SIGMA, 1.0, 4.0)
+    except (UsageError, InfeasibleError, SearchExhaustedError) as exc:
+        return type(exc), str(exc)
+    return result.passed, result.k, result.slopes.tobytes(), result.glued
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(convexity_rays(), min_size=1, max_size=3))
+def test_structural_and_sampled_convexity_verdicts_agree(rays):
+    proved = glue2d_outcome(rays)
+    sampled = glue2d_outcome([Forwarding(ray) for ray in rays])
+    # a structural pass is a sampled pass, also of each glued ray's audit on its default grid
+    if proved[0] is True:
+        assert sampled[:3] == proved[:3]
+        assert all(certify(gw, default_certification_grid(gw)).passed for gw in proved[3])
+    # where every ray's min sigma'' on the checking window [0, R1 + 2 delta] = [0, 2.1] is clear of 0
+    # by 0.1, and so the sampled window resolves its sign, both give the same result
+    r = np.linspace(0.0, 2.1, 20001)
+    if all(abs(np.min(ray.evaluate(r)[2])) >= 0.1 for ray in rays):
+        assert sampled[:3] == proved[:3]

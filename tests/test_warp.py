@@ -16,12 +16,13 @@ from pharmap.warp import (
     ScaledWarp,
     SinhWarp,
     SplineWarp,
+    WarpingFunction,
     _build_splines,
+    _convexity_bound,
+    _convexity_bounds,
     _evaluated_jointly,
     _hermite_bernstein,
     _ray_samples,
-    curvature_radial,
-    curvature_tangential,
     is_cartan_hadamard,
     is_hyperbolic_type,
     load_warp_csv,
@@ -74,25 +75,33 @@ def test_finite_difference_consistency_order():
             assert max(errs2) < 1e-8
 
 
+def curvatures(w, r):
+    """The radial and tangential curvatures of ``is_cartan_hadamard``'s report at the positive radii ``r``."""
+    report = is_cartan_hadamard(w, np.atleast_1d(np.asarray(r, dtype=float)))
+    return report.sec_rad, report.sec_tg
+
+
 def test_curvature_formulas():
     r = np.linspace(0.05, 5.0, 37)
-    assert np.allclose(curvature_radial(SinhWarp(), r), -1.0, atol=1e-12)
-    assert np.allclose(curvature_tangential(SinhWarp(), r), -1.0, atol=5e-13, rtol=1e-12)
-    assert np.all(curvature_radial(IdentityWarp(), r) == 0.0)
-    assert np.all(curvature_tangential(IdentityWarp(), r) == 0.0)
-    assert curvature_radial(R_PLUS_R3, 1.0) == pytest.approx(-3.0, rel=1e-14)
-    assert curvature_tangential(R_PLUS_R3, 1.0) == pytest.approx(-3.75, rel=1e-14)
+    rad, tg = curvatures(SinhWarp(), r)
+    assert np.allclose(rad, -1.0, atol=1e-12)
+    assert np.allclose(tg, -1.0, atol=5e-13, rtol=1e-12)
+    rad, tg = curvatures(IdentityWarp(), r)
+    assert np.all(rad == 0.0) and np.all(tg == 0.0)
+    rad, tg = curvatures(R_PLUS_R3, 1.0)
+    assert rad[0] == pytest.approx(-3.0, rel=1e-14)
+    assert tg[0] == pytest.approx(-3.75, rel=1e-14)
 
 
 def test_curvature_pole_limits():
-    assert curvature_radial(SinhWarp(), 0.0) == -1.0
-    assert curvature_radial(IdentityWarp(), 0.0) == 0.0
-    assert curvature_tangential(R_PLUS_R3, 0.0) == -6.0
+    # both curvatures tend to -sigma'''(0) at the pole, which the report, on positive radii only, leaves out
+    r = np.array([1e-4, 1e-3])
+    for w in (SinhWarp(), IdentityWarp(), R_PLUS_R3, ScaledWarp(R_PLUS_R3, 2.0)):
+        for sec in curvatures(w, r):
+            assert np.allclose(sec, -w.third_at_zero, rtol=1e-5, atol=0.0)
     sampled = SplineWarp.sample(SinhWarp(), np.linspace(0.0, 2.0, 50))
-    with pytest.raises(DomainError):
-        curvature_radial(sampled, 0.0)
-    with pytest.raises(DomainError):
-        curvature_tangential(sampled, 0.0)
+    with pytest.raises(UsageError):
+        is_cartan_hadamard(sampled, np.array([0.0, 0.5]))
 
 
 def test_scalar_radius_and_curvature_array_contract():
@@ -107,18 +116,13 @@ def test_scalar_radius_and_curvature_array_contract():
             want = w.evaluate(np.array([r]))
             assert len(got) == 3 and all(type(v) is np.float64 for v in got)
             assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
-    # arrays through the pole: the limit -sigma'''(0) at r = 0, the formulas elsewhere
-    r = np.array([0.0, 0.5, 2.0])
-    for w in (IdentityWarp(), SinhWarp(), R_PLUS_R3, ScaledWarp(R_PLUS_R3, 2.0), glued):
+    # the report's curvature arrays are the formulas at every radius, for every warp class
+    r = np.array([0.5, 2.0, 3.5])
+    for w in warps:
         s, d1, d2 = w.evaluate(r)
-        rad = curvature_radial(w, r)
-        tg = curvature_tangential(w, r)
-        assert rad[0] == tg[0] == -w.third_at_zero
-        assert np.array_equal(rad[1:], -d2[1:] / s[1:])
-        assert np.array_equal(tg[1:], (1.0 - d1[1:] ** 2) / s[1:] ** 2)
-    for curvature in (curvature_radial, curvature_tangential):
-        with pytest.raises(DomainError):
-            curvature(sampled, r)
+        rad, tg = curvatures(w, r)
+        assert np.array_equal(rad, -d2 / s)
+        assert np.array_equal(tg, (1.0 - d1**2) / s**2)
 
 
 def test_is_cartan_hadamard():
@@ -171,13 +175,9 @@ def test_curvature_scaling_law():
     for w in (SinhWarp(), R_PLUS_R3):
         for k in (2.0, 4.0, 9.0):
             sk = ScaledWarp(w, k)
-            lhs_rad = curvature_radial(sk, r)
-            rhs_rad = k * curvature_radial(w, np.sqrt(k) * r)
-            assert np.allclose(lhs_rad, rhs_rad, rtol=1e-10)
-            lhs_tg = curvature_tangential(sk, r)
-            rhs_tg = k * curvature_tangential(w, np.sqrt(k) * r)
-            assert np.allclose(lhs_tg, rhs_tg, rtol=1e-10)
-    assert curvature_radial(ScaledWarp(SinhWarp(), 4.0), 1.0) == pytest.approx(-4.0, rel=1e-12)
+            for lhs, rhs in zip(curvatures(sk, r), curvatures(w, np.sqrt(k) * r)):
+                assert np.allclose(lhs, k * rhs, rtol=1e-10)
+    assert curvatures(ScaledWarp(SinhWarp(), 4.0), 1.0)[0][0] == pytest.approx(-4.0, rel=1e-12)
 
 
 def test_is_hyperbolic_type():
@@ -426,3 +426,66 @@ def test_build_reports_the_first_failure_of_the_first_failing_column():
     with pytest.raises(UsageError, match="share one shape"):
         _build_splines(knots, good, derivs)
     assert _build_splines(knots, np.empty((5, 0)), np.empty((5, 0))) == []
+
+
+class Forwarding(WarpingFunction):
+    """A warp of another class that forwards ``evaluate`` to ``base``."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def evaluate(self, r):
+        return self.base.evaluate(r)
+
+
+def test_convexity_bound_of_the_analytic_types():
+    convex = [IdentityWarp(), SinhWarp(), R_PLUS_R3, OddPolynomialWarp([1.0, 0.0, 2.0]), ScaledWarp(SinhWarp(), 9.0)]
+    assert [_convexity_bound(w, 0.0, np.inf) for w in convex] == [0.0] * len(convex)
+
+    class Sinh(SinhWarp):  # a subclass may evaluate otherwise
+        pass
+
+    # a negative coefficient past the linear one, a subclass or another warp class: no proof
+    for w in (OddPolynomialWarp([1.0, 1.0, -1e-3]), Sinh(), ScaledWarp(Sinh(), 4.0), Forwarding(SinhWarp())):
+        assert _convexity_bound(w, 0.0, 1.0) is None
+
+
+def test_convexity_bound_of_a_cubic_spline_is_the_least_sigma2_on_the_interval():
+    # a cubic spline's sigma'' is linear on each piece, and the pieces at both ends are restricted to the
+    # interval: the bound is the least value of sigma''; past the last knot it is the tail's constant
+    knots = np.linspace(0.0, 3.0, 7)
+    convex = SplineWarp(knots, *R_PLUS_R3.evaluate(knots)[:2])  # r + r^3, sigma'' = 6r
+    concave = SplineWarp(knots, knots - 0.1 * knots**3, 1.0 - 0.3 * knots**2)  # sigma'' = -0.6r
+    assert _convexity_bound(convex, 0.7, 2.2) == pytest.approx(4.2, rel=1e-12)
+    assert _convexity_bound(convex, 0.0, np.inf) == pytest.approx(0.0, abs=1e-12)
+    assert _convexity_bound(concave, 0.7, 2.2) == pytest.approx(-1.32, rel=1e-12)
+    assert _convexity_bound(concave, 3.5, np.inf) == pytest.approx(-1.8, rel=1e-12)
+    # sigma_k'' = sqrt(k) sigma''(sqrt(k) r)
+    assert _convexity_bound(ScaledWarp(convex, 4.0), 0.35, 1.1) == pytest.approx(8.4, rel=1e-12)
+    # spline warps on one knot array are bounded together, each as alone
+    rays = [convex, concave, SplineWarp(knots, knots + 0.5 * knots**2, 1.0 + knots)]
+    assert _evaluated_jointly(rays) is SplineWarp
+    for lo, hi in ((0.0, 2.1), (0.7, 2.2), (1.0, 1.0 + 1e-9), (2.5, np.inf), (3.5, np.inf)):
+        assert _convexity_bounds(rays, lo, hi) == [_convexity_bound(w, lo, hi) for w in rays]
+
+
+def quintic_piece(e, root=0.5):
+    """The quintic spline on the knots 0, 1 of a quartic whose sigma'' is (r - root)^2 + e."""
+    r = np.array([0.0, 1.0])
+    a = root * root + e
+    return SplineWarp(r, r + r**4 / 12.0 - root * r**3 / 3.0 + a * r**2 / 2.0,
+                      1.0 + r**3 / 3.0 - root * r**2 + a * r, (r - root) ** 2 + e)
+
+
+def test_convexity_bound_halves_quintic_pieces_whose_coefficients_dip():
+    # sigma'' = (r - 1/2)^2 + e has the Bernstein coefficients e + 1/4, e - 1/12, e - 1/12, e + 1/4:
+    # halved once, each half has coefficients >= e, the value at r = 1/2
+    assert _convexity_bound(quintic_piece(0.01), 0.0, 1.0) == pytest.approx(0.01, rel=1e-12)
+    assert _convexity_bound(quintic_piece(0.0), 0.0, 1.0) == pytest.approx(0.0, abs=1e-14)
+    assert _convexity_bound(quintic_piece(-0.01), 0.0, 1.0) == pytest.approx(-0.01, rel=1e-12)
+    # a double root at r = 1/3, where no halving ends: after the fixed halvings the bound is still
+    # negative, and the convex piece is not proved convex
+    assert -1e-3 < _convexity_bound(quintic_piece(0.0, 1.0 / 3.0), 0.0, 1.0) < -1e-9
+    # together, each as alone
+    rays = [quintic_piece(e, root) for e, root in ((0.01, 0.5), (0.0, 1.0 / 3.0), (-0.01, 0.5), (0.2, 0.9))]
+    assert _convexity_bounds(rays, 0.0, 1.0) == [_convexity_bound(w, 0.0, 1.0) for w in rays]

@@ -60,16 +60,12 @@ package's types convex on its checking window from its coefficients and
 evaluates it only at the window's ends and at R1-delta, for the anchors
 rho(R1-delta), rho'(R1-delta) of the search for k.  Any other ray is
 sampled on the 256-point window with R1-delta appended, and its glued warp
-is certified from samples in fixed blocks as (rays, points) arrays, each
-block with one evaluation of sigma_k on the tail for the samples and one
-for the reference; a block's head samples are dropped before the next
-block.  ``certify`` is the one-ray case of that block certifier, and
-``GluedWarp`` evaluation the one-ray case of its sampling.  Where glue
-samples many rays at once, it evaluates them as one table: spline rays on
-one knot array as columns of their stacked Bernstein coefficients, odd
-polynomials with equal coefficient counts by one Horner pass over their
-coefficient table, and any other list ray by ray.  Each row equals the
-ray's own evaluation byte for byte.
+is certified by ``certify``, one ray at a time.  Where glue samples many
+rays at once, it evaluates them as one table: spline rays on one knot
+array as columns of their stacked Bernstein coefficients, odd polynomials
+with equal coefficient counts by one Horner pass over their coefficient
+table, and any other list ray by ray.  Each row equals the ray's own
+evaluation byte for byte.
 """
 
 from __future__ import annotations
@@ -89,9 +85,8 @@ from .warp import (
     _convex_rows,
     _convexity_bound,
     _convexity_bounds,
-    _curvature_reports,
+    _curvature_report,
     _evaluated_jointly,
-    _is_convex,
     _ray_samples,
     is_hyperbolic_type,
 )
@@ -116,7 +111,6 @@ CURVATURE_TOL = 1e-9
 VALUE_TOL = 1e-10  # admissible tail mismatch |tau - sigma_k| of a certified glued warp, plus the rounding bound
 _TAIL_ROUNDING = 4.0 * np.finfo(float).eps  # rounding bound of the tail mismatch per unit of max|sigma_k| there
 _RAY_CERT_POINTS = 2001  # certification grid size of each glued ray in ``glue2d``
-_CERT_BLOCK = 8  # rays that ``glue2d`` samples and certifies together: keeps the (rays, points) arrays small
 
 
 @dataclass
@@ -226,7 +220,30 @@ class GluedWarp(WarpingFunction):
         return (self.R1 - d, self.R1 + d, self.R2 - d, self.R2 + d)
 
     def _eval(self, r):
-        return tuple(v[0] for v in _glued_samples([self], r))
+        edges = self.edges
+        flat = r.reshape(-1)
+        # writes go through integer indices: o[mask] is several times slower
+        out = tuple(np.empty(flat.size) for _ in range(3))
+        head = np.flatnonzero(flat < edges[0])
+        if head.size:
+            for o, v in zip(out, self.rho.evaluate(flat[head])):
+                o[head] = v
+        band = np.flatnonzero((flat >= edges[0]) & (flat < edges[3]))
+        r_band = flat[band]
+        piece = (r_band >= edges[1]).astype(np.intp) + (r_band >= edges[2])  # left ramp, plateau, right ramp
+        t = r_band - np.array(edges[:3])[piece]  # from the left edge of the piece, where _pieces holds its data
+        value, slope, curv = np.array(self._pieces).T[:, piece]
+        out[0][band] = value + slope * t + 0.5 * curv * t * t
+        out[1][band] = slope + curv * t
+        out[2][band] = curv
+        tail = np.flatnonzero(flat >= edges[3])
+        if tail.size:
+            sig, dsig, ddsig = self.sigma_k.evaluate(flat[tail])
+            sig_d, tau_d = self._tail
+            out[0][tail] = tau_d + (sig - sig_d)
+            out[1][tail] = dsig
+            out[2][tail] = ddsig
+        return tuple(o.reshape(r.shape) for o in out)
 
     def with_slope(self, s: float) -> "GluedWarp":
         """Copy with a replaced plateau slope (for adversarial checks); the anchors are reused."""
@@ -254,43 +271,6 @@ def _plateau_slopes(rho_a, lo, sig_d, hi, span, delta):
     return s
 
 
-def _glued_samples(glued, r):
-    """(tau, tau', tau'') of glued warps sharing (R1, R2, delta, sigma_k), each of shape (len(glued), *r.shape).
-
-    The heads come from one joint evaluation of the warps' rhos, each row
-    that of its own rho.  On the bands and the plateau,
-    [R1-delta, R2+delta), all warps are computed at once: each point reads
-    (value, slope, curvature) at the left edge of its piece from the
-    (warps, 3 pieces, 3) table of the warps.  The shared tail is one
-    evaluation of sigma_k.  ``GluedWarp._eval`` is the one-warp case.
-    """
-    first = glued[0]
-    edges = first.edges
-    flat = r.reshape(-1)
-    # writes go through row views and integer indices: o[:, mask] is several times slower
-    out = tuple(np.empty((len(glued), flat.size)) for _ in range(3))
-    head = np.flatnonzero(flat < edges[0])
-    if head.size:
-        for o, v in zip(out, _ray_samples([gw.rho for gw in glued], flat[head])):
-            o[:, head] = v
-    band = np.flatnonzero((flat >= edges[0]) & (flat < edges[3]))
-    r_band = flat[band]
-    piece = (r_band >= edges[1]).astype(np.intp) + (r_band >= edges[2])  # left ramp, plateau, right ramp
-    t = r_band - np.array(edges[:3])[piece]
-    value, slope, curv = np.moveaxis(np.array([gw._pieces for gw in glued]), 2, 0)[:, :, piece]
-    out[0][:, band] = value + slope * t + 0.5 * curv * t * t
-    out[1][:, band] = slope + curv * t
-    out[2][:, band] = curv
-    tail = np.flatnonzero(flat >= edges[3])
-    if tail.size:
-        sig, dsig, ddsig = first.sigma_k.evaluate(flat[tail])
-        tau_d = np.array([gw._tail[1] for gw in glued])[:, None]
-        out[0][:, tail] = tau_d + (sig - first._tail[0])
-        out[1][:, tail] = dsig
-        out[2][:, tail] = ddsig
-    return tuple(o.reshape((len(glued),) + r.shape) for o in out)
-
-
 @dataclass
 class GlueCertificate:
     """Machine-checked evidence that a glued warp satisfies its contract.
@@ -311,7 +291,7 @@ class GlueCertificate:
 
     A sampled certificate (``certify``) reads these margins from samples of
     tau on its grid, ``min_second_difference`` as the undivided second
-    difference, and holds the sampled curvatures.
+    difference, and holds the sampled curvatures where tau > 0.
     """
 
     min_second_difference: float
@@ -417,16 +397,18 @@ def default_certification_grid(gw: GluedWarp, n: int = 4001) -> np.ndarray:
 def certify(gw: GluedWarp, grid) -> GlueCertificate:
     """Measure the contract margins of a glued warp from one evaluation on a grid.
 
-    The one-warp case of the row-wise certifier that ``glue2d`` runs on its
-    blocks of rays.  The curvature report is read from those samples at the
-    positive radii; the values of rho on the head (``rho(r)``) and of
-    sigma_k on the tail are evaluated again, as independent references for
-    the head and tail mismatches.
+    The curvature report is read from those samples at the positive radii;
+    the values of rho on the head (``rho(r)``) and of sigma_k on the tail
+    are evaluated again, as independent references for the head and tail
+    mismatches.
     ``min_second_difference`` is the undivided midpoint convexity defect
     min_i [ (h1 tau_{i-1} + h0 tau_{i+1})/(h0+h1) - tau_i ]  (>= 0 for convex
     tau); keeping it undivided leaves roundoff at the 1e-14 level, far below
     the 1e-9 acceptance threshold, while the curvature report certifies the
-    sign of tau'' itself from the analytic profile.
+    sign of tau'' itself from the analytic profile.  Where tau <= 0 at a
+    positive grid radius the curvatures are undefined: the certificate
+    fails, with a report that holds no arrays, is not nonpositive and has
+    an infinite ``worst_violation``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2000:
@@ -438,56 +420,38 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
     for edge in gw.edges:
         if np.min(np.abs(grid - edge)) > 1e-9:
             raise UsageError("certification grid must include the band edges")
-    return _certify_rows([gw], grid, [v[None] for v in gw.evaluate(grid)])[0]
-
-
-def _certify_rows(glued, grid, samples) -> list[GlueCertificate]:
-    """``certify`` of glued warps that share (R1, R2, delta, sigma_k), from their samples on one grid.
-
-    ``samples`` are (tau, tau', tau'') of shape (len(glued), grid.size) on a
-    grid that ``certify`` accepts; every margin is read along axis 1.  The
-    rho values are evaluated again on the head, jointly for all warps and
-    each row equal to its ``rho(r)``, the shared sigma_k once on the tail.  The grid is increasing, so the
-    head, the tail and the positive radii are slices of it.
-    """
-    tau, dtau, ddtau = samples
-    first = glued[0]
-    a, _, _, d = first.edges
+    tau, dtau, ddtau = gw.evaluate(grid)
+    a, _, _, d = gw.edges
     n_head = int(np.searchsorted(grid, a, side="right"))  # grid[:n_head] <= a
     tail = int(np.searchsorted(grid, d))  # grid[tail:] >= d
     pos = int(np.searchsorted(grid, 0.0, side="right"))  # grid[pos:] > 0
 
     h0 = np.diff(grid[:-1])
     h1 = np.diff(grid[1:])
-    min_second = np.min((h1 * tau[:, :-2] + h0 * tau[:, 2:]) / (h0 + h1) - tau[:, 1:-1], axis=1)
-    min_slope = np.min(dtau, axis=1) - 1.0
-
-    head_mismatch = np.zeros(len(glued))
-    if n_head:
-        rho_vals = _ray_samples([gw.rho for gw in glued], grid[:n_head], derivatives=False)
-        head_mismatch = np.max(np.abs(tau[:, :n_head] - rho_vals), axis=1)
-    tail_mismatch = np.zeros(len(glued))
+    min_second = float(np.min((h1 * tau[:-2] + h0 * tau[2:]) / (h0 + h1) - tau[1:-1]))
+    min_slope = float(np.min(dtau)) - 1.0
+    head_mismatch = float(np.max(np.abs(tau[:n_head] - gw.rho(grid[:n_head])))) if n_head else 0.0
+    tail_mismatch = 0.0
     tail_tol = VALUE_TOL
     if tail < grid.size:
-        sig_vals = first.sigma_k.evaluate(grid[tail:])[0]
-        tail_mismatch = np.max(np.abs(tau[:, tail:] - sig_vals), axis=1)
+        sig_vals = gw.sigma_k.evaluate(grid[tail:])[0]
+        tail_mismatch = float(np.max(np.abs(tau[tail:] - sig_vals)))
         tail_tol += _TAIL_ROUNDING * float(np.max(np.abs(sig_vals)))
 
-    reports = _curvature_reports(first, grid[pos:], (tau[:, pos:], dtau[:, pos:], ddtau[:, pos:]))
-    margins_ok = ((min_second >= -CONVEXITY_TOL) & (min_slope >= -SLOPE_TOL)
-                  & (head_mismatch == 0.0) & (tail_mismatch <= tail_tol))
-    return [
-        GlueCertificate(
-            min_second_difference=float(second),
-            min_slope_minus_one=float(slope),
-            head_mismatch=float(head),
-            tail_mismatch=float(tail_gap),
-            curvature=report,
-            passed=bool(ok) and report.is_nonpositive and report.worst_violation <= CURVATURE_TOL,
-        )
-        for second, slope, head, tail_gap, report, ok in zip(
-            min_second, min_slope, head_mismatch, tail_mismatch, reports, margins_ok)
-    ]
+    if np.any(tau[pos:] <= 0.0):
+        report = CurvatureReport(None, None, None, False, np.inf)
+    else:
+        report = _curvature_report(gw, grid[pos:], (tau[pos:], dtau[pos:], ddtau[pos:]))
+    passed = (min_second >= -CONVEXITY_TOL and min_slope >= -SLOPE_TOL and head_mismatch == 0.0
+              and tail_mismatch <= tail_tol and report.is_nonpositive and report.worst_violation <= CURVATURE_TOL)
+    return GlueCertificate(
+        min_second_difference=min_second,
+        min_slope_minus_one=min_slope,
+        head_mismatch=head_mismatch,
+        tail_mismatch=tail_mismatch,
+        curvature=report,
+        passed=bool(passed),
+    )
 
 
 def _glue_plan(spec: GlueSpec):
@@ -552,6 +516,28 @@ def _proved_certificates(glued, head_bounds, tail_bound) -> list[GlueCertificate
     return certs
 
 
+def _certificates(glued, head_bounds, points) -> list[GlueCertificate]:
+    """The certificate of each glued warp of ``glued``, which share (R1, R2, delta, sigma_k), in order.
+
+    A warp is proved from structure (``_proved_certificates``) where its
+    head bound is given and sigma_k has a convexity bound on the tail
+    [R2+delta, inf); any other is ``certify`` on the default grid of
+    ``points`` points, which is the same for all of them.
+    """
+    first = glued[0]
+    tail = _convexity_bound(first.sigma_k, first.edges[3], np.inf)
+    proved = [j for j, head in enumerate(head_bounds) if head is not None and tail is not None]
+    certs = [None] * len(glued)
+    if proved:
+        for j, cert in zip(proved, _proved_certificates([glued[j] for j in proved],
+                                                         [head_bounds[j] for j in proved], tail)):
+            certs[j] = cert
+    if len(proved) < len(glued):
+        grid = default_certification_grid(first, points)
+        certs = [certify(gw, grid) if cert is None else cert for gw, cert in zip(glued, certs)]
+    return certs
+
+
 def glue_pipeline(spec: GlueSpec):
     """Full pipeline: validate, choose radii, search k, build tau and certify it.
 
@@ -562,11 +548,7 @@ def glue_pipeline(spec: GlueSpec):
     R1, R2, delta = _glue_plan(spec)
     k = find_k(spec.rho, spec.sigma, R1, R2, delta)
     gw = build_tau(spec.rho, ScaledWarp(spec.sigma, k), R1, R2, delta)
-    a, _, _, d = gw.edges
-    head, tail = _convexity_bound(spec.rho, 0.0, a), _convexity_bound(gw.sigma_k, d, np.inf)
-    if head is None or tail is None:
-        return gw, certify(gw, default_certification_grid(gw))
-    return gw, _proved_certificates([gw], [head], tail)[0]
+    return gw, _certificates([gw], [_convexity_bound(spec.rho, 0.0, gw.edges[0])], 4001)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +622,7 @@ def _convex_anchors(rays, theta_grid, lo, hi, a):
     drho_a = np.empty(len(rays))
     for j, bound in enumerate(bounds):
         value, slope, curv = next(groups[bound is not None])
-        if not (_is_convex(curv[:-1]) if bound is None else convex[j]):
+        if not (bool(_convex_rows(curv[:-1])) if bound is None else convex[j]):
             raise UsageError(
                 f"ray {j} (theta={theta_grid[j]:.6g}) is concave on the checking window; "
                 "the 2d metric is not nonpositively curved there"
@@ -672,11 +654,8 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float) -> 
     When sigma_k is of the package's types, the certificate of each proved
     ray is proved from structure as in ``glue_pipeline`` (see
     ``GlueCertificate``), its head bound being the ray's bound on the
-    window.  The other rays share one certification grid, coarser than the
-    default of ``glue_pipeline``, and are certified from samples in blocks
-    of a fixed number of rays, each ray's head sampled with its block and
-    its head reference taken from ``rho(r)``; each such certificate equals
-    that of ``certify`` on the ray's default grid of that size.
+    window.  Each other ray is ``certify`` on one default grid that all
+    share, coarser than that of ``glue_pipeline``.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     rays = list(rays)
@@ -691,23 +670,7 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float) -> 
     slopes = _plateau_slopes(rho_a, drho_a, sig_d, dsig_d, R2 - R1, band)
     glued = [GluedWarp.__new__(GluedWarp)._place(ray, sigma_k, R1, R2, band, (ra, dra, sig_d, dsig_d), s)
              for ray, ra, dra, s in zip(rays, rho_a, drho_a, slopes)]
-    tail = _convexity_bound(sigma_k, R2 + band, np.inf)
-    if tail is None:
-        bounds = [None] * len(glued)
-    proved = [j for j, b in enumerate(bounds) if b is not None]
-    sampled = [j for j, b in enumerate(bounds) if b is None]
-    certs = [None] * len(glued)
-    if proved:
-        for j, cert in zip(proved, _proved_certificates([glued[j] for j in proved], [bounds[j] for j in proved],
-                                                         tail)):
-            certs[j] = cert
-    if sampled:
-        grid = default_certification_grid(glued[0], _RAY_CERT_POINTS)
-        for start in range(0, len(sampled), _CERT_BLOCK):
-            block = sampled[start:start + _CERT_BLOCK]
-            rows = [glued[j] for j in block]
-            for j, cert in zip(block, _certify_rows(rows, grid, _glued_samples(rows, grid))):
-                certs[j] = cert
+    certs = _certificates(glued, bounds, _RAY_CERT_POINTS)
     dtheta = 2.0 * np.pi / theta_grid.size
     steps = np.abs(np.diff(np.concatenate([slopes, slopes[:1]])))
     lip = float(np.max(steps) / dtheta) if slopes.size > 1 else 0.0

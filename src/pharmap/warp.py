@@ -162,22 +162,19 @@ class ScaledWarp(WarpingFunction):
         return f"<ScaledWarp k={self.k} of {self.base!r}>"
 
 
-def _odd_polynomial(coefficients, r, derivatives=True):
+def _odd_polynomial(coefficients, r):
     """(sigma, sigma', sigma'') at ``r`` of the odd polynomial whose r^(2m+1) coefficient is ``coefficients[m]``.
 
     Horner in r^2 for each of sigma/r, sigma' and sigma''/r.  A 1d array
     of coefficients gives samples of the shape of ``r``; coefficients of
     shape (terms, rows, 1, ...), one column per polynomial, give one Horner
     pass for the table of them and samples of shape (rows, *r.shape).
-    Without ``derivatives`` it returns sigma alone.
     """
     r2 = r * r
     s = np.zeros(coefficients.shape[1:2] + r.shape)
     for c in coefficients[::-1]:
         s = s * r2 + c
     s = s * r
-    if not derivatives:
-        return s
     d1 = np.zeros_like(s)
     d2 = np.zeros_like(s)
     for m in range(len(coefficients) - 1, -1, -1):
@@ -326,12 +323,6 @@ class SplineWarp(WarpingFunction):
         s = _spline_rows([self], r if r.ndim else r[None], derivatives=False)[0]
         return s if r.ndim else s[0]
 
-    @classmethod
-    def sample(cls, warp: WarpingFunction, radii):
-        """Resample another warp on the given knots, with its second derivatives (the quintic)."""
-        radii = _as_radii(np.asarray(radii, dtype=float))
-        return cls(radii, *warp.evaluate(radii))
-
 
 def _spline_rows(rays, r, derivatives=True):
     """(sigma, sigma', sigma'') of spline warps on one knot array and of one degree at the radii ``r``.
@@ -375,26 +366,23 @@ def _spline_rows(rays, r, derivatives=True):
     return tuple(out) if derivatives else out[0]
 
 
-def _ray_samples(rays, r, derivatives=True):
-    """(sigma, sigma', sigma'') of each warp of ``rays`` at the radii ``r``, or sigma alone, as (rays, ...) arrays.
+def _ray_samples(rays, r):
+    """(sigma, sigma', sigma'') of each warp of ``rays`` at the radii ``r``, as (rays, ...) arrays.
 
-    Row j equals ``rays[j].evaluate(r)`` (``rays[j](r)`` for sigma alone)
-    byte for byte, and bad radii raise as there.  Spline warps on one knot
-    array and of one degree are evaluated as columns of their stacked
-    coefficients, odd polynomials with equal coefficient counts by one
-    Horner pass; any other list ray by ray, through each ray's own
-    ``evaluate`` (see ``_evaluated_jointly``).
+    Row j equals ``rays[j].evaluate(r)`` byte for byte, and bad radii raise
+    as there.  Spline warps on one knot array and of one degree are
+    evaluated as columns of their stacked coefficients, odd polynomials
+    with equal coefficient counts by one Horner pass; any other list ray by
+    ray, through each ray's own ``evaluate`` (see ``_evaluated_jointly``).
     """
     r = _as_radii(r)
     joint = _evaluated_jointly(rays)
     if joint is SplineWarp:
-        return _spline_rows(rays, r, derivatives)
+        return _spline_rows(rays, r)
     if joint is OddPolynomialWarp:
         table = np.array([w.coefficients for w in rays]).T
-        return _odd_polynomial(table.reshape(table.shape + (1,) * r.ndim), r, derivatives)
-    if derivatives:
-        return tuple(np.array(v) for v in zip(*(w.evaluate(r) for w in rays)))
-    return np.array([w(r) for w in rays])
+        return _odd_polynomial(table.reshape(table.shape + (1,) * r.ndim), r)
+    return tuple(np.array(v) for v in zip(*(w.evaluate(r) for w in rays)))
 
 
 def _evaluated_jointly(rays):
@@ -509,7 +497,9 @@ class CurvatureReport:
     and ``worst_violation`` is their largest value.  A report proved from
     structure (the glue certificates of the package's warp types) holds no
     samples: its three arrays are None, and ``worst_violation`` is
-    max(0, -m) for the proved lower bound m of sigma''.
+    max(0, -m) for the proved lower bound m of sigma''.  A glue certificate
+    whose samples of sigma are not positive holds a report without arrays
+    that is not nonpositive, with an infinite ``worst_violation``.
     """
 
     grid: np.ndarray | None
@@ -554,37 +544,19 @@ def _convex_rows(d2):
     return np.all(d2 >= -SIGN_TOL * (1.0 + np.abs(d2)), axis=-1)
 
 
-def _is_convex(d2) -> bool:
-    """``_convex_rows`` of one row of samples."""
-    return bool(_convex_rows(d2))
+def _curvature_report(w: WarpingFunction, grid, samples) -> CurvatureReport:
+    """The report of ``is_cartan_hadamard`` from the samples (sigma, sigma', sigma'') of ``w`` on the positive ``grid``.
 
-
-def _sectional_curvatures(w: WarpingFunction, samples):
-    """``(sec_rad, sec_tg)`` of the model of ``w`` from its ``samples`` (sigma, sigma', sigma'') at positive radii.
-
-    The samples may have a leading axis of rows (warps of one kind) before
-    the one of the radii; sigma must be positive.
+    sigma must be positive there.
     """
     s, d1, d2 = samples
     if np.any(s <= 0.0):
         raise DomainError(f"warp {w.kind} is nonpositive at some positive radius; curvature undefined")
-    return -d2 / s, (1.0 - d1 * d1) / (s * s)
-
-
-def _curvature_reports(w: WarpingFunction, grid, samples) -> list[CurvatureReport]:
-    """The reports of ``is_cartan_hadamard``, one per row of samples (sigma, sigma', sigma'') on ``grid``.
-
-    The samples have shape (rows, grid.size) on the positive ``grid``; the
-    rows share ``w``'s kind, and each report holds its rows of the
-    curvature arrays.
-    """
-    sec_rad, sec_tg = _sectional_curvatures(w, samples)
+    sec_rad, sec_tg = -d2 / s, (1.0 - d1 * d1) / (s * s)
     curv = np.maximum(sec_rad, sec_tg)
-    nonpos = _convex_rows(samples[2]) & np.all(curv <= SIGN_TOL * (1.0 + np.abs(curv)), axis=-1)
-    return [
-        CurvatureReport(grid=grid, sec_rad=rad, sec_tg=tg, is_nonpositive=bool(ok), worst_violation=float(top))
-        for rad, tg, ok, top in zip(sec_rad, sec_tg, nonpos, np.max(curv, axis=-1))
-    ]
+    nonpositive = bool(_convex_rows(d2)) and bool(np.all(curv <= SIGN_TOL * (1.0 + np.abs(curv))))
+    return CurvatureReport(grid=grid, sec_rad=sec_rad, sec_tg=sec_tg, is_nonpositive=nonpositive,
+                           worst_violation=float(np.max(curv)))
 
 
 def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
@@ -599,7 +571,7 @@ def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
         raise UsageError("certification grid must be a nonempty 1d array")
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise UsageError("certification grid must be strictly increasing and positive")
-    return _curvature_reports(w, grid, [v[None] for v in w.evaluate(grid)])[0]
+    return _curvature_report(w, grid, w.evaluate(grid))
 
 
 def is_hyperbolic_type(w: WarpingFunction, grid) -> HyperbolicTypeReport:
@@ -623,7 +595,7 @@ def is_hyperbolic_type(w: WarpingFunction, grid) -> HyperbolicTypeReport:
         gaps = np.min(dvals - vals, axis=1)
         slope_ok = bool(np.all(gaps >= -SIGN_TOL * (1.0 + np.max(np.abs(vals), axis=1))))
         steps = np.min(np.diff(vals, axis=0), axis=1)
-    convex_ok = _is_convex(d2[0])
+    convex_ok = bool(_convex_rows(d2[0]))
     growth_ok = bool(np.all(steps > 0.0))
     return HyperbolicTypeReport(
         is_hyperbolic=convex_ok and slope_ok and growth_ok,

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from pharmap.errors import DomainError, InfeasibleError, SearchExhaustedError, UsageError
 from pharmap.glue import (
-    _CERT_BLOCK,
     VALUE_TOL,
     GlueSpec,
     GluedWarp,
-    _certify_rows,
     _glue_plan,
-    _glued_samples,
     _proved_certificates,
     build_tau,
     certify,
@@ -257,8 +254,29 @@ def test_glue_pipeline_proves_spline_heads_from_their_coefficients():
     gw, cert = glue_pipeline(GlueSpec(concave, SIGMA, 1.0, 4.0))
     assert not cert.passed and not cert.curvature.is_nonpositive
     assert cert.min_second_difference == pytest.approx(-1.8 * gw.edges[0], rel=1e-12)
+    # the sampled audit fails it too: its curvatures are undefined where tau <= 0
+    grid = default_certification_grid(gw)
+    assert np.min(gw.evaluate(grid)[0][1:]) <= 0.0
+    audit = certify(gw, grid)
+    assert not audit.passed and not audit.curvature.is_nonpositive
+    assert audit.curvature.sec_rad is None and audit.curvature.worst_violation == math.inf
     with pytest.raises(DomainError, match="nonpositive at some positive radius"):
-        certify(gw, default_certification_grid(gw))
+        is_cartan_hadamard(gw, grid[1:])
+
+
+def test_glue_pipeline_on_a_generic_concave_head_fails_like_the_proved_path():
+    # the concave head above behind a generic wrapper: the pipeline certifies it from samples and
+    # returns a failed certificate with the same k and slope, as the proved path does
+    t = np.linspace(0.0, 4.5, 200)
+    concave = SplineWarp(t, t - 0.3 * t**3, 1.0 - 0.9 * t**2)
+    proved_gw, proved = glue_pipeline(GlueSpec(concave, SIGMA, 1.0, 4.0))
+    gw, cert = glue_pipeline(GlueSpec(Forwarding(concave), SIGMA, 1.0, 4.0))
+    assert (gw.k, gw.s) == (proved_gw.k, proved_gw.s)
+    assert not proved.passed and not cert.passed
+    assert not cert.curvature.is_nonpositive and cert.curvature.sec_rad is None
+    assert cert.min_second_difference < -1e-9
+    doc = cert.to_json_dict(gw)
+    assert doc["pass"] is False and doc["curvature_nonpositive"] is False and doc["max_sec_rad"] is None
 
 
 def test_certify_grid_validation():
@@ -453,10 +471,10 @@ def assert_same_certificate(got, want):
 
 
 @pytest.mark.parametrize("sampled", [False, True])
-@pytest.mark.parametrize("n", [1, _CERT_BLOCK - 1, _CERT_BLOCK, _CERT_BLOCK + 1, 33])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 33])
 def test_glue2d_blocks_equal_per_ray_certify(n, sampled):
     # oracle: each ray glued by build_tau on its own and certified on its own default grid; generic
-    # rays take the sampled window and block certifier
+    # rays take the sampled window and certificate
     theta, rays = cubic_rays(n, sampled)
     rays = [Forwarding(ray) for ray in rays]
     result = glue2d(rays, theta, SIGMA, 1.0, 4.0)
@@ -490,7 +508,7 @@ class Forwarding(WarpingFunction):
 def test_glue2d_gives_the_same_result_on_rays_evaluated_jointly_and_one_by_one(sampled):
     # the package's rays are proved convex and certified from their coefficients; the same rays behind a
     # generic wrapper are sampled one by one: the same k, anchors, slopes and verdicts
-    theta, rays = cubic_rays(2 * _CERT_BLOCK + 3, sampled)
+    theta, rays = cubic_rays(19, sampled)
     assert _evaluated_jointly(rays) is (SplineWarp if sampled else OddPolynomialWarp)
     wrapped = [Forwarding(ray) for ray in rays]
     assert _evaluated_jointly(wrapped) is None
@@ -517,7 +535,7 @@ def test_glue2d_gives_the_same_result_on_rays_evaluated_jointly_and_one_by_one(s
 def test_glue2d_samples_rays_without_a_structural_proof_together():
     # r + c r^3 - 1e-3 r^5 is convex on the checking window, but a negative coefficient leaves it
     # without a structural proof: the rays are sampled, as one table, with the results of one by one
-    theta, cubic = cubic_rays(2 * _CERT_BLOCK + 3, False)
+    theta, cubic = cubic_rays(19, False)
     rays = [OddPolynomialWarp([1.0, ray.coefficients[1], -1e-3]) for ray in cubic]
     assert all(_convexity_bound(ray, 0.0, 1.0) is None for ray in rays)
     assert _evaluated_jointly(rays) is OddPolynomialWarp
@@ -535,7 +553,8 @@ def test_glue2d_reports_the_first_ray_in_order_that_fails():
     t = np.linspace(0.0, 4.5, 200)
     concave = rays_from_polar_samples(t, (t - 0.1 * t**3)[:, None])[0]
     # knots from 0.5: the checking window starts at delta * 1e-3, where this ray cannot be evaluated
-    late = SplineWarp.sample(RHO, np.linspace(0.5, 4.5, 50))
+    knots = np.linspace(0.5, 4.5, 50)
+    late = SplineWarp(knots, *RHO.evaluate(knots))
     concave_first = "^ray 1 \\(theta=1.5708\\) is concave on the checking window"
     # the package's rays are proved convex from their coefficients, generic ones sampled: the same errors
     for wrap in (lambda ray: ray, Forwarding):
@@ -592,19 +611,8 @@ def test_glue2d_charges_a_head_concave_within_the_tolerance_to_the_slope_margin(
     assert sampled.certificates[0].min_slope_minus_one == pytest.approx(-1.95e-11, rel=1e-3)
 
 
-def test_certify_rows_rejects_only_the_corrupted_rows_of_a_mixed_block():
-    theta, rays = cubic_rays(_CERT_BLOCK // 2, False)
-    good = glue2d([Forwarding(ray) for ray in rays], theta, SIGMA, 1.0, 4.0).glued
-    block = [gw if j % 2 else gw.with_slope(gw.s - 0.5) for gw in good for j in range(2)]
-    grid = default_certification_grid(block[0], 2001)
-    certs = _certify_rows(block, grid, _glued_samples(block, grid))
-    assert [c.passed for c in certs] == [False, True] * len(good)
-    for gw, cert in zip(block, certs):
-        assert_same_certificate(cert, certify(gw, grid))
-
-
 def test_glue2d_evaluates_each_anchor_once():
-    theta = 2 * np.pi * np.arange(_CERT_BLOCK + 1) / (_CERT_BLOCK + 1)
+    theta = 2 * np.pi * np.arange(9) / 9
     rays = [counting(OddPolynomialWarp)([1.0, 2.0 + math.sin(t)]) for t in theta]
     sigma = counting(SinhWarp)()
     result = glue2d(rays, theta, sigma, 1.0, 4.0)

@@ -74,6 +74,14 @@ def _d_dt(t: np.ndarray, F: np.ndarray) -> np.ndarray:
     return np.einsum("iw,iw...->i...", weights, F[cols])
 
 
+def _check_uniform_angles(theta) -> None:
+    """Refuse angles other than theta_0 + 2 pi i / m, i < m = ``theta.size``, to within 1e-12."""
+    m = theta.size
+    want = theta[0] + 2.0 * np.pi * np.arange(m) / m
+    if not np.allclose(theta, want, atol=1e-12):
+        raise UsageError("theta_grid must be uniform on [0, 2*pi)")
+
+
 @dataclass
 class PolarMetricGrid:
     """Sampled angular metric coefficient j(t, theta) > 0 on a polar grid.
@@ -98,9 +106,7 @@ class PolarMetricGrid:
         m = self.theta_grid.size
         if m < 3:
             raise UsageError("theta_grid needs at least 3 angles")
-        want = self.theta_grid[0] + 2.0 * np.pi * np.arange(m) / m
-        if not np.allclose(self.theta_grid, want, atol=1e-12):
-            raise UsageError("theta_grid must be uniform on [0, 2*pi)")
+        _check_uniform_angles(self.theta_grid)
         if self.j.shape != (self.t_grid.size, m):
             raise UsageError("j must have shape (len(t_grid), len(theta_grid))")
         if not np.all(np.isfinite(self.j)) or np.any(self.j <= 0.0):
@@ -150,7 +156,7 @@ class BlendResult:
 
 def hyperbolic_coefficient(k: float, t) -> np.ndarray:
     """Angular coefficient sinh^2(sqrt(k) t)/k of the curvature -k hyperbolic plane."""
-    if k <= 0.0:
+    if not k > 0.0:  # written so that NaN fails
         raise DomainError("hyperbolic coefficient needs k > 0")
     t = np.asarray(t, dtype=float)
     return np.sinh(np.sqrt(k) * t) ** 2 / k

@@ -18,9 +18,11 @@ certify the cancellation and refuse evaluation inside the pole neighborhood.
 A batch with no point below ``R_TINY`` is evaluated with one warp call and
 no scatter; only a batch with pole points fills in the series by mask.
 
-``metric`` and ``metric_jacobian`` build their results entry-major, one row
-of m values per entry (i, j[, k]), and return point-major views of that
-buffer, not copies.  A caller that wants the point axis last transposes the
+``metric``, ``metric_jacobian`` and ``dist_to_pole`` take the points as an
+(m, n) array, one row per point, and refuse any other shape.  ``metric``
+and ``metric_jacobian`` build their results entry-major, one row of m
+values per entry (i, j[, k]), and return point-major views of that buffer,
+not copies.  A caller that wants the point axis last transposes the
 view back for free; a caller that needs a C-contiguous point-major array
 copies it.
 
@@ -58,15 +60,6 @@ class TargetChart:
             self._warp = manifold.warp
         self.manifold = manifold
 
-    @classmethod
-    def euclidean_line(cls) -> "TargetChart":
-        """Dimension-1 Euclidean target (h = 1) for scalar oracles."""
-        return cls(None)
-
-    @classmethod
-    def from_warp(cls, warp: WarpingFunction, dim: int) -> "TargetChart":
-        return cls(ModelManifold(dim, warp))
-
     @property
     def dim(self) -> int:
         return self._dim
@@ -77,22 +70,15 @@ class TargetChart:
 
     def _points(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-            squeeze = True
-        else:
-            squeeze = False
         if x.ndim != 2 or x.shape[1] != self._dim:
             raise UsageError(f"points must have shape (m, {self._dim})")
         if not np.isfinite(x).all():
             raise DomainError("chart points must be finite")
-        return x, squeeze
+        return x
 
     def dist_to_pole(self, x):
-        """Geodesic distance to the pole, |x| in this chart."""
-        x, squeeze = self._points(x)
-        r = _row_norms(x)
-        return float(r[0]) if squeeze else r
+        """Geodesic distance to the pole, |x| in this chart, of each row of the (m, n) points ``x``."""
+        return _row_norms(self._points(x))
 
     def _radial(self, r, derivatives=False):
         """w, c = (1-w)/r^2 and, with ``derivatives``, w'/r and c'/r; series-safe."""
@@ -122,19 +108,18 @@ class TargetChart:
         return series[: len(out)]
 
     def metric(self, x):
-        """Metric matrices h = w I + c x x^T; shape (m, n, n) for batched points.
+        """Metric matrices h = w I + c x x^T of the (m, n) points ``x``; shape (m, n, n).
 
         The result is a view of an entry-major (n, n, m) buffer (module
         docstring); copy it where a C-contiguous array is needed.
         """
-        x, squeeze = self._points(x)
+        x = self._points(x)
         m, n = x.shape
         w, c = self._radial(_row_norms(x))
         xt = np.ascontiguousarray(x.T)  # entry-major: each (i, j) is one row over the m points
         h = c * (xt[:, None] * xt)
         h.reshape(n * n, m)[:: n + 1] += w
-        h = h.transpose(2, 0, 1)
-        return h[0] if squeeze else h
+        return h.transpose(2, 0, 1)
 
     def metric_jacobian(self, x):
         """Derivatives dh[i,j,k] = d h_ij / d x^k (closed form in the module
@@ -143,7 +128,7 @@ class TargetChart:
         The result is a view of an entry-major (n, n, n, m) buffer, as in
         ``metric``.
         """
-        x, squeeze = self._points(x)
+        x = self._points(x)
         m, n = x.shape
         _, c, dw, dc = self._radial(_row_norms(x), derivatives=True)
         xt = np.ascontiguousarray(x.T)  # entry-major, as in metric
@@ -156,5 +141,4 @@ class TargetChart:
                     dh[i, j, i] += cx[j]
                     dh[i, j, j] += cx[i]
             dh[i, i, i] += cx[i] + cx[i]  # the two c terms as one sum
-        dh = dh.transpose(3, 0, 1, 2)
-        return dh[0] if squeeze else dh
+        return dh.transpose(3, 0, 1, 2)

@@ -46,10 +46,9 @@ Any other warp, a subclass of the package's types included, is certified
 from samples, and ``certify`` is that sampled audit for any glued warp: it
 evaluates ``tau`` once on its grid and reads from those samples the
 convexity margin, the slope margin, head and tail mismatches and the
-curvatures; the values of rho on the head (``rho(r)``, which a
-``SplineWarp`` takes from its value polynomial alone) and of sigma_k on the
-tail are evaluated again as independent references.  Its tail mismatch
-passes up to ``VALUE_TOL`` plus 4 eps max|sigma_k| of the tail samples.
+curvatures; the values of rho on the head and of sigma_k on the tail are
+evaluated again as independent references.  Its tail mismatch passes up to
+``VALUE_TOL`` plus 4 eps max|sigma_k| of the tail samples.
 
 The same surgery applies per ray to a 2-dimensional metric given by angular
 samples ``nu(., theta)``: one (k, R1, R2) is chosen so that every ray passes
@@ -60,7 +59,7 @@ package's types convex on its checking window from its coefficients and
 evaluates it only at the window's ends and at R1-delta, for the anchors
 rho(R1-delta), rho'(R1-delta) of the search for k.  Any other ray is
 sampled on the 256-point window with R1-delta appended, and its glued warp
-is certified by ``certify``, one ray at a time.  Where glue samples many
+is audited as by ``certify``, one ray at a time.  Where glue samples many
 rays at once, it evaluates them as one table: spline rays on one knot
 array as columns of their stacked Bernstein coefficients, odd polynomials
 with equal coefficient counts by one Horner pass over their coefficient
@@ -74,6 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blend import _check_uniform_angles
 from .errors import (ConstructionError, DomainError, InfeasibleError, SearchExhaustedError, UsageError,
                      _doubling_search)
 from .warp import (
@@ -369,7 +369,7 @@ def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
     """
     if not (0.0 < R1 < R2):
         raise UsageError("find_k needs 0 < R1 < R2")
-    if delta < 0.0 or 2.0 * delta >= R2 - R1:
+    if not (0.0 <= delta and 2.0 * delta < R2 - R1):  # written so that NaN fails
         raise DomainError("find_k needs 0 <= delta < (R2-R1)/2")
     rho_a, drho_a, _ = rho.evaluate(R1 - delta)
     return _secant_search(rho_a, drho_a, sigma, R1, R2, delta)
@@ -388,9 +388,9 @@ def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: flo
 
 
 def default_certification_grid(gw: GluedWarp, n: int = 4001) -> np.ndarray:
-    """Uniform grid on [0, R2+4*delta] with the band edges inserted."""
+    """Uniform grid of ``n`` points (``certify`` needs 2000) on [0, R2+4*delta] with the band edges inserted."""
     top = gw.R2 + 4.0 * gw.delta
-    grid = np.linspace(0.0, top, max(n, 2000))
+    grid = np.linspace(0.0, top, n)
     return np.unique(np.concatenate([grid, np.asarray(gw.edges)]))
 
 
@@ -398,9 +398,8 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
     """Measure the contract margins of a glued warp from one evaluation on a grid.
 
     The curvature report is read from those samples at the positive radii;
-    the values of rho on the head (``rho(r)``) and of sigma_k on the tail
-    are evaluated again, as independent references for the head and tail
-    mismatches.
+    the values of rho on the head and of sigma_k on the tail are evaluated
+    again, as independent references for the head and tail mismatches.
     ``min_second_difference`` is the undivided midpoint convexity defect
     min_i [ (h1 tau_{i-1} + h0 tau_{i+1})/(h0+h1) - tau_i ]  (>= 0 for convex
     tau); keeping it undivided leaves roundoff at the 1e-14 level, far below
@@ -420,6 +419,11 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
     for edge in gw.edges:
         if np.min(np.abs(grid - edge)) > 1e-9:
             raise UsageError("certification grid must include the band edges")
+    return _audit(gw, grid)
+
+
+def _audit(gw: GluedWarp, grid: np.ndarray) -> GlueCertificate:
+    """``certify`` on a float grid that passes its checks, as the default grid does."""
     tau, dtau, ddtau = gw.evaluate(grid)
     a, _, _, d = gw.edges
     n_head = int(np.searchsorted(grid, a, side="right"))  # grid[:n_head] <= a
@@ -521,7 +525,7 @@ def _certificates(glued, head_bounds, points) -> list[GlueCertificate]:
 
     A warp is proved from structure (``_proved_certificates``) where its
     head bound is given and sigma_k has a convexity bound on the tail
-    [R2+delta, inf); any other is ``certify`` on the default grid of
+    [R2+delta, inf); any other is ``_audit`` on the default grid of
     ``points`` points, which is the same for all of them.
     """
     first = glued[0]
@@ -534,7 +538,7 @@ def _certificates(glued, head_bounds, points) -> list[GlueCertificate]:
             certs[j] = cert
     if len(proved) < len(glued):
         grid = default_certification_grid(first, points)
-        certs = [certify(gw, grid) if cert is None else cert for gw, cert in zip(glued, certs)]
+        certs = [_audit(gw, grid) if cert is None else cert for gw, cert in zip(glued, certs)]
     return certs
 
 
@@ -654,13 +658,15 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float) -> 
     When sigma_k is of the package's types, the certificate of each proved
     ray is proved from structure as in ``glue_pipeline`` (see
     ``GlueCertificate``), its head bound being the ray's bound on the
-    window.  Each other ray is ``certify`` on one default grid that all
-    share, coarser than that of ``glue_pipeline``.
+    window.  Each other ray is audited as by ``certify`` on one default grid
+    that all share, coarser than that of ``glue_pipeline``.  ``lip`` takes
+    the angles to be uniform on [theta_0, theta_0 + 2pi), which is checked.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     rays = list(rays)
     if theta_grid.ndim != 1 or len(rays) != theta_grid.size or not rays:
         raise UsageError("need one ray per theta sample")
+    _check_uniform_angles(theta_grid)
     R1, R2, band = _glue_plan(GlueSpec(rays[0], sigma, R_bar, R))
 
     rho_a, drho_a, bounds = _convex_anchors(rays, theta_grid, band * 1e-3, R1 + 2.0 * band, R1 - band)

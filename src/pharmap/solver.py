@@ -79,11 +79,11 @@ vertex 0's gradient row is minus the sum of the other two, as dD/dQ_0 =
 and energy+gradient assemblies share the energy code.  Chunk results land
 in preallocated slots and are reduced in index order; the gradient is
 scattered to the vertices with one ``np.bincount`` per component, which
-adds in triangle order.  So energies and gradients are byte-reproducible
-for any thread count.  The energy total is a faithful rounding of the exact
-sum of the per-triangle terms (``_total``): a plain pairwise sum would add a
-few ulps of noise, which at the floor the comparison phi(a) <= phi(0) would
-read as rises.
+adds in triangle order.  So energies and gradients are byte-reproducible,
+also where ``energy_gradient`` maps the chunks over threads.  The energy
+total is a faithful rounding of the exact sum of the per-triangle terms
+(``_total``): a plain pairwise sum would add a few ulps of noise, which at
+the floor the comparison phi(a) <= phi(0) would read as rises.
 """
 
 from __future__ import annotations
@@ -154,16 +154,13 @@ class SolveConfig:
     max_iter: int = 1000
     quadrature: int = 1
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         _check_p_and_quadrature(self.p, self.quadrature)
         if not self.grad_tol > 0.0:  # written so that NaN fails
             raise UsageError("grad_tol must be positive")
-        for name in ("max_iter", "threads"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):  # NaN fails too
-                raise UsageError(f"{name} must be an integer >= 1")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):  # NaN fails too
+            raise UsageError("max_iter must be an integer >= 1")
 
 
 @dataclass
@@ -220,12 +217,7 @@ class UniquenessReport:
     spread: float
     converged: list
     residuals: list
-    n_starts: int
     states: list = field(default_factory=list, repr=False)
-
-    @property
-    def all_converged(self):
-        return all(self.converged)
 
 
 def _map_points(mesh: TriMesh, chart: TargetChart, state) -> np.ndarray:
@@ -378,12 +370,11 @@ def _assemble(mesh, chart, comps, p, rule=1, need_grad=True, threads=1):
     return total, np.array([np.bincount(idx, weights=g_c.reshape(-1), minlength=nv) for g_c in g_out])
 
 
-def energy(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadrature: int = 1,
-           threads: int = 1) -> float:
+def energy(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadrature: int = 1) -> float:
     """Discrete p-energy of the map; nonnegative, zero iff du vanishes."""
     _check_p_and_quadrature(p, quadrature)
     comps = np.ascontiguousarray(_map_points(mesh, chart, state).T)
-    total, _ = _assemble(mesh, chart, comps, p, quadrature, need_grad=False, threads=threads)
+    total, _ = _assemble(mesh, chart, comps, p, quadrature, need_grad=False)
     return total
 
 
@@ -391,7 +382,8 @@ def energy_gradient(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadr
                     threads: int = 1) -> np.ndarray:
     """Exact gradient of ``energy`` w.r.t. interior vertex coordinates.
 
-    Rows follow ``mesh.interior_indices()``.
+    Rows follow ``mesh.interior_indices()``.  With ``threads`` > 1 a mesh of
+    several chunks is assembled on a thread pool, with the same bytes.
     """
     _check_p_and_quadrature(p, quadrature)
     comps = np.ascontiguousarray(_map_points(mesh, chart, state).T)
@@ -399,10 +391,9 @@ def energy_gradient(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadr
     return np.ascontiguousarray(grad[:, mesh.interior_indices()].T)
 
 
-def residual(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadrature: int = 1,
-             threads: int = 1) -> float:
+def residual(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadrature: int = 1) -> float:
     """Stationarity defect: sup over interior vertices of the gradient norm."""
-    return _sup_norm(energy_gradient(mesh, chart, state, p, quadrature=quadrature, threads=threads))
+    return _sup_norm(energy_gradient(mesh, chart, state, p, quadrature=quadrature))
 
 
 def _sup_norm(rows) -> float:
@@ -540,14 +531,12 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
 
     def f_only(x):
         counts["n_f"] += 1
-        total, _ = _assemble(mesh, chart, put(x), config.p, config.quadrature,
-                             need_grad=False, threads=config.threads)
+        total, _ = _assemble(mesh, chart, put(x), config.p, config.quadrature, need_grad=False)
         return total
 
     def f_and_g(x):
         counts["n_fg"] += 1
-        total, grad = _assemble(mesh, chart, put(x), config.p, config.quadrature,
-                                need_grad=True, threads=config.threads)
+        total, grad = _assemble(mesh, chart, put(x), config.p, config.quadrature, need_grad=True)
         return total, grad[:, iidx].T.ravel()
 
     def precondition(v):
@@ -701,7 +690,6 @@ def uniqueness_probe(mesh: TriMesh, chart: TargetChart, boundary_values, config:
         spread=float(spread),
         converged=converged,
         residuals=residuals,
-        n_starts=n_starts,
         states=states,
     )
 

@@ -317,29 +317,22 @@ class SplineWarp(WarpingFunction):
     def _eval(self, r):
         return tuple(v[0] for v in _spline_rows([self], r))
 
-    def __call__(self, r):
-        """``evaluate(r)[0]``, bit for bit, from the value polynomial and the Taylor tail alone."""
-        r = _as_radii(r)
-        s = _spline_rows([self], r if r.ndim else r[None], derivatives=False)[0]
-        return s if r.ndim else s[0]
 
-
-def _spline_rows(rays, r, derivatives=True):
+def _spline_rows(rays, r):
     """(sigma, sigma', sigma'') of spline warps on one knot array and of one degree at the radii ``r``.
 
     One ``BPoly`` call per derivative order, on the rays' coefficient
     columns stacked (a single ray's own polynomials), and the Taylor
     tails past the last knot for all rays at once; the arrays have shape
-    (len(rays), *r.shape).  Without ``derivatives`` it returns sigma alone.
-    Radii below the first knot raise, those within 1e-12 of it are clipped
-    onto it.
+    (len(rays), *r.shape).  Radii below the first knot raise, those within
+    1e-12 of it are clipped onto it.
     """
     knots = rays[0].radii
     flat = r.reshape(-1)
     if (flat < knots[0] - 1e-12).any():
         raise DomainError(f"spline warp evaluated below first knot r={knots[0]:g} (no analytic head)")
     rN = knots[-1]
-    polys = rays[0]._polys[:3 if derivatives else 1]
+    polys = rays[0]._polys
     tails = rays[0]._tail
     past = np.flatnonzero(flat > rN)
     dr = flat[past] - rN
@@ -359,11 +352,9 @@ def _spline_rows(rays, r, derivatives=True):
     if past.size:
         v, dv, ddv = tails
         out[0][past] = v + dv * dr + 0.5 * ddv * dr * dr
-        if derivatives:
-            out[1][past] = dv + ddv * dr
-            out[2][past] = ddv
-    out = [o.reshape(flat.size, -1).T.reshape((len(rays),) + r.shape) for o in out]
-    return tuple(out) if derivatives else out[0]
+        out[1][past] = dv + ddv * dr
+        out[2][past] = ddv
+    return tuple(o.reshape(flat.size, -1).T.reshape((len(rays),) + r.shape) for o in out)
 
 
 def _ray_samples(rays, r):
@@ -533,10 +524,6 @@ class HyperbolicTypeReport:
     min_ddsigma: float
     worst_slope_gap: float
     min_growth_step: float
-    k_list: tuple
-
-    def __bool__(self):
-        return self.is_hyperbolic
 
 
 def _convex_rows(d2):
@@ -605,7 +592,6 @@ def is_hyperbolic_type(w: WarpingFunction, grid) -> HyperbolicTypeReport:
         min_ddsigma=float(np.min(d2[0])),
         worst_slope_gap=float(np.min(gaps)),
         min_growth_step=float(np.min(steps)),
-        k_list=_HYPERBOLIC_SCALES,
     )
 
 

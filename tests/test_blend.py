@@ -16,7 +16,7 @@ from pharmap.blend import (
     partition_profile,
     save_metric_csv,
 )
-from pharmap.errors import SearchExhaustedError, UsageError
+from pharmap.errors import DomainError, SearchExhaustedError, UsageError
 
 
 def grid_from(gen, t_grid, ntheta=16, gen_dt=None):
@@ -60,6 +60,13 @@ def test_hess_T_coefficient_finite_difference_route():
 def test_hess_T_coefficient_constant_metric_is_degenerate():
     g = PolarMetricGrid(T_GRID, 2 * np.pi * np.arange(8) / 8, np.full((T_GRID.size, 8), 5.0))
     assert np.max(np.abs(0.5 * g.d_dt())) < 1e-10
+
+
+def test_hyperbolic_coefficient_refuses_a_nan_scale():
+    # NaN fails every comparison, so the check of k > 0 is written to fail on it
+    for k in (math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError, match="k > 0"):
+            hyperbolic_coefficient(k, np.linspace(0.0, 1.0, 5))
 
 
 def test_grid_validation():

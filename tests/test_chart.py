@@ -6,28 +6,34 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pharmap.chart import R_TINY, TargetChart
-from pharmap.errors import DomainError
+from pharmap.errors import DomainError, UsageError
 from pharmap.warp import IdentityWarp, ModelManifold, OddPolynomialWarp, ScaledWarp, SinhWarp, SplineWarp
 
-SINH2 = TargetChart.from_warp(SinhWarp(), 2)
-SINH3 = TargetChart.from_warp(SinhWarp(), 3)
-FLAT2 = TargetChart.from_warp(IdentityWarp(), 2)
+SINH2 = TargetChart(ModelManifold(2, SinhWarp()))
+SINH3 = TargetChart(ModelManifold(3, SinhWarp()))
+FLAT2 = TargetChart(ModelManifold(2, IdentityWarp()))
+POLY3 = TargetChart(ModelManifold(3, OddPolynomialWarp([1.0, 0.5, 0.1])))
+
+
+def at(method, x):
+    """A chart method at the one point ``x``, as the one row of a (1, n) batch."""
+    return method(np.asarray(x)[None])[0]
 
 
 def test_metric_euclidean_identity():
     x = np.array([0.3, -1.2])
-    assert np.array_equal(FLAT2.metric(x), np.eye(2))
-    line = TargetChart.euclidean_line()
-    assert np.array_equal(line.metric(np.array([2.0])), np.eye(1))
+    assert np.array_equal(at(FLAT2.metric, x), np.eye(2))
+    line = TargetChart(None)
+    assert np.array_equal(at(line.metric, [2.0]), np.eye(1))
 
 
 def test_metric_radial_tangential_split():
-    h = SINH2.metric(np.array([1.0, 0.0]))
+    h = at(SINH2.metric, [1.0, 0.0])
     want = np.diag([1.0, math.sinh(1.0) ** 2])
     assert np.allclose(h, want, atol=1e-14)
     # radial eigenvector has eigenvalue 1 at any point
     x = np.array([0.6, -0.8])
-    h = SINH2.metric(x)
+    h = at(SINH2.metric, x)
     assert np.allclose(h @ x, x, atol=1e-14)
 
 
@@ -40,13 +46,13 @@ def sampled_sinh():
 
 def test_metric_pole_limit():
     for chart in (SINH2, SINH3):
-        assert np.allclose(chart.metric(np.zeros(chart.dim)), np.eye(chart.dim), atol=1e-15)
+        assert np.allclose(at(chart.metric, np.zeros(chart.dim)), np.eye(chart.dim), atol=1e-15)
         x = np.full(chart.dim, 1e-8)
-        h = chart.metric(x)
+        h = at(chart.metric, x)
         assert np.allclose(h, np.eye(chart.dim), atol=1e-14)
-    sampled = TargetChart.from_warp(sampled_sinh(), 2)
+    sampled = TargetChart(ModelManifold(2, sampled_sinh()))
     with pytest.raises(DomainError):
-        sampled.metric(np.array([1e-8, 0.0]))
+        sampled.metric(np.array([[1e-8, 0.0]]))
 
 
 def test_metric_spd_bound():
@@ -72,8 +78,8 @@ def test_metric_rotational_equivariance():
             A = rng.normal(size=(n, n))
             Q, _ = np.linalg.qr(A)
             x = rng.normal(size=n) * 2.0
-            left = chart.metric(Q @ x)
-            right = Q @ chart.metric(x) @ Q.T
+            left = at(chart.metric, Q @ x)
+            right = Q @ at(chart.metric, x) @ Q.T
             assert np.allclose(left, right, atol=1e-12)
 
 
@@ -88,39 +94,39 @@ def test_metric_jacobian_symmetry_and_fd():
             r = np.linalg.norm(x)
             if not (0.1 <= r <= 5.0):
                 x = x / r * rng.uniform(0.1, 5.0)
-            dh = chart.metric_jacobian(x)
+            dh = at(chart.metric_jacobian, x)
             assert np.allclose(dh, np.swapaxes(dh, 0, 1))  # dh_ijk == dh_jik exactly
             fd = np.empty_like(dh)
             for k in range(n):
                 e = np.zeros(n)
                 e[k] = step
-                fd[:, :, k] = (chart.metric(x + e) - chart.metric(x - e)) / (2 * step)
+                fd[:, :, k] = (at(chart.metric, x + e) - at(chart.metric, x - e)) / (2 * step)
             scale = max(1.0, np.max(np.abs(dh)))
             worst = max(worst, np.max(np.abs(fd - dh)) / scale)
     assert worst <= 1e-6
 
 
 def test_metric_jacobian_flat_zero():
-    assert np.array_equal(FLAT2.metric_jacobian(np.array([0.4, 0.7])), np.zeros((2, 2, 2)))
+    assert np.array_equal(at(FLAT2.metric_jacobian, [0.4, 0.7]), np.zeros((2, 2, 2)))
 
 
 def test_metric_jacobian_series_branch_continuity():
     # series branch (r < R_TINY) agrees with the direct formula just above it
     x_dir = np.array([1.2e-6, 0.9e-6])
     x_ser = x_dir * 0.8
-    dh_dir = SINH2.metric_jacobian(x_dir)
-    dh_ser = SINH2.metric_jacobian(x_ser)
+    dh_dir = at(SINH2.metric_jacobian, x_dir)
+    dh_ser = at(SINH2.metric_jacobian, x_ser)
     assert np.max(np.abs(dh_ser / 0.8 - dh_dir)) < 1e-8
 
 
 def test_dist_to_pole():
-    assert SINH2.dist_to_pole(np.array([3.0, 4.0])) == 5.0
-    assert SINH2.dist_to_pole(np.zeros(2)) == 0.0
+    assert at(SINH2.dist_to_pole, [3.0, 4.0]) == 5.0
+    assert at(SINH2.dist_to_pole, np.zeros(2)) == 0.0
     rng = np.random.default_rng(5)
     x = rng.normal(size=2)
     th = 1.234
     Q = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    assert SINH2.dist_to_pole(Q @ x) == pytest.approx(SINH2.dist_to_pole(x), rel=1e-15)
+    assert at(SINH2.dist_to_pole, Q @ x) == pytest.approx(at(SINH2.dist_to_pole, x), rel=1e-15)
 
 
 def test_radial_polyline_length():
@@ -162,7 +168,8 @@ def admissible_warps(draw):
 @st.composite
 def chart_points(draw):
     """A chart of dimension 2 or 3 and a point on either side of R_TINY (r <= 3)."""
-    chart = TargetChart.from_warp(draw(admissible_warps()), draw(st.sampled_from([2, 3])))
+    warp = draw(admissible_warps())
+    chart = TargetChart(ModelManifold(draw(st.sampled_from([2, 3])), warp))
     u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=chart.dim, max_size=chart.dim)))
     assume(np.linalg.norm(u) > 0.1)
     exponent = draw(st.one_of(st.floats(-8.0, -5.0), st.floats(-3.0, math.log10(3.0))))
@@ -181,15 +188,15 @@ def rounding_bound(chart, x, dh):
 def test_metric_jacobian_properties(case, rotation_seed):
     chart, x = case
     n = chart.dim
-    dh = chart.metric_jacobian(x)
+    dh = at(chart.metric_jacobian, x)
     assert np.array_equal(dh, np.swapaxes(dh, 0, 1))
     A = np.array(rotation_seed[: n * n]).reshape(n, n) + 3.0 * np.eye(n)
     Q, _ = np.linalg.qr(A)
     rotated = np.einsum("ia,jb,kc,abc->ijk", Q, Q, Q, dh)
-    assert np.max(np.abs(chart.metric_jacobian(Q @ x) - rotated)) <= rounding_bound(chart, x, dh)
+    assert np.max(np.abs(at(chart.metric_jacobian, Q @ x) - rotated)) <= rounding_bound(chart, x, dh)
     if np.linalg.norm(x) >= 1e-3:
         step = 1e-5
-        fd = np.stack([(chart.metric(x + step * e) - chart.metric(x - step * e)) / (2 * step)
+        fd = np.stack([(at(chart.metric, x + step * e) - at(chart.metric, x - step * e)) / (2 * step)
                        for e in np.eye(n)], axis=-1)
         assert np.max(np.abs(fd - dh)) <= 1e-6 * max(1.0, np.max(np.abs(dh)))
 
@@ -197,25 +204,25 @@ def test_metric_jacobian_properties(case, rotation_seed):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(admissible_warps(), st.sampled_from([2, 3]), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi))
 def test_metric_jacobian_continuous_across_r_tiny(warp, n, phi, theta):
-    chart = TargetChart.from_warp(warp, n)
+    chart = TargetChart(ModelManifold(n, warp))
     u = np.array([math.cos(phi), math.sin(phi)]) if n == 2 else np.array(
         [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
-    below = chart.metric_jacobian(u * R_TINY * (1.0 - 2.0**-20))
-    above = chart.metric_jacobian(u * R_TINY * (1.0 + 2.0**-20))
+    below = at(chart.metric_jacobian, u * R_TINY * (1.0 - 2.0**-20))
+    above = at(chart.metric_jacobian, u * R_TINY * (1.0 + 2.0**-20))
     kappa = warp.third_at_zero / 3.0
     # the jump is rounding (see rounding_bound) plus the change of dh ~ kappa x over the gap
     assert np.max(np.abs(above - below)) <= 16.0 * EPS / R_TINY + 8.0 * abs(kappa) * R_TINY * 2.0**-19
 
 
 def test_metric_jacobian_at_pole_is_zero():
-    for chart in (SINH2, SINH3, TargetChart.from_warp(OddPolynomialWarp([1.0, 0.5, 0.1]), 3)):
-        assert np.array_equal(chart.metric_jacobian(np.zeros(chart.dim)), np.zeros((chart.dim,) * 3))
+    for chart in (SINH2, SINH3, POLY3):
+        assert np.array_equal(at(chart.metric_jacobian, np.zeros(chart.dim)), np.zeros((chart.dim,) * 3))
 
 
 def test_sampled_warp_metric_jacobian_refuses_the_pole():
-    sampled = TargetChart.from_warp(sampled_sinh(), 2)
+    sampled = TargetChart(ModelManifold(2, sampled_sinh()))
     with pytest.raises(DomainError):
-        sampled.metric_jacobian(np.array([1e-8, 0.0]))
+        sampled.metric_jacobian(np.array([[1e-8, 0.0]]))
     with pytest.raises(DomainError):
         sampled.metric_jacobian(np.array([[0.5, 0.0], [0.0, 1e-8]]))
 
@@ -252,8 +259,7 @@ def reference_metric_jacobian(chart, x):
             + (cx + cx.swapaxes(1, 2)))
 
 
-@pytest.mark.parametrize("chart", [SINH2, SINH3, TargetChart.from_warp(OddPolynomialWarp([1.0, 0.5, 0.1]), 3),
-                                   FLAT2, TargetChart.euclidean_line()],
+@pytest.mark.parametrize("chart", [SINH2, SINH3, POLY3, FLAT2, TargetChart(None)],
                          ids=["sinh2", "sinh3", "poly3", "flat2", "line"])
 def test_mixed_pole_batch_matches_single_points_and_reference(chart):
     n = chart.dim
@@ -267,11 +273,10 @@ def test_mixed_pole_batch_matches_single_points_and_reference(chart):
         batch = method(x)
         assert np.array_equal(batch, reference(chart, x))
         for xi, got in zip(x, batch):
-            assert np.array_equal(method(xi), got)
+            assert np.array_equal(at(method, xi), got)
 
 
-@pytest.mark.parametrize("chart", [SINH2, SINH3, TargetChart.from_warp(OddPolynomialWarp([1.0, 0.5, 0.1]), 3),
-                                   FLAT2, TargetChart.euclidean_line()],
+@pytest.mark.parametrize("chart", [SINH2, SINH3, POLY3, FLAT2, TargetChart(None)],
                          ids=["sinh2", "sinh3", "poly3", "flat2", "line"])
 def test_metric_on_a_transposed_entry_major_view_gives_the_bytes_of_a_contiguous_copy(chart):
     # the solver passes its quadrature points as the transpose of an (n, m) array
@@ -301,6 +306,15 @@ def test_metric_and_jacobian_return_views_of_an_entry_major_buffer():
 def test_a_finite_point_whose_radius_overflows_is_refused(method):
     # |x|^2 overflows to inf although x is finite: the radius check still refuses it
     with np.errstate(over="ignore"):
-        for x in (np.array([1e200, 0.0]), np.array([[0.5, 0.0], [0.0, -1e200]])):
+        for x in (np.array([[1e200, 0.0]]), np.array([[0.5, 0.0], [0.0, -1e200]])):
             with pytest.raises(DomainError, match="finite"):
                 getattr(SINH2, method)(x)
+
+
+@pytest.mark.parametrize("method", ["metric", "metric_jacobian", "dist_to_pole"])
+def test_a_single_point_is_refused_in_favour_of_a_batch_of_one(method):
+    # points are always an (m, n) array: a 1-d point is not read as one row
+    for chart, x in ((SINH2, np.array([0.3, 0.4])), (TargetChart(None), np.array([0.5]))):
+        with pytest.raises(UsageError, match=r"shape \(m, "):
+            getattr(chart, method)(x)
+        assert getattr(chart, method)(x[None]).shape[0] == 1

@@ -285,6 +285,19 @@ def test_certify_grid_validation():
         certify(gw, np.linspace(0.0, 1.0, 2500))  # does not span the bands
     with pytest.raises(UsageError):
         certify(gw, np.linspace(0.0, gw.R2 + 4 * gw.delta, 100))  # too coarse
+    # the default grid has the points asked for, with no silent raise to 2000, so certify refuses it too
+    coarse = default_certification_grid(gw, 101)
+    assert np.array_equal(coarse, np.union1d(np.linspace(0.0, gw.R2 + 4.0 * gw.delta, 101), gw.edges))
+    with pytest.raises(UsageError, match="at least 2000 points"):
+        certify(gw, coarse)
+    assert default_certification_grid(gw, 2001).size == 2001 + 4  # no edge falls on a point here
+
+
+def test_find_k_refuses_a_nan_band_half_width():
+    # NaN fails every comparison, so the range check is written to fail on it
+    for delta in (math.nan, -0.1, 0.5):
+        with pytest.raises(DomainError, match="0 <= delta < \\(R2-R1\\)/2"):
+            find_k(RHO, SIGMA, 1.0, 2.0, delta)
 
 
 def test_tail_identification_constant_offset():
@@ -570,9 +583,50 @@ def test_glue2d_reports_the_first_ray_in_order_that_fails():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeWarning, match="overflow"):
-                glue2d([wrap(RHO), wrap(big)], theta[:2], SIGMA, 1.0, 4.0)
+                glue2d([wrap(RHO), wrap(big)], theta[::2], SIGMA, 1.0, 4.0)  # two rays, uniform [0, pi]
             with pytest.raises(UsageError, match=concave_first):
                 glue2d(rays, theta, SIGMA, 1.0, 4.0)
+
+
+def test_glue2d_refuses_angles_that_are_not_uniform_on_the_circle():
+    # lip divides by the spacing 2 pi / len(theta_grid) and wraps the last ray onto the first, so a
+    # sector, an unsorted or a NaN grid would give a wrong bound
+    rays = [OddPolynomialWarp([1.0, 2.0 + 0.1 * j]) for j in range(4)]
+    uniform = 2 * np.pi * np.arange(4) / 4
+    for theta in (np.linspace(0.0, np.pi / 2, 4), uniform[[0, 2, 1, 3]], np.append(uniform[:3], np.nan)):
+        with pytest.raises(UsageError, match=r"theta_grid must be uniform on \[0, 2\*pi\)"):
+            glue2d(rays, theta, SIGMA, 1.0, 4.0)
+    # the rule of PolarMetricGrid: uniform from any first angle; one ray is accepted
+    result = glue2d(rays, uniform + 0.3, SIGMA, 1.0, 4.0)
+    assert result.passed and result.lip == glue2d(rays, uniform, SIGMA, 1.0, 4.0).lip > 0.0
+    assert glue2d(rays[:1], np.array([1.0]), SIGMA, 1.0, 4.0).lip == 0.0
+
+
+def test_generic_glued_warps_are_audited_without_calling_certify(monkeypatch):
+    # glue2d and glue_pipeline audit a warp they cannot prove on the default grid that they build,
+    # which passes certify's checks by construction; the certificates are certify's on that grid
+    import pharmap.glue as glue_module
+
+    theta, rays = cubic_rays(5, True)
+    rays = [Forwarding(ray) for ray in rays]
+    spec = GlueSpec(Forwarding(RHO), SIGMA, 1.0, 4.0)
+    want_rays = glue2d(rays, theta, SIGMA, 1.0, 4.0)
+    want_gw, want = glue_pipeline(spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify was called")
+
+    monkeypatch.setattr(glue_module, "certify", refuse)
+    got_rays = glue2d(rays, theta, SIGMA, 1.0, 4.0)
+    _, got = glue_pipeline(spec)
+    monkeypatch.undo()
+    assert_same_certificate(got, want)
+    assert_same_certificate(want, certify(want_gw, default_certification_grid(want_gw, 4001)))
+    grid = default_certification_grid(want_rays.glued[0], 2001)
+    for gw, got, want in zip(want_rays.glued, got_rays.certificates, want_rays.certificates):
+        assert got.curvature.sec_rad is not None
+        assert_same_certificate(got, want)
+        assert_same_certificate(want, certify(gw, grid))
 
 
 def test_glue2d_rejects_a_ray_whose_curvature_dips_between_the_sampled_points():

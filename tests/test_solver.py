@@ -26,12 +26,12 @@ from pharmap.solver import (
     solve,
     uniqueness_probe,
 )
-from pharmap.warp import IdentityWarp, OddPolynomialWarp, SinhWarp
+from pharmap.warp import IdentityWarp, ModelManifold, OddPolynomialWarp, SinhWarp
 
-EUCL2 = TargetChart.from_warp(IdentityWarp(), 2)
-SINH2 = TargetChart.from_warp(SinhWarp(), 2)
-SINH3 = TargetChart.from_warp(SinhWarp(), 3)
-LINE = TargetChart.euclidean_line()
+EUCL2 = TargetChart(ModelManifold(2, IdentityWarp()))
+SINH2 = TargetChart(ModelManifold(2, SinhWarp()))
+SINH3 = TargetChart(ModelManifold(3, SinhWarp()))
+LINE = TargetChart(None)
 
 
 def identity_state(mesh):
@@ -80,8 +80,7 @@ def test_energy_p_validation_and_shape_mismatch():
             with pytest.raises(UsageError):
                 fn(mesh, EUCL2, identity_state(mesh), p, quadrature=quadrature)
     for bad in ({"p": math.nan}, {"p": math.inf}, {"grad_tol": math.nan}, {"quadrature": 2},
-                {"max_iter": 0}, {"threads": 0}, {"max_iter": math.nan}, {"max_iter": 2.5},
-                {"threads": math.nan}, {"threads": 2.5}):
+                {"max_iter": 0}, {"max_iter": math.nan}, {"max_iter": 2.5}):
         with pytest.raises(UsageError):
             SolveConfig(**{"p": 3.0, **bad})
     annulus = build_annulus(1.0, 2.0, 4, 16)  # 80 vertices
@@ -285,7 +284,7 @@ def test_uniqueness_probe_quadratic_and_degenerate():
     vals = mesh.vertices @ np.array([[0.8, 0.0], [0.2, 1.0]]).T
     config = SolveConfig(p=2.0, grad_tol=1e-11, max_iter=500, seed=11)
     report = uniqueness_probe(mesh, EUCL2, vals, config, 4)
-    assert report.all_converged
+    assert all(report.converged) and len(report.converged) == 4
     assert report.spread <= 1e-8
     pts = [state.points for state in report.states]  # the spread is the largest pairwise sup-distance
     assert report.spread == max(np.max(np.linalg.norm(a - b, axis=1)) for i, a in enumerate(pts) for b in pts[i + 1:])
@@ -345,21 +344,8 @@ def test_line_search_treats_an_overflowing_trial_as_a_rejection():
     theta = np.arctan2(v[:, 1], v[:, 0])
     bvals[idx] = (0.5 * (1.0 + amp * np.cos(mode * theta + phase)))[:, None] * v
     report = uniqueness_probe(m, SINH2, bvals, SolveConfig(p=3.0, grad_tol=1e-9), 4)
-    assert report.all_converged
+    assert all(report.converged)
     assert report.spread <= 1e-8
-
-
-def test_solver_determinism_across_threads():
-    mesh = build_annulus(1.0, 2.0, 3, 12)
-    bvals = np.zeros((mesh.num_vertices, 2))
-    bidx = mesh.boundary_indices()
-    bvals[bidx] = mesh.vertices[bidx] * 0.5
-    results = []
-    for threads in (1, 4):
-        config = SolveConfig(p=3.0, grad_tol=1e-9, max_iter=1500, threads=threads)
-        state, report = solve(mesh, SINH2, bvals, config)
-        results.append((state.points.tobytes(), tuple(report.energy_trace), report.residual))
-    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("quadrature", [1, 3])
@@ -369,11 +355,8 @@ def test_thread_pool_assembly_is_byte_identical(quadrature):
     assert mesh.num_triangles > _CHUNK
     rng = np.random.default_rng(4)
     state = MapState(0.5 * mesh.vertices + 0.05 * rng.normal(size=mesh.vertices.shape))
-    results = []
-    for threads in (1, 2, 4):
-        e = energy(mesh, SINH2, state, 3.0, quadrature=quadrature, threads=threads)
-        g = energy_gradient(mesh, SINH2, state, 3.0, quadrature=quadrature, threads=threads)
-        results.append((np.float64(e).tobytes(), g.tobytes()))
+    results = [energy_gradient(mesh, SINH2, state, 3.0, quadrature=quadrature, threads=threads).tobytes()
+               for threads in (1, 2, 4)]
     assert results[0] == results[1] == results[2]
 
 
@@ -440,24 +423,20 @@ def sin3_ring_problem():
     return mesh, bvals
 
 
-def test_solve_below_energy_floor_converges_for_any_thread_count():
+def test_solve_below_energy_floor_converges():
     # the data of test_solve_max_principle_within_tolerance at p=3: its last
     # steps change the energy by less than one rounding unit, so only the
     # approximate Wolfe test at the energy floor can accept them
     mesh, bvals = sin3_ring_problem()
     bidx = mesh.boundary_indices()
-    results = []
-    for threads in (1, 4):
-        config = SolveConfig(p=3.0, grad_tol=1e-9, max_iter=3000, threads=threads)
-        state, report = solve(mesh, SINH2, bvals, config)
-        assert report.stop_reason == "converged" and report.converged
-        assert report.residual <= config.grad_tol
-        steps = np.diff(np.asarray(report.energy_trace))
-        assert np.all(steps <= 0.0)
-        assert np.any(steps == 0.0)  # a step the energy could not tell from no step
-        assert np.array_equal(state.points[bidx], bvals[bidx])  # bit-identical
-        results.append((state.points.tobytes(), tuple(report.energy_trace), report.residual))
-    assert results[0] == results[1]
+    config = SolveConfig(p=3.0, grad_tol=1e-9, max_iter=3000)
+    state, report = solve(mesh, SINH2, bvals, config)
+    assert report.stop_reason == "converged" and report.converged
+    assert report.residual <= config.grad_tol
+    steps = np.diff(np.asarray(report.energy_trace))
+    assert np.all(steps <= 0.0)
+    assert np.any(steps == 0.0)  # a step the energy could not tell from no step
+    assert np.array_equal(state.points[bidx], bvals[bidx])  # bit-identical
 
 
 def test_solve_stop_reasons():
@@ -620,8 +599,8 @@ def test_fused_line_search_energy_equals_energy_only_assembly(monkeypatch):
     states = []
     assemble = solver_module._assemble
 
-    def recording(mesh, chart, comps, p, rule=1, need_grad=True, threads=1):
-        total, grad = assemble(mesh, chart, comps, p, rule, need_grad=need_grad, threads=threads)
+    def recording(mesh, chart, comps, p, rule=1, need_grad=True):
+        total, grad = assemble(mesh, chart, comps, p, rule, need_grad=need_grad)
         if need_grad:
             states.append((comps.T.copy(), total))  # comps holds the map component-major, (n, nv)
         return total, grad
@@ -785,7 +764,7 @@ def test_solve_reaches_grad_tol_on_former_floor_stalls(seed, p):
     config = SolveConfig(p=p, grad_tol=1e-9, quadrature=3)
     state, report = solve(mesh, SINH2, bvals, config)
     assert report.stop_reason == "converged"
-    plain = TargetChart.from_warp(SinhWarp(), 2)
+    plain = TargetChart(ModelManifold(2, SinhWarp()))
     assert residual(mesh, plain, state, p, quadrature=3) <= config.grad_tol
     assert np.all(np.diff(np.asarray(report.energy_trace)) <= 0.0)
 
@@ -863,7 +842,7 @@ def fuzz_problem(seed):
     bvals = (s * (1.0 + a * np.cos(k * theta + phi)))[:, None] * mesh.vertices / radii[-1] + t
     p, quadrature = float(rng.choice([2.0, 2.5, 3.0, 4.0, 5.0])), int(rng.choice([1, 3]))
     config = SolveConfig(p=p, grad_tol=1e-9, max_iter=500, quadrature=quadrature)
-    return mesh, TargetChart.from_warp(warp, 2), bvals, config
+    return mesh, TargetChart(ModelManifold(2, warp)), bvals, config
 
 
 def test_solver_fuzz_over_admissible_problems():

@@ -3,8 +3,10 @@
 A table file is a header line followed by rows of numbers.  Writers give each
 column a %-format; ``%.17g`` round-trips every float64 exactly.  A block of
 rows is a 2d array, or a ``GridRows`` product grid whose axis values are
-formatted once each and only the value column per row.  The reader
-checks the header against a pattern, skips blank lines, and raises
+formatted once each and only the value column per row.  The writer streams
+each block to the file in fixed slices of rows, so no text of the whole
+table is held at once; the bytes written do not depend on the slice.  The
+reader checks the header against a pattern, skips blank lines, and raises
 ``UsageError`` naming the file and line of the first malformed row.
 """
 
@@ -17,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
+
+_SLICE_ROWS = 2048  # rows formatted per write of ``write_table``
 
 
 @dataclass(frozen=True)
@@ -31,34 +35,42 @@ class GridRows:
     y: np.ndarray
     values: np.ndarray
 
-    def text(self, delimiter: str) -> str:
+    def write(self, fh, delimiter: str) -> None:
+        """Write the rows to the open file ``fh``, whole x_i at a time, about ``_SLICE_ROWS`` rows per write."""
         def fields(axis):  # formatted once; "%.17g" gives no "%" to escape in the row template
             return ["%.17g" % v for v in np.asarray(axis).tolist()]
 
         # the rows of x_i are x_i + tail_0 + x_i + tail_1 + ..., which is x_i.join(["", tail_0, tail_1, ...])
-        tails = [""] + [delimiter + y + delimiter + "%.17g\n" for y in fields(self.y)]
-        template = "".join(x.join(tails) for x in fields(self.x))
-        return template % tuple(np.asarray(self.values).ravel().tolist())
+        ys = fields(self.y)
+        tails = [""] + [delimiter + y + delimiter + "%.17g\n" for y in ys]
+        values = np.asarray(self.values)
+        xs = fields(self.x)
+        step = max(1, _SLICE_ROWS // max(1, len(ys)))
+        for start in range(0, len(xs), step):
+            template = "".join(x.join(tails) for x in xs[start:start + step])
+            fh.write(template % tuple(values[start:start + step].ravel().tolist()))
 
 
 def write_table(path, header: str, *blocks, delimiter: str = ",") -> None:
     """Write ``header``, then each block: a ``GridRows``, or ``(rows, fmt)`` of a 2d array.
 
     ``fmt`` is a sequence of one %-format per column, or one format for all.
+    Rows are formatted and written ``_SLICE_ROWS`` at a time.
     """
-    text = [header + "\n"]
-    for block in blocks:
-        if isinstance(block, GridRows):
-            text.append(block.text(delimiter))
-            continue
-        rows, fmt = block
-        rows = np.asarray(rows)
-        if isinstance(fmt, str):
-            fmt = [fmt] * rows.shape[1]
-        line = delimiter.join(fmt) + "\n"
-        text.append((line * rows.shape[0]) % tuple(rows.ravel().tolist()))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("".join(text))
+        fh.write(header + "\n")
+        for block in blocks:
+            if isinstance(block, GridRows):
+                block.write(fh, delimiter)
+                continue
+            rows, fmt = block
+            rows = np.asarray(rows)
+            if isinstance(fmt, str):
+                fmt = [fmt] * rows.shape[1]
+            line = delimiter.join(fmt) + "\n"
+            for start in range(0, rows.shape[0], _SLICE_ROWS):
+                part = rows[start:start + _SLICE_ROWS]
+                fh.write((line * part.shape[0]) % tuple(part.ravel().tolist()))
 
 
 def read_table(path, what: str, header: str, columns: int | None = None,

@@ -103,6 +103,8 @@ class PolarMetricGrid:
         self.j = np.asarray(self.j, dtype=float)
         if self.t_grid.ndim != 1 or not (np.all(self.t_grid > 0.0) and np.all(np.diff(self.t_grid) > 0.0)):
             raise UsageError("t_grid must be strictly increasing and positive")
+        if self.theta_grid.ndim != 1:
+            raise UsageError("theta_grid must be a 1d array")
         m = self.theta_grid.size
         if m < 3:
             raise UsageError("theta_grid needs at least 3 angles")

@@ -412,7 +412,7 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2000:
         raise UsageError("certification grid needs at least 2000 points")
-    if np.any(np.diff(grid) <= 0.0):
+    if not np.all(np.diff(grid) > 0.0):  # NaN fails too
         raise UsageError("certification grid must be strictly increasing")
     if grid[0] > 1e-12 or grid[-1] < gw.R2 + 4.0 * gw.delta - 1e-9:
         raise UsageError("certification grid must span [0, R2 + 4*delta]")

@@ -16,6 +16,10 @@ Rescaling ``sigma_k(r) = k^{-1/2} sigma(k^{1/2} r)`` multiplies curvatures by
 ``k``; a warp is of *hyperbolic type* when it is convex and its rescalings
 satisfy ``sigma_k' >= sigma_k -> +inf`` as ``k`` grows.  Such warps serve as
 the outer geometry in the gluing construction of :mod:`pharmap.glue`.
+
+Spline warps (``SplineWarp``, ``load_warp_csv``) load scipy.interpolate on
+first use, when one is built or evaluated; the analytic warps and the
+modules that only use them never load it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BPoly
 
 from ._table import read_table, write_table
 from .errors import DomainError, UsageError
@@ -256,6 +259,8 @@ def _build_splines(radii, values, derivs, second_derivs=None, warps=None) -> lis
         column = np.argmin(ok.all(axis=0))
         error, message = _SPLINE_CHECKS[np.argmin(ok[:, column])]
         raise error(message)
+    from scipy.interpolate import BPoly
+
     if warps is None:
         warps = [SplineWarp.__new__(SplineWarp) for _ in range(columns)]
     degree = 3 if second_derivs is None else 5
@@ -338,6 +343,8 @@ def _spline_rows(rays, r):
     dr = flat[past] - rN
     ri = np.clip(flat, knots[0], rN)
     if len(rays) > 1:
+        from scipy.interpolate import BPoly
+
         # only the pieces that hold a radius are stacked: in that slice of the knots BPoly finds
         # each radius in the piece it finds it in among all knots (the right one at a knot)
         piece = np.clip(np.searchsorted(knots, ri, side="right") - 1, 0, knots.size - 2)
@@ -556,7 +563,7 @@ def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise UsageError("certification grid must be a nonempty 1d array")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
+    if not (np.all(grid > 0.0) and np.all(np.diff(grid) > 0.0)):  # NaN fails too
         raise UsageError("certification grid must be strictly increasing and positive")
     return _curvature_report(w, grid, w.evaluate(grid))
 
@@ -572,7 +579,7 @@ def is_hyperbolic_type(w: WarpingFunction, grid) -> HyperbolicTypeReport:
     grid itself and gives the convexity samples.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0.0):
+    if grid.ndim != 1 or grid.size == 0 or not np.all(grid > 0.0):  # NaN fails too
         raise UsageError("hyperbolic-type grid must be nonempty and positive")
     sqrt_k = np.sqrt(np.array(_HYPERBOLIC_SCALES))[:, None]
     # a scaled warp that overflows gives inf - inf = NaN, which fails both tests

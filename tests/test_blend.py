@@ -81,6 +81,13 @@ def test_grid_validation():
         grid_from(lambda t, h: 2.0 + np.sin(0.5 * h), T_GRID)  # not 2pi-periodic
 
 
+def test_grid_refuses_angles_that_are_not_1d():
+    theta = 2 * np.pi * np.arange(8) / 8
+    for angles in (theta.reshape(2, 4), theta.reshape(4, 2)):
+        with pytest.raises(UsageError, match="theta_grid must be a 1d array"):
+            PolarMetricGrid(T_GRID, angles, np.ones((T_GRID.size, 8)))
+
+
 def test_grid_rejects_a_nan_radius():
     # np.diff of [0.5, nan, 2] is [nan, nan], and no NaN is <= 0
     theta = 2 * np.pi * np.arange(4) / 4

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pharmap import _table
 from pharmap.blend import PolarMetricGrid, load_metric_csv, save_metric_csv
 from pharmap.errors import UsageError
 from pharmap.mesh import build_annulus, load_mesh, save_mesh
@@ -156,3 +157,37 @@ def test_solution_file_refuses_a_state_without_vertices(tmp_path):
     assert not path.exists()
     save_solution_csv(path, MapState(np.zeros((1, 2))))  # one vertex round-trips
     assert load_solution_csv(path).points.tobytes() == np.zeros((1, 2)).tobytes()
+
+
+B = _table._SLICE_ROWS  # rows per write of the table writer
+
+
+def one_shot(header, blocks, delimiter):
+    """The file text of ``write_table``, formatted in one piece per block."""
+    text = header + "\n"
+    for rows, fmt in blocks:
+        fmt = [fmt] * rows.shape[1] if isinstance(fmt, str) else fmt
+        text += ((delimiter.join(fmt) + "\n") * rows.shape[0]) % tuple(rows.ravel().tolist())
+    return text
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("fmt, delimiter", [(("%d", "%.17g", "%.3e"), " "), ("%.17g", ",")],
+                         ids=["per-column", "one-for-all"])
+def test_write_table_bytes_do_not_depend_on_the_slice(tmp_path, n, fmt, delimiter):
+    rng = np.random.default_rng(n)
+    rows = rng.normal(scale=1e3, size=(n, 3))
+    blocks = [(rows, fmt), (np.arange(3 * n).reshape(n, 3), "%d")]
+    path = tmp_path / "table.txt"
+    _table.write_table(path, "a b c", *blocks, delimiter=delimiter)
+    assert path.read_bytes() == one_shot("a b c", blocks, delimiter).encode("ascii")
+
+
+@pytest.mark.parametrize("nx, ny", [(0, 3), (1, 1), (2 * B + 1, 1), (B + 1, 3), (3, B - 1), (2, B + 1)])
+def test_grid_rows_bytes_are_those_of_the_array_block(tmp_path, nx, ny):
+    rng = np.random.default_rng(nx + ny)
+    x, y, values = rng.normal(size=nx), rng.normal(size=ny), rng.normal(size=(nx, ny))
+    rows = np.column_stack([np.repeat(x, ny), np.tile(y, nx), values.ravel()])
+    path = tmp_path / "grid.csv"
+    _table.write_table(path, "t,theta,j", _table.GridRows(x, y, values))
+    assert path.read_bytes() == one_shot("t,theta,j", [(rows, "%.17g")], ",").encode("ascii")

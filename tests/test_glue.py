@@ -293,6 +293,15 @@ def test_certify_grid_validation():
     assert default_certification_grid(gw, 2001).size == 2001 + 4  # no edge falls on a point here
 
 
+def test_certify_refuses_a_nan_grid_radius():
+    gw, _ = glue_pipeline(GlueSpec(RHO, SIGMA, 1.0, 4.0))
+    for at in (0, 1000, -1):
+        grid = default_certification_grid(gw)
+        grid[at] = math.nan
+        with pytest.raises(UsageError, match="certification grid must be strictly increasing"):
+            certify(gw, grid)
+
+
 def test_find_k_refuses_a_nan_band_half_width():
     # NaN fails every comparison, so the range check is written to fail on it
     for delta in (math.nan, -0.1, 0.5):

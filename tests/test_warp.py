@@ -138,6 +138,15 @@ def test_is_cartan_hadamard():
         is_cartan_hadamard(SinhWarp(), np.array([]))
 
 
+def test_grid_checks_refuse_a_nan_radius():
+    # NaN fails every comparison, so the grid checks are written to fail on it
+    for grid in ([0.5, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.5, 1.0, np.nan]):
+        with pytest.raises(UsageError, match="certification grid must be strictly increasing and positive"):
+            is_cartan_hadamard(SinhWarp(), grid)
+        with pytest.raises(UsageError, match="hyperbolic-type grid must be nonempty and positive"):
+            is_hyperbolic_type(SinhWarp(), grid)
+
+
 def test_is_cartan_hadamard_detects_spherical_cap():
     # sigma = r - r^3/3 has sigma'' = -2r < 0; worst curvature sits at the
     # largest radius (confirmed by direct evaluation of -sigma''/sigma).

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import GridRows, read_table, write_table
-from .errors import DomainError, UsageError, _doubling_search
+from .errors import DomainError, UsageError, _count, _doubling_search, _grid, _interval
 
 __all__ = [
     "PolarMetricGrid",
@@ -68,14 +68,15 @@ def _derivative_weights(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _d_dt(t: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Derivative of F (shape (nt, ...)) along the first axis on grid t."""
-    if t.size < 3:
-        raise UsageError("radial derivative needs at least 3 samples (or an analytic generator)")
+    _count(t.size, "t_grid size of a radial derivative without generator_dt", 3)
     weights, cols = _derivative_weights(t)
     return np.einsum("iw,iw...->i...", weights, F[cols])
 
 
 def _check_uniform_angles(theta) -> None:
-    """Refuse angles other than theta_0 + 2 pi i / m, i < m = ``theta.size``, to within 1e-12."""
+    """Refuse angles other than the 1d array theta_0 + 2 pi i / m, i < m = ``theta.size`` >= 1, to within 1e-12."""
+    if theta.ndim != 1:
+        raise UsageError("theta_grid must be a 1d array")
     m = theta.size
     want = theta[0] + 2.0 * np.pi * np.arange(m) / m
     if not np.allclose(theta, want, atol=1e-12):
@@ -98,16 +99,11 @@ class PolarMetricGrid:
     generator_dt: object = None
 
     def __post_init__(self):
-        self.t_grid = np.asarray(self.t_grid, dtype=float)
+        self.t_grid = _grid(self.t_grid, "t_grid")
         self.theta_grid = np.asarray(self.theta_grid, dtype=float)
         self.j = np.asarray(self.j, dtype=float)
-        if self.t_grid.ndim != 1 or not (np.all(self.t_grid > 0.0) and np.all(np.diff(self.t_grid) > 0.0)):
-            raise UsageError("t_grid must be strictly increasing and positive")
-        if self.theta_grid.ndim != 1:
-            raise UsageError("theta_grid must be a 1d array")
         m = self.theta_grid.size
-        if m < 3:
-            raise UsageError("theta_grid needs at least 3 angles")
+        _count(m, "theta_grid size", 3)
         _check_uniform_angles(self.theta_grid)
         if self.j.shape != (self.t_grid.size, m):
             raise UsageError("j must have shape (len(t_grid), len(theta_grid))")
@@ -122,6 +118,7 @@ class PolarMetricGrid:
 
     @classmethod
     def from_generator(cls, generator, t_grid, ntheta: int, generator_dt=None) -> "PolarMetricGrid":
+        _count(ntheta, "ntheta", 3)
         t_grid = np.asarray(t_grid, dtype=float)
         theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
         tt, hh = np.meshgrid(t_grid, theta, indexing="ij")
@@ -157,16 +154,15 @@ class BlendResult:
 
 
 def hyperbolic_coefficient(k: float, t) -> np.ndarray:
-    """Angular coefficient sinh^2(sqrt(k) t)/k of the curvature -k hyperbolic plane."""
-    if not k > 0.0:  # written so that NaN fails
-        raise DomainError("hyperbolic coefficient needs k > 0")
+    """Angular coefficient sinh^2(sqrt(k) t)/k of the curvature -k hyperbolic plane; k must be finite and > 0."""
+    if not 0.0 < k < np.inf:  # written so that NaN fails
+        raise DomainError("hyperbolic coefficient needs a finite k > 0")
     t = np.asarray(t, dtype=float)
     return np.sinh(np.sqrt(k) * t) ** 2 / k
 
 
 def _annulus_mask(t_grid, R1, R2):
-    if not (0.0 < R1 < R2):
-        raise UsageError("need 0 < R1 < R2")
+    _interval(R1, R2, "blend annulus (R1, R2)")
     if t_grid[0] > R1 + 1e-12 or t_grid[-1] < R2 - 1e-12:
         raise UsageError("t_grid must cover the transition annulus [R1, R2]")
     mask = (t_grid >= R1 - 1e-12) & (t_grid <= R2 + 1e-12)
@@ -210,6 +206,7 @@ def partition_profile(t, R1: float, R2: float):
 
     phi_j is 1 up to R1, 0 from R2 on, C^2 and nonincreasing in between.
     """
+    _interval(R1, R2, "partition radii (R1, R2)")
     t = np.asarray(t, dtype=float)
     x = np.clip((t - R1) / (R2 - R1), 0.0, 1.0)
     smooth = x * x * x * (10.0 + x * (-15.0 + 6.0 * x))

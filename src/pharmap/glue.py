@@ -75,7 +75,7 @@ import numpy as np
 
 from .blend import _check_uniform_angles
 from .errors import (ConstructionError, DomainError, InfeasibleError, SearchExhaustedError, UsageError,
-                     _doubling_search)
+                     _count, _doubling_search, _grid, _interval)
 from .warp import (
     CurvatureReport,
     ScaledWarp,
@@ -86,8 +86,7 @@ from .warp import (
     _convexity_bound,
     _convexity_bounds,
     _curvature_report,
-    _evaluated_jointly,
-    _ray_samples,
+    _ray_rows,
     is_hyperbolic_type,
 )
 
@@ -133,8 +132,7 @@ class GlueSpec:
     R: float
 
     def __post_init__(self):
-        if not (0.0 < self.R_bar < self.R):
-            raise UsageError("glue spec needs 0 < R_bar < R")
+        _interval(self.R_bar, self.R, "glue spec radii (R_bar, R)")
 
     def validate(self) -> None:
         """Check that the outer warp is of hyperbolic type on the glue grid."""
@@ -174,8 +172,7 @@ class GluedWarp(WarpingFunction):
 
     def __init__(self, rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: float,
                  delta: float, s: float | None = None):
-        if not (0.0 < R1 < R2):
-            raise UsageError("glued warp needs 0 < R1 < R2")
+        _interval(R1, R2, "glued warp radii (R1, R2)")
         if not (0.0 < delta < (R2 - R1) / 2.0):
             raise DomainError("band half-width must satisfy 0 < delta < (R2-R1)/2")
         R1, R2, delta = float(R1), float(R2), float(delta)
@@ -367,8 +364,7 @@ def find_k(rho: WarpingFunction, sigma: WarpingFunction, R1: float, R2: float,
     raises ``SearchExhaustedError`` with the two bracket-end mismatches at
     the last k with finite sigma_k(R2+delta).
     """
-    if not (0.0 < R1 < R2):
-        raise UsageError("find_k needs 0 < R1 < R2")
+    _interval(R1, R2, "find_k radii (R1, R2)")
     if not (0.0 <= delta and 2.0 * delta < R2 - R1):  # written so that NaN fails
         raise DomainError("find_k needs 0 <= delta < (R2-R1)/2")
     rho_a, drho_a, _ = rho.evaluate(R1 - delta)
@@ -388,7 +384,8 @@ def build_tau(rho: WarpingFunction, sigma_k: WarpingFunction, R1: float, R2: flo
 
 
 def default_certification_grid(gw: GluedWarp, n: int = 4001) -> np.ndarray:
-    """Uniform grid of ``n`` points (``certify`` needs 2000) on [0, R2+4*delta] with the band edges inserted."""
+    """Uniform grid of ``n`` >= 2 points (``certify`` needs 2000) on [0, R2+4*delta] with the band edges inserted."""
+    _count(n, "n", 2)
     top = gw.R2 + 4.0 * gw.delta
     grid = np.linspace(0.0, top, n)
     return np.unique(np.concatenate([grid, np.asarray(gw.edges)]))
@@ -409,11 +406,7 @@ def certify(gw: GluedWarp, grid) -> GlueCertificate:
     fails, with a report that holds no arrays, is not nonpositive and has
     an infinite ``worst_violation``.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2000:
-        raise UsageError("certification grid needs at least 2000 points")
-    if not np.all(np.diff(grid) > 0.0):  # NaN fails too
-        raise UsageError("certification grid must be strictly increasing")
+    grid = _grid(grid, "certification grid", least=2000, zero=True)
     if grid[0] > 1e-12 or grid[-1] < gw.R2 + 4.0 * gw.delta - 1e-9:
         raise UsageError("certification grid must span [0, R2 + 4*delta]")
     for edge in gw.edges:
@@ -470,21 +463,6 @@ def _glue_plan(spec: GlueSpec):
     return R1, R2, min(0.05, (R2 - R1) / 10.0)
 
 
-def _each_row(rays, points):
-    """(sigma, sigma', sigma'') of each ray at ``points``, in ray order, evaluated together where they can be.
-
-    Where the joint evaluation (``_ray_samples``) fails or cannot be made,
-    each ray is evaluated alone as its row is read, so the first ray in
-    order that fails raises, with the error it raises alone.
-    """
-    if rays and _evaluated_jointly(rays):
-        try:
-            return list(zip(*_ray_samples(rays, points)))
-        except (ValueError, ArithmeticError, Warning):  # a bad radius, or an overflow raised as an error
-            pass
-    return (ray.evaluate(points) for ray in rays)
-
-
 def _proved_certificates(glued, head_bounds, tail_bound) -> list[GlueCertificate]:
     """Certificates of glued warps that share (R1, R2, delta, sigma_k), proved from a few scalars of each.
 
@@ -495,7 +473,7 @@ def _proved_certificates(glued, head_bounds, tail_bound) -> list[GlueCertificate
     passes the sign tolerance of ``warp._convex_rows``, the slope margin of
     ``GlueCertificate`` is at least -``SLOPE_TOL`` and the tail offset is
     within its tolerance.  rho is evaluated at 0 only, for all rays together
-    (``_each_row``).
+    (``warp._ray_rows``).
     """
     sig_d = glued[0]._tail[0]
     tail_tol = VALUE_TOL + _TAIL_ROUNDING * abs(sig_d)
@@ -503,7 +481,7 @@ def _proved_certificates(glued, head_bounds, tail_bound) -> list[GlueCertificate
             for gw, head in zip(glued, head_bounds)]
     convex = _convex_rows(np.array(lows)[:, None])
     certs = []
-    slopes0 = _each_row([gw.rho for gw in glued], np.zeros(1))
+    slopes0 = _ray_rows([gw.rho for gw in glued], np.zeros(1))
     for gw, head, low, ok, (_, slope0, _) in zip(glued, head_bounds, lows, convex, slopes0):
         # tau' - 1 >= rho'(0) - 1 on the head, less what a negative head bound within the tolerance takes
         slope = float(slope0[0]) - 1.0 + gw.edges[0] * min(head, 0.0)
@@ -586,9 +564,9 @@ def rays_from_polar_samples(t_grid, nu, dnu=None) -> list[SplineWarp]:
     ``glue2d`` evaluates them together as stacked columns.  Each ray equals
     the ``SplineWarp`` built from its column alone.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _grid(t_grid, "ray sample t_grid", least=2, zero=True)
     nu = np.asarray(nu, dtype=float)
-    if t_grid.ndim != 1 or nu.ndim != 2 or nu.shape[0] != t_grid.size:
+    if nu.ndim != 2 or nu.shape[0] != t_grid.size:
         raise UsageError("need t_grid (nt,) and nu (nt, ntheta)")
     if t_grid[0] != 0.0:
         raise UsageError("ray samples must start at t = 0 (the glued head reaches the pole)")
@@ -612,13 +590,13 @@ def _convex_anchors(rays, theta_grid, lo, hi, a):
     window raises for these types, a spline below its first knot and an
     overflow of a warp that grows with r.  Any other ray is sampled on 256
     points of [lo, hi] and at a, and its bound is None.  The rows are read
-    in ray order (``_each_row``, for each of the two groups), so the first
+    in ray order (``warp._ray_rows``, for each of the two groups), so the first
     ray in order that fails evaluation or convexity raises, with the error
     it raises alone.
     """
     bounds = _convexity_bounds(rays, 0.0, hi)
     groups = {
-        proved: iter(_each_row([ray for ray, b in zip(rays, bounds) if (b is not None) is proved], points))
+        proved: iter(_ray_rows([ray for ray, b in zip(rays, bounds) if (b is not None) is proved], points))
         for proved, points in ((True, np.array([lo, hi, a])), (False, np.append(np.linspace(lo, hi, 256), a)))
     }
     convex = _convex_rows(np.array([0.0 if b is None else b for b in bounds])[:, None])
@@ -664,7 +642,7 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float) -> 
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     rays = list(rays)
-    if theta_grid.ndim != 1 or len(rays) != theta_grid.size or not rays:
+    if len(rays) != theta_grid.size or not rays:
         raise UsageError("need one ray per theta sample")
     _check_uniform_angles(theta_grid)
     R1, R2, band = _glue_plan(GlueSpec(rays[0], sigma, R_bar, R))

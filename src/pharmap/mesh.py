@@ -27,7 +27,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._table import read_table, write_table
-from .errors import UsageError
+from .errors import UsageError, _count, _grid, _interval
 
 __all__ = [
     "TriMesh",
@@ -193,10 +193,10 @@ def _edge_table(triangles):
 
 def build_rect(width: float, height: float, nx: int, ny: int) -> TriMesh:
     """Structured triangulation of [0,width] x [0,height] with nx*ny cells."""
-    if not (width > 0 and height > 0):
-        raise UsageError("rectangle sides must be positive")
-    if nx < 1 or ny < 1:
-        raise UsageError("cell counts must be at least 1")
+    if not (0.0 < width < np.inf and 0.0 < height < np.inf):  # written so that NaN fails
+        raise UsageError("rectangle sides must be positive and finite")
+    _count(nx, "cell count nx", 1)
+    _count(ny, "cell count ny", 1)
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
     verts = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
@@ -209,13 +209,8 @@ def build_rect(width: float, height: float, nx: int, ny: int) -> TriMesh:
 
 def build_polar(radii, ntheta: int) -> TriMesh:
     """Structured polar mesh over given rings of radii (annulus topology)."""
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size < 2:
-        raise UsageError("polar mesh needs at least two rings")
-    if radii[0] <= 0.0 or np.any(np.diff(radii) <= 0.0):
-        raise UsageError("ring radii must be positive and strictly increasing")
-    if ntheta < 3:
-        raise UsageError("polar mesh needs ntheta >= 3")
+    radii = _grid(radii, "ring radii", least=2)
+    _count(ntheta, "ntheta", 3)
     thetas = 2.0 * np.pi * np.arange(ntheta) / ntheta
     verts = np.column_stack([
         (radii[:, None] * np.cos(thetas)).ravel(),
@@ -232,10 +227,8 @@ def build_polar(radii, ntheta: int) -> TriMesh:
 
 def build_annulus(r0: float, r1: float, nr: int, ntheta: int) -> TriMesh:
     """Annulus r0 < |x| < r1 with nr radial cells and ntheta sectors."""
-    if not (0.0 < r0 < r1):
-        raise UsageError("annulus needs 0 < r0 < r1")
-    if nr < 1:
-        raise UsageError("annulus needs nr >= 1")
+    _interval(r0, r1, "annulus radii (r0, r1)")
+    _count(nr, "nr", 1)
     return build_polar(np.linspace(r0, r1, nr + 1), ntheta)
 
 

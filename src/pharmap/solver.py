@@ -89,7 +89,6 @@ the floor the comparison phi(a) <= phi(0) would read as rises.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -102,7 +101,7 @@ from scipy.spatial.distance import pdist
 
 from ._table import read_table, write_table
 from .chart import TargetChart, _row_norms
-from .errors import DivergenceError, DomainError, UsageError
+from .errors import DivergenceError, UsageError, _count
 from .mesh import TriMesh
 
 __all__ = [
@@ -159,8 +158,7 @@ class SolveConfig:
         _check_p_and_quadrature(self.p, self.quadrature)
         if not self.grad_tol > 0.0:  # written so that NaN fails
             raise UsageError("grad_tol must be positive")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):  # NaN fails too
-            raise UsageError("max_iter must be an integer >= 1")
+        _count(self.max_iter, "max_iter", 1)
 
 
 @dataclass
@@ -663,8 +661,7 @@ def uniqueness_probe(mesh: TriMesh, chart: TargetChart, boundary_values, config:
     diameter.  The spread is the max pairwise sup-distance over converged
     states only; non-converged starts are reported per start.
     """
-    if n_starts < 1:
-        raise UsageError("need at least one start")
+    _count(n_starts, "n_starts", 1)
     bvals = _dirichlet_data(mesh, boundary_values, chart.dim)
     iidx = mesh.interior_indices()
     diam = float(pdist(bvals[mesh.boundary_indices()]).max(initial=0.0))

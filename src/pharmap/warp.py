@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import read_table, write_table
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _count, _grid
 
 __all__ = [
     "WarpingFunction",
@@ -149,7 +149,7 @@ class ScaledWarp(WarpingFunction):
 
     def __init__(self, base: WarpingFunction, k: float):
         k = float(k)
-        if not np.isfinite(k) or k <= 0.0:
+        if not 0.0 < k < np.inf:  # written so that NaN fails
             raise DomainError("scale k must be positive")
         self.base = base
         self.k = k
@@ -364,27 +364,33 @@ def _spline_rows(rays, r):
     return tuple(o.reshape(flat.size, -1).T.reshape((len(rays),) + r.shape) for o in out)
 
 
-def _ray_samples(rays, r):
-    """(sigma, sigma', sigma'') of each warp of ``rays`` at the radii ``r``, as (rays, ...) arrays.
+def _ray_rows(rays, r):
+    """(sigma, sigma', sigma'') of each warp of ``rays`` at the radii ``r``, in ray order.
 
-    Row j equals ``rays[j].evaluate(r)`` byte for byte, and bad radii raise
-    as there.  Spline warps on one knot array and of one degree are
-    evaluated as columns of their stacked coefficients, odd polynomials
-    with equal coefficient counts by one Horner pass; any other list ray by
-    ray, through each ray's own ``evaluate`` (see ``_evaluated_jointly``).
+    Row j equals ``rays[j].evaluate(r)`` byte for byte.  Spline warps on
+    one knot array and of one degree are evaluated as columns of their
+    stacked coefficients, odd polynomials with equal coefficient counts by
+    one Horner pass (``_evaluated_jointly``), and the rows are views of
+    those (rays, ...) tables.  Where that joint evaluation cannot be made
+    or fails (a bad radius, or an overflow raised as an error), each ray
+    is evaluated alone as its row is read, so the first ray in order that
+    fails raises, with the error it raises alone.
     """
-    r = _as_radii(r)
-    joint = _evaluated_jointly(rays)
-    if joint is SplineWarp:
-        return _spline_rows(rays, r)
-    if joint is OddPolynomialWarp:
-        table = np.array([w.coefficients for w in rays]).T
-        return _odd_polynomial(table.reshape(table.shape + (1,) * r.ndim), r)
-    return tuple(np.array(v) for v in zip(*(w.evaluate(r) for w in rays)))
+    joint = _evaluated_jointly(rays) if rays else None
+    if joint is not None:
+        try:
+            radii = _as_radii(r)
+            if joint is SplineWarp:
+                return list(zip(*_spline_rows(rays, radii)))
+            table = np.array([w.coefficients for w in rays]).T
+            return list(zip(*_odd_polynomial(table.reshape(table.shape + (1,) * radii.ndim), radii)))
+        except (ValueError, ArithmeticError, Warning):  # a bad radius, or an overflow raised as an error
+            pass
+    return (ray.evaluate(r) for ray in rays)
 
 
 def _evaluated_jointly(rays):
-    """The class whose joint evaluation ``_ray_samples`` uses for the nonempty list ``rays``, or None.
+    """The class whose joint evaluation ``_ray_rows`` uses for the nonempty list ``rays``, or None.
 
     Only instances of exactly ``SplineWarp`` or ``OddPolynomialWarp`` take
     it: a subclass may evaluate otherwise.
@@ -469,7 +475,7 @@ def _convexity_bound(w: WarpingFunction, lo, hi):
 
 
 def _convexity_bounds(warps, lo, hi) -> list:
-    """``_convexity_bound`` of each warp; splines that ``_ray_samples`` evaluates together are bounded together."""
+    """``_convexity_bound`` of each warp; splines that ``_ray_rows`` evaluates together are bounded together."""
     if _evaluated_jointly(warps) is SplineWarp:
         return [float(b) for b in _spline_convexity_bounds(warps, lo, hi)]
     return [_convexity_bound(w, lo, hi) for w in warps]
@@ -483,8 +489,7 @@ class ModelManifold:
     warp: WarpingFunction
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise UsageError("model manifolds need dim >= 2")
+        _count(self.dim, "model manifold dim", 2)
 
 
 @dataclass
@@ -554,22 +559,18 @@ def _curvature_report(w: WarpingFunction, grid, samples) -> CurvatureReport:
 
 
 def is_cartan_hadamard(w: WarpingFunction, grid) -> CurvatureReport:
-    """Certify nonpositive curvature of the model generated by ``w`` on a grid.
+    """Certify nonpositive curvature of the model generated by ``w`` on a strictly increasing positive grid.
 
     The verdict is true iff ``sigma'' >= -tol`` at every grid point and both
     sampled curvatures stay below tol, with tol = SIGN_TOL * (1 + |value|)
     pointwise so that genuine violations are distinguished from rounding.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise UsageError("certification grid must be a nonempty 1d array")
-    if not (np.all(grid > 0.0) and np.all(np.diff(grid) > 0.0)):  # NaN fails too
-        raise UsageError("certification grid must be strictly increasing and positive")
+    grid = _grid(grid, "certification grid")
     return _curvature_report(w, grid, w.evaluate(grid))
 
 
 def is_hyperbolic_type(w: WarpingFunction, grid) -> HyperbolicTypeReport:
-    """Check the hyperbolic-type conditions on a finite grid and the scales k = 2^0, ..., 2^12.
+    """Check the hyperbolic-type conditions on a strictly increasing positive grid and the scales k = 2^0, ..., 2^12.
 
     Certifies (i) convexity ``sigma'' >= -tol`` on the grid and (ii) for every
     scale k that ``sigma_k' >= sigma_k - tol`` with ``sigma_k`` strictly
@@ -578,9 +579,7 @@ def is_hyperbolic_type(w: WarpingFunction, grid) -> HyperbolicTypeReport:
     radii sqrt(k) r of every scale stacked as rows; the row of k = 1 is the
     grid itself and gives the convexity samples.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(grid > 0.0):  # NaN fails too
-        raise UsageError("hyperbolic-type grid must be nonempty and positive")
+    grid = _grid(grid, "hyperbolic-type grid")
     sqrt_k = np.sqrt(np.array(_HYPERBOLIC_SCALES))[:, None]
     # a scaled warp that overflows gives inf - inf = NaN, which fails both tests
     with np.errstate(over="ignore", invalid="ignore"):
@@ -603,10 +602,8 @@ def is_hyperbolic_type(w: WarpingFunction, grid) -> HyperbolicTypeReport:
 
 
 def save_warp_csv(path, w: WarpingFunction, grid) -> None:
-    """Write warp samples as CSV with header ``r,sigma,dsigma,ddsigma``."""
-    grid = _as_radii(np.asarray(grid, dtype=float))
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0.0):
-        raise UsageError("warp sample grid must be strictly increasing")
+    """Write warp samples as CSV with header ``r,sigma,dsigma,ddsigma`` at two or more radii, as the loader needs."""
+    grid = _grid(grid, "warp sample grid", least=2, zero=True)
     write_table(path, "r,sigma,dsigma,ddsigma", (np.column_stack([grid, *w.evaluate(grid)]), "%.17g"))
 
 

@@ -22,7 +22,7 @@ from pharmap.warp import (
     _convexity_bounds,
     _evaluated_jointly,
     _hermite_bernstein,
-    _ray_samples,
+    _ray_rows,
     is_cartan_hadamard,
     is_hyperbolic_type,
     load_warp_csv,
@@ -143,7 +143,7 @@ def test_grid_checks_refuse_a_nan_radius():
     for grid in ([0.5, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.5, 1.0, np.nan]):
         with pytest.raises(UsageError, match="certification grid must be strictly increasing and positive"):
             is_cartan_hadamard(SinhWarp(), grid)
-        with pytest.raises(UsageError, match="hyperbolic-type grid must be nonempty and positive"):
+        with pytest.raises(UsageError, match="hyperbolic-type grid must be strictly increasing and positive"):
             is_hyperbolic_type(SinhWarp(), grid)
 
 
@@ -323,7 +323,7 @@ NEGATIVE_ZERO_TAIL = _build_splines([0.5, 1e5], [[0.0, 0.5], [0.0, 1e5]], [[1e-3
 
 @st.composite
 def ray_lists(draw):
-    """A list of rays that ``_ray_samples`` evaluates jointly, or ray by ray, and 1d radii to evaluate it at.
+    """A list of rays that ``_ray_rows`` evaluates jointly, or ray by ray, and 1d radii to evaluate it at.
 
     Spline rays are columns r + c r^3 (c in [0, 3]) sampled on one knot array
     from 0 or 0.5, cubic or quintic: all columns built together, a run of
@@ -383,19 +383,22 @@ def test_joint_evaluation_equals_each_rays_own_evaluation(case):
     rays, r = case
     mixed = len({type(w) for w in rays}) > 1
     assert _evaluated_jointly(rays) is (None if mixed else type(rays[0]))
-    got = _ray_samples(rays, r)
-    assert all(v.shape == (len(rays), r.size) for v in got)
-    for j, ray in enumerate(rays):
-        for a, b in zip(got, ray.evaluate(r)):
-            assert a[j].tobytes() == b.tobytes()
+    got = list(_ray_rows(rays, r))
+    assert len(got) == len(rays) and all(v.shape == r.shape for row in got for v in row)
+    if not mixed:  # evaluated jointly: each order's rows are rows of one (rays, r.size) table
+        assert all(row[o].base is got[0][o].base is not None for row in got for o in range(3))
+        assert got[0][0].base.size == len(rays) * r.size
+    for ray, row in zip(rays, got):
+        for a, b in zip(row, ray.evaluate(r)):
+            assert a.tobytes() == b.tobytes()
         if type(ray) is SplineWarp:  # and equals a spline on its own, also in the sign of a zero tail sigma''
-            for a, b in zip(got, spline_reference(ray, r)):
-                assert a[j].tobytes() == b.tobytes()
+            for a, b in zip(row, spline_reference(ray, r)):
+                assert a.tobytes() == b.tobytes()
     first = rays[0]
     if type(first) is SplineWarp and first.radii[0] > 0.0:
         bad = np.append(r, first.radii[0] - 1e-6)
         with pytest.raises(DomainError) as joint:
-            _ray_samples(rays, bad)
+            list(_ray_rows(rays, bad))
         with pytest.raises(DomainError) as own:
             first.evaluate(bad)
         assert str(joint.value) == str(own.value)
@@ -403,10 +406,28 @@ def test_joint_evaluation_equals_each_rays_own_evaluation(case):
 
 def test_a_terminal_second_derivative_of_negative_zero_is_kept_past_the_last_knot():
     rays, r = NEGATIVE_ZERO_TAIL, np.array([0.5, 1e5, 2e5, 3e5])
-    got = _ray_samples(rays, r)[2]
+    got = np.array([row[2] for row in _ray_rows(rays, r)])
     assert np.signbit(got[0, 2:]).all() and (got[0, 2:] == 0.0).all()
     for j, ray in enumerate(rays):
         assert got[j].tobytes() == ray.evaluate(r)[2].tobytes()
+
+
+def test_rays_are_evaluated_alone_in_order_where_the_joint_evaluation_fails():
+    # r + 2.5e307 r^3 overflows at r = 2, so the joint Horner pass raises under warnings as errors; each ray
+    # is then evaluated alone as its row is read: the rays before it give their rows, and it raises
+    rays = [R_PLUS_R3, OddPolynomialWarp([1.0, -0.1]), OddPolynomialWarp([1.0, 2.5e307])]
+    r = np.array([0.5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = iter(_ray_rows(rays, r))
+        for ray in rays[:2]:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(next(rows), ray.evaluate(r)))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            next(rows)
+    # a bad radius: the first ray raises the error it raises alone
+    with pytest.raises(DomainError, match="radii must be nonnegative"):
+        next(iter(_ray_rows(rays, np.array([1.0, -1.0]))))
+    assert list(_ray_rows([], r)) == []
 
 
 def test_splines_built_together_own_contiguous_coefficients():

@@ -27,36 +27,43 @@ d, a trial step a is accepted by one of two tests, chosen by whether the
 energy can still resolve it:
 
 * while the Armijo margin c1 a |phi'(0)| (c1 = 1e-4) is at least one
-  rounding unit eps |E|, the Armijo test phi(a) <= phi(0) + c1 a phi'(0),
-  halving the step after a rejection;
+  rounding unit eps |E|, the Armijo test phi(a) <= phi(0) + c1 a phi'(0);
 * below that, at the energy's floating-point floor, energy differences are
-  rounding, and the directional derivative decides instead: the approximate
+  rounding, and the directional derivative alone decides: the approximate
   Wolfe conditions (2 c1 - 1) phi'(0) >= phi'(a) >= 0.9 phi'(0) of Hager &
-  Zhang (SIAM J. Optim. 16 (2005); ACM TOMS 32 (2006)), together with
-  phi(a) <= phi(0) so that the energy trace never rises.  There a rise of
-  phi is rounding rather than overshoot, so the step shrinks by 0.8 instead
-  of 0.5, trying more points of the Wolfe window.
+  Zhang (SIAM J. Optim. 16 (2005); ACM TOMS 32 (2006)).  No energy is
+  compared there.
 
-The derivative stays accurate after energy differences have vanished, so
-``grad_tol`` can lie far below the floor.  A line search fails when no trial
-step passes: at the floor, the first step whose energy rounds to at most the
-current one is too short for the curvature side, or 60 trials run out.  A
-failed search with a nonempty memory drops the memory and retries the
-iteration once along -K_ii^{-1} g (the usual L-BFGS restart).  A solve stops
-as ``"converged"`` (sup-norm residual at most ``grad_tol``), ``"max_iter"``,
-or ``"stalled"``: when a search fails with an empty memory, or when the
-search after a restart accepts a step that lowers neither the energy nor the
-sup-norm residual.  Such a step makes no progress; without this rule a
-solve whose ``grad_tol`` no state at the floor reaches would trade restarts
-for equal-energy steps until ``max_iter``.  The solve keeps the state
-before that step.  A non-finite energy or gradient at the initial state or
-at an accepted step raises ``DivergenceError``; its ``report`` is the
+Every rejected trial halves the step; a non-finite energy or slope is a
+rejection.  The first trial of a search and every trial at the floor
+assemble energy and gradient together; the others assemble the energy alone
+(the same bytes), and a step they accept is assembled again with its
+gradient.
+
+The energy trace holds the energy of the initial state and of each accepted
+step, and ``final_energy`` is its last entry: above the floor the step's
+assembled total, at the floor the previous entry plus the trapezoid
+0.5 a (phi'(0) + phi'(a)) of the slopes, the estimate from which Hager &
+Zhang derive their test.  The sufficient-decrease side bounds that increment
+by c1 a phi'(0) < 0, so the trace never rises.  The derivative stays accurate
+after energy differences have vanished, so ``grad_tol`` can lie far below
+the floor.
+
+A line search fails when no trial step passes: at the floor, the first
+trial whose slope is below the curvature side 0.9 phi'(0) is too short, and
+so is every shorter one; or 60 trials run out.  A failed search with a
+nonempty memory drops the memory and retries the iteration once along
+-K_ii^{-1} g (the usual L-BFGS restart).  A solve stops as ``"converged"``
+(sup-norm residual at most ``grad_tol``), ``"max_iter"``, or ``"stalled"``:
+when a search fails with an empty memory, or when the search after a
+restart accepts a step that lowers neither the energy nor the sup-norm
+residual.  Such a step makes no progress; without this rule a solve whose
+``grad_tol`` no state at the floor reaches would trade restarts for
+equal-energy steps until ``max_iter``.  The solve keeps the state before
+that step.  A non-finite energy or gradient at the initial state or at an
+accepted step raises ``DivergenceError``; its ``report`` is the
 ``SolveReport`` of the state the solve keeps, with ``stop_reason``
 ``"nonfinite"``.
-
-The first trial of each line search assembles energy and gradient together,
-since it is accepted in most iterations; later trials assemble the energy
-alone.  Both give the same energy bytes.
 
 Assembly is evaluated in fixed-size triangle chunks.  A chunk's tables
 depend on the mesh alone (its areas, the gradient rows of its vertices 1
@@ -72,18 +79,16 @@ nothing.  Every contraction is then an elementwise product summed over the
 n <= 3 components.  D is formed from
 edge differences, D = G_1 (Q_1 - Q_0) + G_2 (Q_2 - Q_0), which are exact for
 nearby corners (Sterbenz); the sum over all three corners would cancel about
-log2(1/h) bits at mesh size h, and that noise in the per-triangle energies
-is what the floor comparisons read as rises.  Consistently, the D-part of
+log2(1/h) bits at mesh size h, noise that near a minimizer would swamp the
+energy change of a step.  Consistently, the D-part of
 vertex 0's gradient row is minus the sum of the other two, as dD/dQ_0 =
 -(G_1 + G_2), so it sums to zero over each triangle exactly.  Energy-only
 and energy+gradient assemblies share the energy code.  Chunk results land
 in preallocated slots and are reduced in index order; the gradient is
 scattered to the vertices with one ``np.bincount`` per component, which
 adds in triangle order.  So energies and gradients are byte-reproducible,
-also where ``energy_gradient`` maps the chunks over threads.  The energy
-total is a faithful rounding of the exact sum of the per-triangle terms
-(``_total``): a plain pairwise sum would add a few ulps of noise, which at
-the floor the comparison phi(a) <= phi(0) would read as rises.
+also where ``energy_gradient`` maps the chunks over threads; the energy
+total adds the per-triangle terms with ``np.add.reduce``, in a fixed order.
 """
 
 from __future__ import annotations
@@ -125,10 +130,9 @@ __all__ = [
 
 _CHUNK = 4096  # triangles per assembly chunk; fixed so results never depend on threading
 _ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the Armijo test
-_BACKTRACK = 0.5  # step factor after an Armijo rejection
+_BACKTRACK = 0.5  # step factor after a rejected trial
 _MEMORY = 10  # (s, y) pairs kept by L-BFGS
 _WOLFE_SIGMA = 0.9  # curvature side of the approximate Wolfe test at the energy floor
-_FLOOR_BACKTRACK = 0.8  # step factor at the floor, where a rise of f is rounding, not overshoot
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,7 @@ class SolveConfig:
         if not self.grad_tol > 0.0:  # written so that NaN fails
             raise UsageError("grad_tol must be positive")
         _count(self.max_iter, "max_iter", 1)
+        _count(self.seed, "seed", 0)
 
 
 @dataclass
@@ -171,6 +176,9 @@ class SolveReport:
     also after a restart, or the step after a restart lowered neither the
     energy nor the residual; see the module docstring).  The report that a
     ``DivergenceError`` of ``solve`` carries says ``"nonfinite"``.
+
+    ``final_energy`` is the last entry of ``energy_trace`` (see the module
+    docstring for what an entry is).
 
     Counters: ``n_f`` energy-only and ``n_fg`` energy+gradient assemblies,
     ``n_backtracks`` rejected trial steps, ``n_restarts`` failed line
@@ -318,26 +326,6 @@ def _assemble_chunk(chart, comps, p, rule, table, e_out, g_out):
     g_out[:, sl] = g.transpose(0, 2, 1)
 
 
-def _total(terms):
-    """Sum of ``terms`` rounded once: a faithful (almost always the correctly
-    rounded) value of their exact sum.
-
-    A plain pairwise sum carries a few ulps of noise that changes with the
-    state; near a minimizer that noise is larger than the true energy change
-    of a step.  Splitting every term at a power of two ``sigma`` of at least
-    (n + 2) times the largest term (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
-    31 (2008), ExtractVector) makes the high parts sum exactly in any order;
-    the low parts are below eps * sigma, so their own rounding stays far
-    below one ulp of the total.
-    """
-    top = float(np.abs(terms).max(initial=0.0))
-    if not top < 2.0**960:  # non-finite, or sigma would overflow
-        return float(np.add.reduce(terms))
-    sigma = math.ldexp(1.0, math.frexp(top)[1] + (terms.size + 1).bit_length())
-    high = (terms + sigma) - sigma
-    return float(np.add.reduce(high)) + float(np.add.reduce(terms - high))
-
-
 def _assemble(mesh, chart, comps, p, rule=1, need_grad=True, threads=1):
     """Energy and (optionally) the full gradient of the map points ``comps``, both component-major:
     shape (n, nv).
@@ -360,7 +348,7 @@ def _assemble(mesh, chart, comps, p, rule=1, need_grad=True, threads=1):
     else:
         for table in tables:
             _assemble_chunk(chart, comps, p, rule, table, e_out, g_out)
-    total = _total(e_out)
+    total = float(np.add.reduce(e_out))
     if not need_grad:
         return total, None
     idx = mesh.triangles.reshape(-1)
@@ -496,6 +484,17 @@ def _two_loop(mem, g, gamma, h0):
     return q
 
 
+def _direction(mem, g, gamma, h0):
+    """Search direction d and slope g^T d: the L-BFGS direction, or -h0(g) where the
+    memory is empty or its direction is no descent."""
+    d = -_two_loop(mem, g, gamma, h0) if mem else -h0(g)
+    gd = float(np.dot(g, d))
+    if gd >= 0.0:
+        d = -h0(g)
+        gd = float(np.dot(g, d))
+    return d, gd
+
+
 def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfig,
           initial: MapState | None = None):
     """Minimize the p-energy subject to Dirichlet data; returns (state, report).
@@ -576,32 +575,30 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
         raise diverged("at the initial state")
 
     def line_search(x, f, d, gd):
-        """Accepted (x, f, g) along d from step 1, or None; the first trial
-        also assembles the gradient."""
+        """Accepted (x, f, g) along d from step 1, or None; the first trial and
+        every trial at the floor also assemble the gradient."""
         floor = np.finfo(float).eps * abs(f) / _ARMIJO_C1
         step = 1.0
         for trial in range(60):
             x_new = x + step * d
-            # a NaN or inf energy fails both tests below, so its overflow is no error
-            with np.errstate(over="ignore", invalid="ignore"):
-                f_new, g_new = f_and_g(x_new) if trial == 0 else (f_only(x_new), None)
             at_floor = -step * gd <= floor
+            # a NaN or inf energy or slope fails every test below, so its overflow is no error
+            with np.errstate(over="ignore", invalid="ignore"):
+                f_new, g_new = f_and_g(x_new) if trial == 0 or at_floor else (f_only(x_new), None)
+                slope = float(np.dot(g_new, d)) if at_floor else None
             if not at_floor:
                 if f_new <= f + _ARMIJO_C1 * step * gd:
                     if g_new is None:
                         f_new, g_new = f_and_g(x_new)
                     return x_new, f_new, g_new
-            elif f_new <= f:
-                if g_new is None:
-                    f_new, g_new = f_and_g(x_new)
-                slope = float(np.dot(g_new, d))
+            elif math.isfinite(f_new) and math.isfinite(slope):
                 if slope < _WOLFE_SIGMA * gd:
                     counts["n_backtracks"] += 1
                     return None  # too short for the curvature side, and so is every shorter step
                 if slope <= (2.0 * _ARMIJO_C1 - 1.0) * gd:
-                    return x_new, f_new, g_new
+                    return x_new, f + 0.5 * step * (gd + slope), g_new  # the trapezoid of phi'
             counts["n_backtracks"] += 1
-            step *= _FLOOR_BACKTRACK if at_floor else _BACKTRACK
+            step *= _BACKTRACK
         return None
 
     mem: list = []
@@ -615,11 +612,7 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
         iterations += 1
         restarted = False
         while True:
-            d = -_two_loop(mem, g, gamma, precondition) if mem else -precondition(g)
-            gd = float(np.dot(g, d))
-            if gd >= 0.0:
-                d = -precondition(g)
-                gd = float(np.dot(g, d))
+            d, gd = _direction(mem, g, gamma, precondition)
             accepted = line_search(x, f, d, gd)
             if accepted is not None or not mem:
                 break

@@ -126,6 +126,7 @@ ENTRY_POINTS = {
     "uniqueness_probe": counts(1, lambda n, _: uniqueness_probe(SQUARE, TargetChart(None), np.zeros((4, 1)),
                                                                 SolveConfig(p=2.0), n)),
     "SolveConfig.max_iter": counts(1, lambda n, _: SolveConfig(p=2.0, max_iter=n)),
+    "SolveConfig.seed": counts(0, lambda n, _: SolveConfig(p=2.0, seed=n)),
     "ModelManifold.dim": counts(2, lambda n, _: ModelManifold(n, SIGMA)),
     "build_rect sides": (UsageError, "rectangle sides must be positive and finite",
                          {f"{which} {v}": sides for v in (math.nan, math.inf, 0.0, -1.0)

@@ -17,6 +17,15 @@ views over it; ``refine`` numbers the new midpoints by edge index, which
 reproduces the first-appearance order of a sequential walk over the
 triangles.
 
+Two vertices within 1e-12 of each other make a mesh invalid.  They are
+found with one ``argsort`` of the vertices' projections onto one fixed
+direction, at 1 radian to the x axis: the two vertices of such a pair sit
+close together in that order, so comparing sorted neighbours, and
+confirming each candidate by its distance, finds every pair.  The worst
+case is many vertices whose projections agree within the rounding slack
+(a row of them across the direction, or coordinates so large that the
+slack exceeds their spacing); they are compared pair by pair.
+
 Mesh file format: line 1 ``nv nt``; then nv lines ``x y b`` with boundary
 flag b in {0,1}; then nt lines ``i j k`` of 0-based CCW vertex indices.
 """
@@ -24,7 +33,6 @@ flag b in {0,1}; then nt lines ``i j k`` of 0-based CCW vertex indices.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._table import read_table, write_table
 from .errors import UsageError, _count, _grid, _interval
@@ -55,16 +63,25 @@ class TriMesh:
     boundary iff it lies on an edge that belongs to exactly one triangle.
 
     Every construction (the builders, ``refine`` and ``load_mesh`` too)
-    checks that coordinates are finite, triangle indices are in range,
-    triangles are counter-clockwise and not degenerate, no two vertices lie
-    within 1e-12 of each other, no edge belongs to more than two triangles,
-    and given boundary flags match the topology; it raises ``UsageError``
-    otherwise.
+    checks that coordinates are finite, triangle indices are integers (of
+    an integer or an integral float array) in range, triangles are
+    counter-clockwise and not degenerate, their areas and basis gradients
+    do not overflow float64, no two vertices lie within 1e-12 of each
+    other, no edge belongs to more than two triangles, and given boundary
+    flags match the topology; it raises ``UsageError`` otherwise.  Close
+    vertices are found with one sort, by their projections onto one fixed
+    direction (see ``_close_pairs``); its worst case is many vertices whose
+    projections agree within the rounding slack, which are compared pair by
+    pair.
     """
 
     def __init__(self, vertices, triangles, boundary=None):
         vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
-        triangles = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
+        triangles = np.asarray(triangles)
+        if triangles.dtype.kind not in "iu":  # integral floats (as files hold them) cast exactly
+            triangles = np.asarray(triangles, dtype=float)
+            if not np.all(np.isfinite(triangles) & (np.floor(triangles) == triangles)):
+                raise UsageError("triangle indices must be integers")
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise UsageError("vertices must have shape (nv, 2)")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
@@ -72,6 +89,7 @@ class TriMesh:
         nv = vertices.shape[0]
         if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
             raise UsageError("triangle indices out of range")
+        triangles = np.ascontiguousarray(triangles, dtype=np.int64)  # in range, so the cast is exact
         if not np.all(np.isfinite(vertices)):
             raise UsageError("vertex coordinates must be finite")
 
@@ -79,27 +97,29 @@ class TriMesh:
         corners = np.take(vertices, triangles, axis=0)
         a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
         sides = np.empty_like(corners)
-        np.subtract(c, b, out=sides[:, 0])
-        np.subtract(a, c, out=sides[:, 1])
-        np.subtract(b, a, out=sides[:, 2])
-        cross = sides[:, 1, 0] * sides[:, 2, 1] - sides[:, 2, 0] * sides[:, 1, 1]
-        if np.any(cross <= 0.0):
-            bad = int(np.argmin(cross))
-            raise UsageError(f"triangle {bad} is degenerate or not counter-clockwise")
-        areas = 0.5 * cross
-
-        # grad of the basis function at vertex v is perp(opposite side)/(2A)
         grads = np.empty_like(sides)
-        np.negative(sides[:, :, 1], out=grads[:, :, 0])
-        grads[:, :, 1] = sides[:, :, 0]
-        grads /= (2.0 * areas)[:, None, None]
+        with np.errstate(all="ignore"):  # a triangle too large or too thin for float64 is refused below
+            np.subtract(c, b, out=sides[:, 0])
+            np.subtract(a, c, out=sides[:, 1])
+            np.subtract(b, a, out=sides[:, 2])
+            cross = sides[:, 1, 0] * sides[:, 2, 1] - sides[:, 2, 0] * sides[:, 1, 1]
+            areas = 0.5 * cross
+            # grad of the basis function at vertex v is perp(opposite side)/(2A)
+            np.negative(sides[:, :, 1], out=grads[:, :, 0])
+            grads[:, :, 1] = sides[:, :, 0]
+            grads /= (2.0 * areas)[:, None, None]
+        if np.any(cross <= 0.0):
+            bad = int(np.nanargmin(cross))
+            raise UsageError(f"triangle {bad} is degenerate or not counter-clockwise")
+        if not (np.all(np.isfinite(cross)) and np.all(np.isfinite(grads))):
+            bad = int(np.argmin(np.isfinite(cross) & np.all(np.isfinite(grads.reshape(-1, 6)), axis=1)))
+            raise UsageError(f"triangle {bad} overflows float64: its area or basis gradients are not finite")
         del corners, a, b, c, sides, cross
 
         if nv > 1:
-            # an unbalanced, uncompacted tree builds faster and finds the same pairs
-            pairs = cKDTree(vertices, balanced_tree=False, compact_nodes=False).query_pairs(1e-12)
-            if pairs:
-                i, j = min(pairs)
+            pairs = _close_pairs(vertices, 1e-12)
+            if pairs.size:
+                i, j = pairs[0]
                 raise UsageError(f"duplicate vertices {i} and {j} (closer than 1e-12)")
 
         edges, counts, triangle_edges = _edge_table(triangles)
@@ -158,6 +178,43 @@ class TriMesh:
 
     def euler_characteristic(self):
         return self.num_vertices - self.edges.shape[0] + self.num_triangles
+
+
+# half of the unit vector at 1 radian, parallel to no grid line or spoke of the
+# builders' meshes; halved so that no projection overflows (|projection| < 0.7 max|coordinate|)
+_HALF_DIRECTION = 0.5 * np.array([np.cos(1.0), np.sin(1.0)])
+
+
+def _close_pairs(vertices, r):
+    """The pairs (i, j), i < j, of vertices within r, in lexicographic order, as an (n, 2) array.
+
+    A pair is within r when dx*dx + dy*dy <= r*r in float64, the test and
+    the rounding of the pair query ``query_pairs(r)`` of scipy's k-d tree.
+    One ``argsort`` of the projections onto ``_HALF_DIRECTION`` places the
+    two vertices of such a pair k apart for some k, with every sorted gap
+    between them at most r/2 plus the rounding slack of two projections
+    (4 eps max|coordinate| bounds it).  The scan compares the neighbours
+    k = 1, 2, ... apart while some gap is within that bound (no gap shrinks
+    as k grows) and confirms each candidate by its squared distance.  It
+    costs one sort and a pass per k: many vertices whose projections agree
+    within the bound (a row of them across the direction, or coordinates so
+    large that the slack exceeds their spacing) make it slow, never wrong.
+    """
+    proj = vertices @ _HALF_DIRECTION
+    order = np.argsort(proj)
+    proj = proj[order]
+    slack = 0.5 * r * (1.0 + 1e-9) + 4.0 * np.finfo(float).eps * np.max(np.abs(vertices))
+    nv, keys = vertices.shape[0], [np.zeros(0, dtype=np.int64)]
+    for k in range(1, nv):
+        near = np.flatnonzero(proj[k:] - proj[:-k] <= slack)
+        if not near.size:
+            break
+        i, j = order[near], order[near + k]
+        with np.errstate(over="ignore"):  # an overflowing distance is inf, which is not within r
+            d = vertices[i] - vertices[j]
+            close = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r * r
+        keys.append(np.minimum(i, j)[close] * nv + np.maximum(i, j)[close])
+    return np.column_stack(np.divmod(np.sort(np.concatenate(keys)), nv))  # each pair is met at one k
 
 
 def _edge_table(triangles):
@@ -263,11 +320,14 @@ def load_mesh(path) -> TriMesh:
         raise UsageError(f"{path}: mesh file has {rows.shape[0]} rows, expected {nv + nt}")
     integral = np.zeros(rows.shape, dtype=bool)
     integral[:nv, 2] = integral[nv:] = True  # boundary flags and vertex indices
-    bad = np.flatnonzero(integral & (np.mod(rows, 1.0) != 0.0))
+    bad = np.flatnonzero(integral & ~(np.isfinite(rows) & (np.floor(rows) == rows)))
     if bad.size:
         raise error(bad[0] // 3, f"expected an integer, found {rows.flat[bad[0]]:g}")
-    flags = rows[:nv, 2]
+    flags, triangles = rows[:nv, 2], rows[nv:]
     bad = np.flatnonzero((flags != 0.0) & (flags != 1.0))
     if bad.size:
         raise error(bad[0], f"boundary flag must be 0 or 1, found {flags[bad[0]]:g}")
-    return TriMesh(rows[:nv, :2], rows[nv:].astype(np.int64), boundary=flags != 0.0)
+    bad = np.flatnonzero((triangles < 0.0) | (triangles >= nv))
+    if bad.size:
+        raise error(nv + bad[0] // 3, f"vertex index must be in [0, {nv}), found {triangles.flat[bad[0]]:g}")
+    return TriMesh(rows[:nv, :2], triangles, boundary=flags != 0.0)

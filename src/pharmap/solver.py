@@ -102,7 +102,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
-from scipy.spatial.distance import pdist
 
 from ._table import read_table, write_table
 from .chart import TargetChart, _row_norms
@@ -645,6 +644,15 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     return finish(stop_reason)
 
 
+def _max_distance(rows) -> float:
+    """The largest norm along the last axis of rows[j] - rows[i] over all i < j, 0 for fewer than two rows.
+
+    One row against the rows after it at a time, so no n^2 differences are held at once.
+    """
+    return float(max((np.max(np.linalg.norm(rows[i + 1:] - rows[i], axis=-1)) for i in range(len(rows) - 1)),
+                     default=0.0))
+
+
 def uniqueness_probe(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfig,
                      n_starts: int) -> UniquenessReport:
     """Solve from seeded random interior perturbations and measure the spread.
@@ -657,7 +665,7 @@ def uniqueness_probe(mesh: TriMesh, chart: TargetChart, boundary_values, config:
     _count(n_starts, "n_starts", 1)
     bvals = _dirichlet_data(mesh, boundary_values, chart.dim)
     iidx = mesh.interior_indices()
-    diam = float(pdist(bvals[mesh.boundary_indices()]).max(initial=0.0))
+    diam = _max_distance(bvals[mesh.boundary_indices()])
     rng = np.random.default_rng(config.seed)
     base = _harmonic_extension(mesh, bvals)
     states, converged, residuals = [], [], []
@@ -673,11 +681,9 @@ def uniqueness_probe(mesh: TriMesh, chart: TargetChart, boundary_values, config:
         states.append(state)
         converged.append(bool(report.converged))
         residuals.append(float(report.residual))
-    good = np.array([s.points for s, ok in zip(states, converged) if ok])  # k states; no k^2 differences
-    spread = max((np.max(np.linalg.norm(good[i + 1:] - good[i], axis=-1)) for i in range(len(good) - 1)),
-                 default=0.0)
+    good = np.array([s.points for s, ok in zip(states, converged) if ok])
     return UniquenessReport(
-        spread=float(spread),
+        spread=_max_distance(good),
         converged=converged,
         residuals=residuals,
         states=states,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,24 @@ def test_mesh_boundary_flag_must_be_zero_or_one(tmp_path):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(UsageError, match=f"line 12: boundary flag must be 0 or 1, found {flag}$"):
             load_mesh(path)
+
+
+@pytest.mark.parametrize("line, field, value, message", [
+    (30, 1, "1e20", "line 30: vertex index must be in [0, 24), found 1e+20"),  # the cast would overflow
+    (30, 2, "-1", "line 30: vertex index must be in [0, 24), found -1"),
+    (30, 0, "24", "line 30: vertex index must be in [0, 24), found 24"),
+    (30, 1, "inf", "line 30: expected an integer, found inf"),
+    (30, 2, "nan", "line 30: expected an integer, found nan"),
+    (5, 0, "inf", "vertex coordinates must be finite"),
+])
+def test_mesh_file_value_out_of_range_is_refused_without_a_warning(tmp_path, line, field, value, message):
+    path = tmp_path / "mesh.txt"
+    save_mesh(path, MESH)
+    lines = path.read_text().splitlines()
+    lines[line - 1] = set_field(field, value, " ")(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UsageError, match=f"{re.escape(message)}$"):
+        load_mesh(path)
 
 
 def test_non_ascii_file_rejected(tmp_path):

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from pharmap.errors import UsageError
-from pharmap.mesh import TriMesh, build_annulus, build_polar, build_rect, load_mesh, refine, save_mesh
+from pharmap.mesh import TriMesh, _close_pairs, build_annulus, build_polar, build_rect, load_mesh, refine, save_mesh
 
 
 def reference_edges(triangles):
@@ -129,6 +132,99 @@ def test_duplicate_vertex_detection_far_apart_in_index_order():
     verts = np.concatenate([m.vertices, m.vertices[:1] + [1e-13, 0.0]])  # unused, listed last
     with pytest.raises(UsageError, match=r"duplicate vertices 0 and 16640 "):
         TriMesh(verts, m.triangles)
+
+
+def kd_tree_pairs(points, r=1e-12):
+    """``cKDTree.query_pairs(r)``.  The tree refuses a point set whose extent squared overflows (extent 1e154
+    and up); there every pair is tested with Python floats, whose subtraction and product overflow to inf."""
+    try:
+        return cKDTree(points).query_pairs(r)
+    except ValueError as exc:
+        assert "overflow" in str(exc) and np.max(np.abs(points)) >= 1e150
+    rows = points.tolist()
+    return {(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))
+            if (rows[i][0] - rows[j][0]) * (rows[i][0] - rows[j][0])
+            + (rows[i][1] - rows[j][1]) * (rows[i][1] - rows[j][1]) <= r * r}
+
+
+@st.composite
+def point_sets(draw):
+    """Vertices of a rect (its columns share x exactly), polar or refined mesh, or a row of vertices across the
+    direction of the sort, shifted by up to 1e6 or scaled to near 1e300, with close pairs planted at distances
+    0, 0.5e-12 and 2e-12, and shuffled."""
+    kind = draw(st.sampled_from(["rect", "polar", "refined", "row"]))
+    if kind == "rect":
+        points = build_rect(draw(st.floats(0.5, 3.0)), 1.0, draw(st.integers(1, 8)), draw(st.integers(1, 8))).vertices
+    elif kind == "polar":
+        points = build_polar(np.geomspace(0.1, 2.0, draw(st.integers(2, 5))), draw(st.integers(3, 12))).vertices
+    elif kind == "refined":
+        points = refine(refine(build_annulus(1.0, 2.0, 1, draw(st.integers(3, 6))))).vertices
+    else:  # projections that agree within the rounding slack: the scan runs to large k
+        step = draw(st.sampled_from([0.6e-12, 1.2e-12, 1e-9]))
+        points = np.arange(draw(st.integers(2, 40)))[:, None] * (step * np.array([-math.sin(1.0), math.cos(1.0)]))
+    points = points.copy()
+    move = draw(st.sampled_from(["none", "shift", "huge"]))
+    if move == "shift":
+        points += np.array(draw(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))))
+    elif move == "huge":
+        points *= draw(st.floats(1e299, 5e307))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(points) - 1))
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        shift = draw(st.sampled_from([0.0, 0.5e-12, 2e-12])) * np.array([math.cos(angle), math.sin(angle)])
+        points = np.vstack([points, points[at] + shift])
+    return points[np.asarray(draw(st.permutations(range(len(points)))), dtype=np.int64)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(point_sets())
+def test_close_pairs_are_the_kd_tree_pairs(points):
+    want = sorted(kd_tree_pairs(points))
+    assert [tuple(pair) for pair in _close_pairs(points, 1e-12).tolist()] == want
+    if want:  # TriMesh runs the check without triangles too, and names the lowest pair
+        with pytest.raises(UsageError, match=rf"^duplicate vertices {want[0][0]} and {want[0][1]} \("):
+            TriMesh(points, np.zeros((0, 3), int))
+    else:
+        TriMesh(points, np.zeros((0, 3), int))
+
+
+def test_duplicate_error_names_the_lowest_pair():
+    m = build_rect(1.0, 1.0, 4, 4)  # 25 vertices
+    # copies of vertex 9 (twice: three vertices at one point), 7 and 16: pairs (7, 26), (9, 25), (9, 28), (16, 27)
+    # and (25, 28)
+    verts = np.concatenate([m.vertices, m.vertices[[9, 7, 16, 9]] + [[1e-13, 0.0], [0.0, 0.0], [0.0, -5e-13], [0, 0]]])
+    assert _close_pairs(verts, 1e-12).tolist() == [[7, 26], [9, 25], [9, 28], [16, 27], [25, 28]]
+    with pytest.raises(UsageError, match=r"^duplicate vertices 7 and 26 \(closer than 1e-12\)$"):
+        TriMesh(verts, m.triangles)
+
+
+@pytest.mark.parametrize("index", [1.5, math.nan, math.inf, -math.inf])
+def test_triangle_indices_must_be_integers(index):
+    with pytest.raises(UsageError, match="^triangle indices must be integers$"):
+        TriMesh([[0, 0], [1, 0], [0, 1]], [[0.0, index, 2.0]])
+
+
+def test_integral_float_triangle_indices_are_exact():
+    m = build_annulus(1.0, 2.0, 2, 8)
+    floats = TriMesh(m.vertices, m.triangles.astype(float))
+    assert floats.triangles.dtype == np.int64 and floats.triangles.tobytes() == m.triangles.tobytes()
+    for index in (1e20, -1.0, 3.0):  # out of range, refused before a cast could overflow
+        with pytest.raises(UsageError, match="^triangle indices out of range$"):
+            TriMesh([[0, 0], [1, 0], [0, 1]], [[0.0, index, 2.0]])
+    with pytest.raises(UsageError, match="^triangle indices out of range$"):
+        TriMesh([[0, 0], [1, 0], [0, 1]], np.array([[0, 2**63, 2]], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("verts", [
+    [[1e300, 0.0], [1.5e300, 0.0], [1e300, 1e300]],  # the doubled area overflows
+    [[-1.7e308, 0.0], [1.7e308, 0.0], [0.0, 1.0]],  # a side overflows
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-320]],  # the basis gradients overflow
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 5e-324]],  # the area rounds to 0
+], ids=["area", "side", "gradient", "zero-area"])
+def test_triangle_that_overflows_is_named(verts):
+    good = [[5.0, 5.0], [6.0, 5.0], [5.0, 6.0]]
+    with pytest.raises(UsageError, match="^triangle 1 overflows float64: its area or basis gradients are not finite$"):
+        TriMesh(good + verts, [[0, 1, 2], [3, 4, 5]])
 
 
 def test_orientation_validation():

@@ -58,6 +58,31 @@ def test_scipy_interpolate_loads_only_with_a_spline_warp():
     assert (before, after) == ("False", "True")
 
 
+def test_meshes_and_solves_load_neither_scipy_spatial_nor_scipy_special(tmp_path):
+    # a fresh interpreter, as above: the test modules themselves import scipy.spatial
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from pharmap.chart import TargetChart
+        from pharmap.mesh import build_annulus, load_mesh, refine, save_mesh
+        from pharmap.solver import SolveConfig, solve, uniqueness_probe
+        from pharmap.warp import ModelManifold, SinhWarp
+        path = sys.argv[1]
+        save_mesh(path, refine(build_annulus(1.0, 2.0, 2, 8)))
+        mesh = load_mesh(path)
+        chart, bvals = TargetChart(ModelManifold(2, SinhWarp())), 0.5 * mesh.vertices
+        config = SolveConfig(p=3.0, grad_tol=1e-9)
+        assert solve(mesh, chart, bvals, config)[1].converged
+        assert all(uniqueness_probe(mesh, chart, bvals, config, 2).converged)
+        print(sorted(name for name in ("scipy.spatial", "scipy.special") if name in sys.modules))
+    """)
+    path = os.pathsep.join([str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "mesh.txt")],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == ["[]"]
+
+
 RHO, SIGMA = OddPolynomialWarp([1.0, 1.0]), SinhWarp()
 GLUED = glue_pipeline(GlueSpec(RHO, SIGMA, 1.0, 4.0))[0]
 THETA = 2.0 * np.pi * np.arange(8) / 8

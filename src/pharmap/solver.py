@@ -89,6 +89,10 @@ scattered to the vertices with one ``np.bincount`` per component, which
 adds in triangle order.  So energies and gradients are byte-reproducible,
 also where ``energy_gradient`` maps the chunks over threads; the energy
 total adds the per-triangle terms with ``np.add.reduce``, in a fixed order.
+
+The factor of K_ii loads scipy.sparse on first use, with the first
+``solve``, ``harmonic_init`` or ``uniqueness_probe`` on a mesh with
+interior vertices; energies, gradients and residuals never load it.
 """
 
 from __future__ import annotations
@@ -100,8 +104,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.linalg import splu
 
 from ._table import read_table, write_table
 from .chart import TargetChart, _row_norms
@@ -387,6 +389,8 @@ def _sup_norm(rows) -> float:
 
 
 def _stiffness(mesh: TriMesh):
+    import scipy.sparse as sparse
+
     tris = mesh.triangles
     nt = tris.shape[0]
     local = np.einsum("t,tva,twa->tvw", mesh.areas, mesh.grads, mesh.grads)
@@ -417,6 +421,8 @@ def _interior_stiffness(mesh: TriMesh):
     iidx = mesh.interior_indices()
     factor = None
     if iidx.size:
+        from scipy.sparse.linalg import splu
+
         K_i = _stiffness(mesh)[iidx]
         factor = splu(K_i[:, iidx].tocsc()), K_i[:, mesh.boundary_indices()]
     _FACTORS[mesh] = factor

@@ -90,6 +90,25 @@ def test_mesh_file_value_out_of_range_is_refused_without_a_warning(tmp_path, lin
         load_mesh(path)
 
 
+@pytest.mark.parametrize("edits, message", [
+    ({(12, 2): "0.5", (30, 2): "2.5"}, "line 12: expected an integer, found 0.5"),
+    ({(12, 2): "2", (30, 2): "2.5"}, "line 30: expected an integer, found 2.5"),  # integers are checked first
+    ({(30, 2): "nan", (31, 0): "1.5"}, "line 30: expected an integer, found nan"),
+    ({(30, 1): "1.5", (30, 2): "inf"}, "line 30: expected an integer, found 1.5"),
+    ({(25, 2): "0.5", (26, 0): "-1"}, "line 25: expected an integer, found 0.5"),  # the last flag row
+    ({(26, 0): "0.5", (12, 2): "2"}, "line 26: expected an integer, found 0.5"),  # the first triangle row
+])
+def test_mesh_file_names_its_first_bad_row(tmp_path, edits, message):
+    path = tmp_path / "mesh.txt"
+    save_mesh(path, MESH)
+    lines = path.read_text().splitlines()
+    for (line, field), value in edits.items():
+        lines[line - 1] = set_field(field, value, " ")(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UsageError, match=f"{re.escape(message)}$"):
+        load_mesh(path)
+
+
 def test_non_ascii_file_rejected(tmp_path):
     path = tmp_path / "mesh.txt"
     save_mesh(path, MESH)

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from pharmap.errors import UsageError
-from pharmap.mesh import TriMesh, _close_pairs, build_annulus, build_polar, build_rect, load_mesh, refine, save_mesh
+from pharmap.mesh import (TriMesh, _close_pairs, _edge_table, build_annulus, build_polar, build_rect, load_mesh, refine,
+                          save_mesh)
 
 
 def reference_edges(triangles):
@@ -50,7 +53,7 @@ def reference_refine(mesh):
         key = (min(p, q), max(p, q))
         if key not in midpoint:
             midpoint[key] = len(verts)
-            verts.append(tuple(0.5 * (mesh.vertices[p] + mesh.vertices[q])))
+            verts.append(tuple(0.5 * mesh.vertices[p] + 0.5 * mesh.vertices[q]))
         return midpoint[key]
 
     tris = []
@@ -112,6 +115,32 @@ def test_refine_counts_areas_flags():
     assert twice.euler_characteristic() == 0
     assert twice.num_triangles == 16 * a.num_triangles
     assert twice.areas.sum() == pytest.approx(a.areas.sum(), abs=1e-13)
+
+
+@pytest.mark.parametrize("m", [
+    build_annulus(1.0, 2.0, 8, 32), build_rect(3.0, 1.0, 7, 5), build_polar([0.5, 1.0, 3.0], 17),
+    build_annulus(1e-3, 2e5, 4, 9),
+], ids=["annulus", "rect", "polar", "wide annulus"])
+def test_refined_midpoints_are_half_the_sums_on_builder_meshes(m):
+    # 0.5 v_p + 0.5 v_q equals 0.5 (v_p + v_q) bit for bit where no half is subnormal
+    for _ in range(3):
+        r = refine(m)
+        p, q = m.edges.T
+        assert r.vertices.tobytes() == np.concatenate([m.vertices, 0.5 * (m.vertices[p] + m.vertices[q])]).tobytes()
+        m = r
+
+
+def test_refine_near_the_largest_float_does_not_overflow():
+    m = TriMesh([[1e308, 0.0], [1.5e308, 0.0], [1e308, 1e-10]], [[0, 1, 2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = refine(m)
+        rr = refine(r)
+    want = np.array([[1e308, 0.0], [1.5e308, 0.0], [1e308, 1e-10],
+                     [1.25e308, 0.0], [1.25e308, 5e-11], [1e308, 5e-11]])
+    assert r.vertices.tobytes() == want.tobytes()
+    for got, ref in zip((rr.vertices, rr.triangles, rr.boundary), reference_refine(r)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_refine_boundary_flags_follow_topology():
@@ -272,9 +301,9 @@ def test_mesh_file_round_trip(tmp_path):
     path = tmp_path / "mesh.txt"
     save_mesh(path, m)
     loaded = load_mesh(path)
-    assert np.array_equal(loaded.vertices, m.vertices)
-    assert np.array_equal(loaded.triangles, m.triangles)
-    assert np.array_equal(loaded.boundary, m.boundary)
+    for name in ("vertices", "triangles", "boundary", "areas", "grads", "edges", "edge_counts", "triangle_edges"):
+        got, want = getattr(loaded, name), getattr(m, name)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
     # byte determinism of the writer
     path2 = tmp_path / "mesh2.txt"
     save_mesh(path2, m)
@@ -301,25 +330,46 @@ def test_edge_shared_by_three_triangles_rejected():
         TriMesh(verts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
 
+def relabelled(m, label, order, turns):
+    """``m`` with vertex v renamed label[v], its triangles in the order ``order`` and triangle t's corners
+    turned by turns[t] places (which keeps them counter-clockwise)."""
+    verts = np.empty_like(m.vertices)
+    verts[label] = m.vertices
+    tris = label[m.triangles][order]
+    tris = tris[np.arange(tris.shape[0])[:, None], (np.arange(3) + turns[:, None]) % 3]
+    return TriMesh(verts, tris)
+
+
+def reversed_mesh(m):
+    """``m`` with its vertex labels and its triangle order reversed."""
+    nv, nt = m.num_vertices, m.num_triangles
+    return relabelled(m, np.arange(nv)[::-1], np.arange(nt)[::-1], np.zeros(nt, dtype=np.int64))
+
+
 @st.composite
 def relabelled_meshes(draw):
-    """A small rect or annulus mesh, refined 0-2 times, with shuffled vertices and triangles."""
-    if draw(st.booleans()):
+    """A small rect, annulus or polar mesh, refined 0-2 times, with shuffled vertices and triangles and
+    turned corners."""
+    kind = draw(st.sampled_from(["rect", "annulus", "polar"]))
+    if kind == "rect":
         m = build_rect(2.0, 1.0, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-    else:
+    elif kind == "annulus":
         m = build_annulus(1.0, 2.0, draw(st.integers(1, 3)), draw(st.integers(3, 8)))
+    else:
+        m = build_polar([0.5, 1.0, 3.0], draw(st.integers(3, 9)))
     for _ in range(draw(st.integers(0, 2))):
         m = refine(m)
     nv, nt = m.num_vertices, m.num_triangles
     label = np.asarray(draw(st.permutations(range(nv))), dtype=np.int64)
     order = np.asarray(draw(st.permutations(range(nt))), dtype=np.int64)
-    verts = np.empty_like(m.vertices)
-    verts[label] = m.vertices
-    return TriMesh(verts, label[m.triangles][order])
+    turns = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 3, nt)
+    return relabelled(m, label, order, turns)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(relabelled_meshes())
+@example(reversed_mesh(refine(build_annulus(1.0, 2.0, 2, 8))))
+@example(reversed_mesh(refine(refine(build_rect(2.0, 1.0, 3, 2)))))
 def test_edge_table_matches_plain_walk(m):
     counts = reference_edges(m.triangles)
     assert np.array_equal(m.boundary, reference_boundary(m.triangles, m.num_vertices))
@@ -337,3 +387,20 @@ def test_edge_table_matches_plain_walk(m):
     r = refine(m)
     for got, want in zip((r.vertices, r.triangles, r.boundary), reference_refine(m)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_edge_table_peak_memory():
+    # the 8x32 annulus refined to 32768 triangles: building the key in place and freeing each temporary once
+    # read peaks near 3.9 MiB, outputs included; holding lo, hi and the sorted keys to the end peaks at 8.1 MiB
+    m = build_annulus(1.0, 2.0, 8, 32)
+    for _ in range(3):
+        m = refine(m)
+    triangles = np.array(m.triangles)
+    tracemalloc.start()
+    try:
+        edges, counts, side_edge = _edge_table(triangles)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert edges.tobytes() == m.edges.tobytes() and side_edge.tobytes() == m.triangle_edges.tobytes()
+    assert peak <= 5.0, f"peak {peak:.2f} MiB"

@@ -58,29 +58,41 @@ def test_scipy_interpolate_loads_only_with_a_spline_warp():
     assert (before, after) == ("False", "True")
 
 
-def test_meshes_and_solves_load_neither_scipy_spatial_nor_scipy_special(tmp_path):
-    # a fresh interpreter, as above: the test modules themselves import scipy.spatial
+def test_only_a_factor_loads_scipy_sparse_and_nothing_loads_scipy_spatial(tmp_path):
+    # a fresh interpreter, as above: meshes, analytic glues and generator blends load no scipy module at all;
+    # a solve loads scipy.sparse, and neither it nor a uniqueness probe loads scipy.spatial or scipy.special
     src = Path(__file__).resolve().parents[1] / "src"
     code = textwrap.dedent("""
-        import sys
+        import importlib, pkgutil, sys
         import numpy as np
+        import pharmap
+        for module in pkgutil.iter_modules(pharmap.__path__):
+            importlib.import_module("pharmap." + module.name)
+        from pharmap.blend import PolarMetricGrid, blend_metric, find_k_blend
         from pharmap.chart import TargetChart
+        from pharmap.glue import GlueSpec, glue_pipeline
         from pharmap.mesh import build_annulus, load_mesh, refine, save_mesh
         from pharmap.solver import SolveConfig, solve, uniqueness_probe
-        from pharmap.warp import ModelManifold, SinhWarp
+        from pharmap.warp import ModelManifold, OddPolynomialWarp, SinhWarp
         path = sys.argv[1]
         save_mesh(path, refine(build_annulus(1.0, 2.0, 2, 8)))
         mesh = load_mesh(path)
+        glue_pipeline(GlueSpec(OddPolynomialWarp([1.0, 1.0]), SinhWarp(), 1.0, 4.0))
+        t = np.linspace(0.5, 2.5, 21)
+        grid = PolarMetricGrid.from_generator(lambda t, h: np.exp(2.0 * t) * (1.0 + 0.1 * np.cos(h)), t, 8)
+        blend_metric(grid, find_k_blend(grid, 1.0, 2.0)[0], 1.0, 2.0)
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
         chart, bvals = TargetChart(ModelManifold(2, SinhWarp())), 0.5 * mesh.vertices
         config = SolveConfig(p=3.0, grad_tol=1e-9)
         assert solve(mesh, chart, bvals, config)[1].converged
+        print("scipy.sparse.linalg" in sys.modules)
         assert all(uniqueness_probe(mesh, chart, bvals, config, 2).converged)
         print(sorted(name for name in ("scipy.spatial", "scipy.special") if name in sys.modules))
     """)
     path = os.pathsep.join([str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "mesh.txt")],
                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines() == ["[]"]
+    assert run.stdout.splitlines() == ["[]", "True", "[]"]
 
 
 RHO, SIGMA = OddPolynomialWarp([1.0, 1.0]), SinhWarp()

@@ -712,16 +712,19 @@ def test_held_factor_gives_the_bytes_of_a_fresh_mesh():
 
 
 def test_one_factor_per_mesh(monkeypatch):
+    # the solver imports splu when it factors, so the patched attribute is the one it calls
+    import scipy.sparse.linalg
+
     import pharmap.solver as solver_module
 
     calls = []
-    splu = solver_module.splu
+    splu = scipy.sparse.linalg.splu
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return splu(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "splu", counting)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
     mesh, bvals = wavy_ring_problem(4, 16)
     config = SolveConfig(p=3.0, grad_tol=1e-9)
     harmonic_init(mesh, bvals)
@@ -746,12 +749,14 @@ def test_held_factor_does_not_keep_the_mesh_alive():
 
 
 def test_held_chunk_tables_do_not_keep_the_mesh_alive_and_energy_factors_nothing(monkeypatch):
+    import scipy.sparse.linalg
+
     import pharmap.solver as solver_module
 
     mesh, bvals = wavy_ring_problem(4, 16)
     state = harmonic_init(wavy_ring_problem(4, 16)[0], bvals)
     calls = []
-    monkeypatch.setattr(solver_module, "splu", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *args, **kwargs: calls.append(args))
     first = energy(mesh, SINH2, state, 3.0)
     assert calls == [] and mesh not in solver_module._FACTORS and mesh in solver_module._CHUNK_TABLES
     assert energy(mesh, SINH2, state, 3.0) == first

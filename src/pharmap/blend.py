@@ -13,7 +13,14 @@ curvature ``-k`` hyperbolic plane,
     jhat   = phi_j(t) j + phi_h(t) h_k,        phi_j + phi_h = 1,
 
 keeps that positivity provided ``h_k >= j`` on the transition annulus
-[R1, R2] (the extra Hessian term is ``phi_j' (j - h_k)`` with phi_j' <= 0).
+[R1, R2]: by the product rule
+
+    d_t jhat = phi_j d_t j + phi_h h_k' + phi_j' (j - h_k),
+
+where phi_j, phi_h >= 0, h_k' > 0, and the extra term has phi_j' <= 0.
+``blend_metric`` evaluates d_t jhat by this rule, so it needs d_t j only
+(analytic where the grid has ``generator_dt``, else a finite difference of
+the samples of j) and never differentiates through the partition.
 A doubling search produces such a ``k``: with
 
     c2 = min over the annulus of h_1(t) / j(t, theta)
@@ -26,7 +33,7 @@ estimate actually consumes.  The partition uses the quintic smoothstep, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,15 +95,15 @@ class PolarMetricGrid:
     """Sampled angular metric coefficient j(t, theta) > 0 on a polar grid.
 
     ``theta_grid`` must be the uniform grid on [0, 2pi) so the samples wrap
-    consistently.  ``generator``/``generator_dt`` optionally supply j and
-    d_t j analytically (vectorized over meshgrid arrays).
+    consistently.  ``generator_dt`` optionally supplies d_t j analytically
+    (vectorized over meshgrid arrays); without it ``d_dt`` is a finite
+    difference of the samples.
     """
 
     t_grid: np.ndarray
     theta_grid: np.ndarray
     j: np.ndarray
-    generator: object = None
-    generator_dt: object = None
+    generator_dt: object = field(default=None, kw_only=True)
 
     def __post_init__(self):
         self.t_grid = _grid(self.t_grid, "t_grid")
@@ -109,23 +116,26 @@ class PolarMetricGrid:
             raise UsageError("j must have shape (len(t_grid), len(theta_grid))")
         if not np.all(np.isfinite(self.j)) or np.any(self.j <= 0.0):
             raise UsageError("metric coefficient j must be positive and finite")
-        if self.generator is not None:
-            tt = np.full_like(self.theta_grid, self.t_grid[-1])
-            wrap = np.asarray(self.generator(tt, self.theta_grid + 2.0 * np.pi))
-            base = np.asarray(self.generator(tt, self.theta_grid))
-            if not np.allclose(wrap, base, rtol=1e-10, atol=1e-12):
-                raise UsageError("generator is not 2*pi-periodic in theta")
 
     @classmethod
     def from_generator(cls, generator, t_grid, ntheta: int, generator_dt=None) -> "PolarMetricGrid":
+        """The samples j = generator(t, theta) on ``t_grid`` and ``ntheta`` uniform angles.
+
+        A generator that is not 2pi-periodic in theta at the last t is refused.
+        """
         _count(ntheta, "ntheta", 3)
         t_grid = np.asarray(t_grid, dtype=float)
         theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
         tt, hh = np.meshgrid(t_grid, theta, indexing="ij")
-        return cls(t_grid, theta, np.asarray(generator(tt, hh), dtype=float), generator, generator_dt)
+        grid = cls(t_grid, theta, np.asarray(generator(tt, hh), dtype=float), generator_dt=generator_dt)
+        tt = np.full_like(theta, grid.t_grid[-1])
+        wrap = np.asarray(generator(tt, theta + 2.0 * np.pi))
+        if not np.allclose(wrap, np.asarray(generator(tt, theta)), rtol=1e-10, atol=1e-12):
+            raise UsageError("generator is not 2*pi-periodic in theta")
+        return grid
 
     def d_dt(self) -> np.ndarray:
-        """d_t j on the grid: analytic when a generator derivative exists."""
+        """d_t j on the grid: ``generator_dt`` where it is set, else a finite difference of j."""
         if self.generator_dt is not None:
             tt, hh = np.meshgrid(self.t_grid, self.theta_grid, indexing="ij")
             return np.asarray(self.generator_dt(tt, hh), dtype=float)
@@ -220,43 +230,31 @@ def partition_profile(t, R1: float, R2: float):
 def blend_metric(grid: PolarMetricGrid, k: float, R1: float, R2: float) -> BlendResult:
     """Blend j with h_k across [R1, R2] and certify min d_t jhat > 0.
 
-    A failing certificate is returned with ``passed=False`` rather than
-    raised; callers inspect the result.
+    d_t jhat is taken by the product rule of the module docstring from
+    ``grid.d_dt()``, h_k and h_k'.  The blended grid holds the samples of
+    jhat only, so its own ``d_dt`` is a finite difference.  An h_k or h_k'
+    that overflows somewhere on the t grid raises ``DomainError``.  A failing
+    certificate is returned with ``passed=False`` rather than raised;
+    callers inspect the result.
     """
     mask = _annulus_mask(grid.t_grid, R1, R2)
     t = grid.t_grid
     phi_j, phi_h, dphi_j = partition_profile(t, R1, R2)
-    h_col = hyperbolic_coefficient(k, t)
-    jhat = phi_j[:, None] * grid.j + phi_h[:, None] * h_col[:, None]
-
-    base, base_dt = grid.generator, grid.generator_dt
-    generator = generator_dt = None
-    if base is not None:
-
-        def generator(tt, hh):
-            pj, ph, _ = partition_profile(tt, R1, R2)
-            return pj * np.asarray(base(tt, hh)) + ph * hyperbolic_coefficient(k, tt)
-
-    if base is not None and base_dt is not None:
-
-        def generator_dt(tt, hh):
-            pj, ph, dpj = partition_profile(tt, R1, R2)
-            sq = np.sqrt(k)
-            dh = np.sinh(2.0 * sq * tt) / sq
-            return (
-                pj * np.asarray(base_dt(tt, hh))
-                + ph * dh
-                + dpj * np.asarray(base(tt, hh))
-                - dpj * hyperbolic_coefficient(k, tt)
-            )
-
-    blended = PolarMetricGrid(t, grid.theta_grid, jhat, generator, generator_dt)
-    djhat = blended.d_dt()
+    with np.errstate(over="ignore"):
+        h = hyperbolic_coefficient(k, t)
+        dh = np.sinh(2.0 * np.sqrt(k) * t) / np.sqrt(k)
+    bad = np.flatnonzero(~(np.isfinite(h) & np.isfinite(dh)))
+    if bad.size:
+        raise DomainError(f"the hyperbolic coefficient of k = {k:g} overflows at t = {t[bad[0]]:g}")
+    jhat = phi_j[:, None] * grid.j + phi_h[:, None] * h[:, None]
+    # phi_j' j - phi_j' h_k term by term, not phi_j' (j - h_k): this order keeps the bytes of certified minima
+    djhat = (phi_j[:, None] * grid.d_dt() + (phi_h * dh)[:, None]
+             + dphi_j[:, None] * grid.j - (dphi_j * h)[:, None])
     min_dt = float(np.min(djhat))
     return BlendResult(
         k=float(k),
         c2=_c2(grid, mask),
-        blended=blended,
+        blended=PolarMetricGrid(t, grid.theta_grid, jhat),
         phi_j=phi_j,
         phi_h=phi_h,
         min_radial_derivative=min_dt,

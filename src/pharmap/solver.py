@@ -35,10 +35,9 @@ energy can still resolve it:
   compared there.
 
 Every rejected trial halves the step; a non-finite energy or slope is a
-rejection.  The first trial of a search and every trial at the floor
-assemble energy and gradient together; the others assemble the energy alone
-(the same bytes), and a step they accept is assembled again with its
-gradient.
+rejection.  Every trial assembles energy and gradient together, as Hager &
+Zhang evaluate f and g at every trial: an accepted step needs its gradient,
+and the energy's bytes do not depend on whether the gradient is assembled.
 
 The energy trace holds the energy of the initial state and of each accepted
 step, and ``final_energy`` is its last entry: above the floor the step's
@@ -181,9 +180,10 @@ class SolveReport:
     ``final_energy`` is the last entry of ``energy_trace`` (see the module
     docstring for what an entry is).
 
-    Counters: ``n_f`` energy-only and ``n_fg`` energy+gradient assemblies,
-    ``n_backtracks`` rejected trial steps, ``n_restarts`` failed line
-    searches that dropped the L-BFGS memory and retried.
+    Counters: ``n_fg`` energy+gradient assemblies (the initial state and
+    every line-search trial), ``n_backtracks`` rejected trial steps,
+    ``n_restarts`` failed line searches that dropped the L-BFGS memory and
+    retried.
     """
 
     final_energy: float
@@ -192,7 +192,6 @@ class SolveReport:
     iterations: int
     mp_margin: float
     stop_reason: str
-    n_f: int = 0
     n_fg: int = 0
     n_backtracks: int = 0
     n_restarts: int = 0
@@ -210,7 +209,6 @@ class SolveReport:
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
             "stop_reason": self.stop_reason,
-            "n_f": int(self.n_f),
             "n_fg": int(self.n_fg),
             "n_backtracks": int(self.n_backtracks),
             "n_restarts": int(self.n_restarts),
@@ -522,7 +520,7 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     pts = _harmonic_extension(mesh, bvals) if initial is None else _map_points(mesh, chart, initial).copy()
     pts[bidx] = bvals[bidx]  # boundary rows pinned bit-exactly
     n = chart.dim
-    counts = {"n_f": 0, "n_fg": 0, "n_backtracks": 0, "n_restarts": 0}
+    counts = {"n_fg": 0, "n_backtracks": 0, "n_restarts": 0}
     # the map component-major; its boundary columns never change, and each
     # assembly writes the interior columns from the vertex-major vector x
     comps = np.ascontiguousarray(pts.T)
@@ -530,11 +528,6 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     def put(x):
         comps[:, iidx] = x.reshape(iidx.size, n).T
         return comps
-
-    def f_only(x):
-        counts["n_f"] += 1
-        total, _ = _assemble(mesh, chart, put(x), config.p, config.quadrature, need_grad=False)
-        return total
 
     def f_and_g(x):
         counts["n_fg"] += 1
@@ -580,21 +573,18 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
         raise diverged("at the initial state")
 
     def line_search(x, f, d, gd):
-        """Accepted (x, f, g) along d from step 1, or None; the first trial and
-        every trial at the floor also assemble the gradient."""
+        """Accepted (x, f, g) along d from step 1, or None."""
         floor = np.finfo(float).eps * abs(f) / _ARMIJO_C1
         step = 1.0
-        for trial in range(60):
+        for _ in range(60):
             x_new = x + step * d
             at_floor = -step * gd <= floor
             # a NaN or inf energy or slope fails every test below, so its overflow is no error
             with np.errstate(over="ignore", invalid="ignore"):
-                f_new, g_new = f_and_g(x_new) if trial == 0 or at_floor else (f_only(x_new), None)
+                f_new, g_new = f_and_g(x_new)
                 slope = float(np.dot(g_new, d)) if at_floor else None
             if not at_floor:
                 if f_new <= f + _ARMIJO_C1 * step * gd:
-                    if g_new is None:
-                        f_new, g_new = f_and_g(x_new)
                     return x_new, f_new, g_new
             elif math.isfinite(f_new) and math.isfinite(slope):
                 if slope < _WOLFE_SIGMA * gd:
@@ -719,7 +709,7 @@ def _read_vertex_table(path, what: str, dim: int | None = None):
     if head != _vertex_header(rows.shape[1] - 1):
         raise UsageError(f"{path}, line 1: bad {what} header {head!r}")
     vertex = rows[:, 0]
-    bad = np.flatnonzero((np.mod(vertex, 1.0) != 0.0) | (vertex < 0))
+    bad = np.flatnonzero(~(np.isfinite(vertex) & (np.floor(vertex) == vertex)) | (vertex < 0))
     if bad.size:
         raise error(bad[0], f"{what} row names vertex {vertex[bad[0]]:g}, not a nonnegative integer")
     return vertex, rows[:, 1:], error

@@ -79,6 +79,8 @@ def test_grid_validation():
         PolarMetricGrid(T_GRID, np.linspace(0, np.pi, 8), np.ones((T_GRID.size, 8)))
     with pytest.raises(UsageError):
         grid_from(lambda t, h: 2.0 + np.sin(0.5 * h), T_GRID)  # not 2pi-periodic
+    with pytest.raises(TypeError):  # a grid holds no generator of j; d_t j is passed by name
+        PolarMetricGrid(T_GRID, theta, np.ones((T_GRID.size, 8)), SQUARE_DT)
 
 
 def test_grid_refuses_angles_that_are_not_1d():
@@ -207,12 +209,24 @@ def test_blend_adversarial_violation_flagged():
     assert result.min_radial_derivative < 0.0
 
 
+def test_blend_refuses_a_hyperbolic_coefficient_that_overflows():
+    # h_k' = sinh(2 sqrt(k) t)/sqrt(k) overflows from 8 t > 710.48 on at k = 16,
+    # the k that find_k_blend returns for j = exp(3t); the grid steps by 0.5
+    gen, gen_dt = (lambda t, h: np.exp(3.0 * t)), (lambda t, h: 3.0 * np.exp(3.0 * t))
+    g = grid_from(gen, np.linspace(0.5, 120.0, 240), ntheta=8, gen_dt=gen_dt)
+    k, _ = find_k_blend(g, 1.0, 2.0)
+    assert k == 16.0
+    with pytest.raises(DomainError, match=r"k = 16 overflows at t = 89$"):
+        blend_metric(g, k, 1.0, 2.0)
+    short = grid_from(gen, np.linspace(0.5, 88.5, 177), ntheta=8, gen_dt=gen_dt)
+    assert blend_metric(short, k, 1.0, 2.0).passed
+
+
 def test_hessian_decomposition_three_term_expansion():
     for gen, gen_dt in ((SQUARE, SQUARE_DT), (SINH2, SINH2_DT)):
         g = grid_from(gen, T_GRID, gen_dt=gen_dt)
         k, _ = find_k_blend(g, 1.0, 2.0)
         result = blend_metric(g, k, 1.0, 2.0)
-        djhat = result.blended.d_dt()
         phi_j, phi_h, dphi_j = partition_profile(T_GRID, 1.0, 2.0)
         dh = np.sinh(2.0 * np.sqrt(k) * T_GRID) / np.sqrt(k)
         hcol = hyperbolic_coefficient(k, T_GRID)
@@ -222,7 +236,13 @@ def test_hessian_decomposition_three_term_expansion():
             + phi_h[:, None] * dh[:, None]
             + dphi_j[:, None] * (gen(tt, hh) - hcol[:, None])
         )
-        assert np.max(np.abs(djhat - three_term)) <= 1e-10 * max(1.0, np.max(np.abs(three_term)))
+        scale = max(1.0, np.max(np.abs(three_term)))
+        assert abs(result.min_radial_derivative - np.min(three_term)) <= 1e-12 * scale
+        # the blended grid holds samples only, so its d_dt is the five-point
+        # finite difference; jhat is only C^2 at R1 and R2, where that is
+        # O(dt^2) accurate rather than O(dt^4), with dt = 0.01 here
+        dt = T_GRID[1] - T_GRID[0]
+        assert np.max(np.abs(result.blended.d_dt() - three_term)) <= dt**2 * scale
 
 
 def test_blend_without_generator_uses_fd_and_agrees():
@@ -241,7 +261,13 @@ def test_certified_positivity_implies_convex_radial_function_on_geodesics():
     k, _ = find_k_blend(g, 1.0, 2.0)
     result = blend_metric(g, k, 1.0, 2.0)
     assert result.passed
-    jhat = result.blended.generator
+
+    def jhat(t, h):
+        phi_j, phi_h, _ = partition_profile(t, 1.0, 2.0)
+        return phi_j * SQUARE(t, h) + phi_h * hyperbolic_coefficient(k, t)
+
+    tt, hh = np.meshgrid(T_GRID, g.theta_grid, indexing="ij")
+    assert np.array_equal(jhat(tt, hh), result.blended.j)
     rng = np.random.default_rng(42)
     nseg = 16
     for _ in range(4):

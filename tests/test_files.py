@@ -189,6 +189,25 @@ def test_boundary_file_non_finite_value_names_its_line(tmp_path, value):
         load_boundary_csv(path, MESH, 2)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+@pytest.mark.parametrize("kind", ["boundary", "solution"])
+def test_vertex_table_refuses_a_non_finite_vertex(tmp_path, kind, value):
+    # the integer test must not compute with the vertex: np.mod(inf, 1.0) warns
+    write, load = {
+        "boundary": (lambda p: save_boundary_csv(p, MESH, MESH.vertices), lambda p: load_boundary_csv(p, MESH, 2)),
+        "solution": (lambda p: save_solution_csv(p, MapState(MESH.vertices)), load_solution_csv),
+    }[kind]
+    path = tmp_path / "data.csv"
+    write(path)
+    lines = path.read_text().splitlines()
+    lines[3] = set_field(0, value)(lines[3])
+    path.write_text("\n".join(lines) + "\n")
+    shown = f"{float(value):g}"
+    with pytest.raises(UsageError, match=f"^{re.escape(str(path))}, line 4: {kind} row names vertex {shown}, "
+                                         "not a nonnegative integer$"):
+        load(path)
+
+
 def test_solution_file_refuses_a_state_without_vertices(tmp_path):
     path = tmp_path / "state.csv"
     with pytest.raises(UsageError, match="at least one vertex"):

@@ -99,7 +99,8 @@ RHO, SIGMA = OddPolynomialWarp([1.0, 1.0]), SinhWarp()
 GLUED = glue_pipeline(GlueSpec(RHO, SIGMA, 1.0, 4.0))[0]
 THETA = 2.0 * np.pi * np.arange(8) / 8
 T = np.linspace(0.5, 2.5, 21)
-METRIC = PolarMetricGrid.from_generator(lambda t, h: np.exp(2.0 * t) * (1.0 + 0.1 * np.cos(h)), T, 8)
+WAVY = lambda t, h: np.exp(2.0 * t) * (1.0 + 0.1 * np.cos(h))  # noqa: E731
+METRIC = PolarMetricGrid.from_generator(WAVY, T, 8)
 SQUARE = build_rect(1.0, 1.0, 1, 1)
 
 
@@ -159,7 +160,7 @@ ENTRY_POINTS = {
     "build_annulus nr": counts(1, lambda n, _: build_annulus(1.0, 2.0, n, 8)),
     "build_annulus ntheta": counts(3, lambda n, _: build_annulus(1.0, 2.0, 2, n)),
     "build_polar ntheta": counts(3, lambda n, _: build_polar([1.0, 2.0], n)),
-    "from_generator": counts(3, lambda n, _: PolarMetricGrid.from_generator(METRIC.generator, T, n)),
+    "from_generator": counts(3, lambda n, _: PolarMetricGrid.from_generator(WAVY, T, n)),
     "uniqueness_probe": counts(1, lambda n, _: uniqueness_probe(SQUARE, TargetChart(None), np.zeros((4, 1)),
                                                                 SolveConfig(p=2.0), n)),
     "SolveConfig.max_iter": counts(1, lambda n, _: SolveConfig(p=2.0, max_iter=n)),

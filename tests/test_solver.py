@@ -512,31 +512,28 @@ def test_solve_euclidean_p2_is_one_newton_step():
 
 
 def test_solve_restart_after_failed_line_search(monkeypatch):
-    # one whole line search mid-solve (the third iteration's, on this data)
-    # is rejected: its energies above the floor read +inf, and its first
-    # trial at the floor is too short for the curvature side.  With a nonempty
-    # memory the solver must drop the memory and retry along -K_ii^{-1} g,
-    # not stop as "stalled"
+    # the whole line search of the third iteration is rejected: every trial
+    # of it reads an energy of +inf.  With a nonempty memory the solver must
+    # drop the memory and retry along -K_ii^{-1} g, not stop as "stalled"
     import pharmap.solver as solver_module
 
-    assemble = solver_module._assemble
-    fg_calls = [0]
+    assemble, direction = solver_module._assemble, solver_module._direction
+    searches = [0]  # line searches begun; a restart begins another
 
-    def rejecting(*args, need_grad=True, **kwargs):
-        total, grad = assemble(*args, need_grad=need_grad, **kwargs)
-        if need_grad:
-            fg_calls[0] += 1
-        # energy+gradient call 1 is the initial state; a line search starts
-        # with one such call and makes no other above the floor
-        if fg_calls[0] == 4:
-            total = np.inf
-        return total, grad
+    def counting_direction(*args):
+        searches[0] += 1
+        return direction(*args)
 
+    def rejecting(*args, **kwargs):
+        total, grad = assemble(*args, **kwargs)
+        return (np.inf if searches[0] == 3 else total), grad
+
+    monkeypatch.setattr(solver_module, "_direction", counting_direction)
     monkeypatch.setattr(solver_module, "_assemble", rejecting)
     mesh, bvals = sin3_ring_problem()
     _, report = solve(mesh, SINH2, bvals, SolveConfig(p=3.0, grad_tol=1e-9))
     assert report.stop_reason == "converged"
-    assert report.n_restarts >= 1
+    assert report.n_restarts == 1 and report.iterations >= 3
     assert report.to_json_dict()["n_restarts"] == report.n_restarts
 
 
@@ -554,7 +551,7 @@ def test_solve_divergence_at_initial_state():
     report = info.value.report
     assert report.stop_reason == "nonfinite" and not report.converged
     assert report.iterations == 0
-    assert (report.n_f, report.n_fg, report.n_backtracks, report.n_restarts) == (0, 1, 0, 0)
+    assert (report.n_fg, report.n_backtracks, report.n_restarts) == (1, 0, 0)
     assert len(report.energy_trace) == 1 and not np.isfinite(report.final_energy)
     assert np.float64(report.energy_trace[0]).tobytes() == np.float64(want).tobytes()
     assert report.mp_margin == check_max_principle(mesh, SINH2, MapState(pts)) > 0.0
@@ -587,7 +584,7 @@ def test_solve_divergence_during_descent(monkeypatch):
     report = info.value.report
     init = harmonic_init(mesh, bvals)
     assert report.stop_reason == "nonfinite" and report.iterations == 1
-    assert (report.n_f, report.n_fg, report.n_backtracks, report.n_restarts) == (0, 2, 0, 0)
+    assert (report.n_fg, report.n_backtracks, report.n_restarts) == (2, 0, 0)
     assert report.energy_trace == [report.final_energy] == [energy(mesh, SINH2, init, 3.0)]
     assert report.residual == residual(mesh, SINH2, init, 3.0) > config.grad_tol
     assert report.mp_margin == check_max_principle(mesh, SINH2, init)
@@ -604,15 +601,19 @@ def test_solve_counters_match_assembly_calls(monkeypatch):
         return assemble(*args, need_grad=need_grad, **kwargs)
 
     monkeypatch.setattr(solver_module, "_assemble", counting)
-    # a steep target, on which some Armijo trials are rejected, so that the
-    # line search also makes energy-only assemblies
+    # a steep target, on which some Armijo trials are rejected: those trials,
+    # like every other, assemble energy and gradient together
     mesh, bvals = sin3_ring_problem()
     _, report = solve(mesh, STEEP2, bvals, SolveConfig(p=3.0, grad_tol=1e-30))
-    assert report.n_fg == calls[True] and report.n_f == calls[False]
-    assert report.n_f > 0 and report.n_backtracks > 0 and report.n_restarts > 0
+    assert calls[False] == 0 and report.n_fg == calls[True]
+    assert report.n_backtracks > 0 and report.n_restarts > 0
+    # the initial state, then one assembly per trial: accepted or rejected
+    accepted = len(report.energy_trace) - 1
+    assert report.n_fg - 1 - report.n_backtracks in (accepted, accepted + 1)  # + a step kept out of the trace
     doc = report.to_json_dict()
-    assert [doc[k] for k in ("n_f", "n_fg", "n_backtracks", "n_restarts")] == [
-        report.n_f, report.n_fg, report.n_backtracks, report.n_restarts]
+    assert [doc[k] for k in ("n_fg", "n_backtracks", "n_restarts")] == [
+        report.n_fg, report.n_backtracks, report.n_restarts]
+    assert "n_f" not in doc
 
 
 def test_energy_trace_is_assembly_totals_above_the_floor_and_trapezoids_at_it(monkeypatch):

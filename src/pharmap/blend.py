@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._table import GridRows, read_table, write_table
-from .errors import DomainError, UsageError, _count, _doubling_search, _grid, _interval
+from .errors import DomainError, UsageError, _count, _doubling_search, _grid, _interval, _uniform_angles
 
 __all__ = [
     "PolarMetricGrid",
@@ -80,16 +80,6 @@ def _d_dt(t: np.ndarray, F: np.ndarray) -> np.ndarray:
     return np.einsum("iw,iw...->i...", weights, F[cols])
 
 
-def _check_uniform_angles(theta) -> None:
-    """Refuse angles other than the 1d array theta_0 + 2 pi i / m, i < m = ``theta.size`` >= 1, to within 1e-12."""
-    if theta.ndim != 1:
-        raise UsageError("theta_grid must be a 1d array")
-    m = theta.size
-    want = theta[0] + 2.0 * np.pi * np.arange(m) / m
-    if not np.allclose(theta, want, atol=1e-12):
-        raise UsageError("theta_grid must be uniform on [0, 2*pi)")
-
-
 @dataclass
 class PolarMetricGrid:
     """Sampled angular metric coefficient j(t, theta) > 0 on a polar grid.
@@ -111,7 +101,7 @@ class PolarMetricGrid:
         self.j = np.asarray(self.j, dtype=float)
         m = self.theta_grid.size
         _count(m, "theta_grid size", 3)
-        _check_uniform_angles(self.theta_grid)
+        _uniform_angles(self.theta_grid)
         if self.j.shape != (self.t_grid.size, m):
             raise UsageError("j must have shape (len(t_grid), len(theta_grid))")
         if not np.all(np.isfinite(self.j)) or np.any(self.j <= 0.0):
@@ -135,11 +125,21 @@ class PolarMetricGrid:
         return grid
 
     def d_dt(self) -> np.ndarray:
-        """d_t j on the grid: ``generator_dt`` where it is set, else a finite difference of j."""
-        if self.generator_dt is not None:
-            tt, hh = np.meshgrid(self.t_grid, self.theta_grid, indexing="ij")
-            return np.asarray(self.generator_dt(tt, hh), dtype=float)
-        return _d_dt(self.t_grid, self.j)
+        """d_t j on the grid: ``generator_dt`` where it is set, else a finite difference of j.
+
+        A ``generator_dt`` result that is not finite or not of the shape of
+        j raises ``UsageError``: a scalar or a single column would be
+        broadcast over the samples and could pass a false certificate.
+        """
+        if self.generator_dt is None:
+            return _d_dt(self.t_grid, self.j)
+        tt, hh = np.meshgrid(self.t_grid, self.theta_grid, indexing="ij")
+        dj = np.asarray(self.generator_dt(tt, hh), dtype=float)
+        if dj.shape != self.j.shape:
+            raise UsageError(f"generator_dt must return an array of the shape of j {self.j.shape}, got {dj.shape}")
+        if not np.all(np.isfinite(dj)):
+            raise UsageError("generator_dt must return finite values")
+        return dj
 
 
 @dataclass

@@ -4,11 +4,12 @@ Usage and domain problems (bad arguments, malformed input files, numbers
 outside a domain) raise subclasses of ``ValueError``; failed searches,
 constructions and iterations raise subclasses of ``RuntimeError``.
 
-Three input rules have one check each, which raises ``UsageError`` naming
+Four input rules have one check each, which raises ``UsageError`` naming
 the input: ``_grid`` (a 1d grid of finite values that strictly increase
 from above 0, or from 0), ``_interval`` (a pair of radii with
-0 < lo < hi < inf) and ``_count`` (an integer count of at least n).  Each is
-written so that NaN fails it.
+0 < lo < hi < inf), ``_count`` (an integer count of at least n) and
+``_uniform_angles`` (a 1d grid of m uniform angles theta_0 + 2 pi i / m).
+Each is written so that NaN fails it.
 """
 
 import math
@@ -75,6 +76,16 @@ def _count(n, what, least) -> None:
     """Refuse a count other than an ``Integral`` n >= ``least``."""
     if not (isinstance(n, Integral) and n >= least):
         raise UsageError(f"{what} must be an integer >= {least}, got {n!r}")
+
+
+def _uniform_angles(theta) -> None:
+    """Refuse angles other than the 1d array theta_0 + 2 pi i / m, i < m = ``theta.size`` >= 1, to within 1e-12."""
+    if theta.ndim != 1:
+        raise UsageError("theta_grid must be a 1d array")
+    m = theta.size
+    want = theta[0] + 2.0 * np.pi * np.arange(m) / m
+    if not np.allclose(theta, want, atol=1e-12):
+        raise UsageError("theta_grid must be uniform on [0, 2*pi)")
 
 
 _K_MAX = 2.0**40  # the last scale a doubling search tries

@@ -69,13 +69,13 @@ evaluation byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blend import _check_uniform_angles
 from .errors import (ConstructionError, DomainError, InfeasibleError, SearchExhaustedError, UsageError,
-                     _count, _doubling_search, _grid, _interval)
+                     _count, _doubling_search, _grid, _interval, _uniform_angles)
 from .warp import (
     CurvatureReport,
     ScaledWarp,
@@ -188,14 +188,19 @@ class GluedWarp(WarpingFunction):
         ``anchors`` are rho(R1-delta), rho'(R1-delta), sigma_k(R2+delta) and
         sigma_k'(R2+delta).  The constructor path that evaluates nothing:
         ``glue2d`` and ``with_slope`` reach it on ``GluedWarp.__new__(GluedWarp)``.
+        A slope that is not finite raises ``DomainError``, as a bad band
+        half-width does.
         """
+        s = float(s)
+        if not math.isfinite(s):
+            raise DomainError(f"plateau slope must be finite, got {s}")
         self.rho = rho
         self.sigma_k = sigma_k
         self.R1, self.R2, self.delta = float(R1), float(R2), float(delta)
         self.k = sigma_k.k if isinstance(sigma_k, ScaledWarp) else 1.0
         self.third_at_zero = rho.third_at_zero
         self._anchors = rho_a, drho_a, sig_d, dsig_d = tuple(float(v) for v in anchors)
-        self.s = s = float(s)
+        self.s = s
         _, b, c, _ = self.edges
         delta = self.delta
         # the ramps and the plateau as (value, slope, curvature) at their left
@@ -559,10 +564,12 @@ def rays_from_polar_samples(t_grid, nu, dnu=None) -> list[SplineWarp]:
 
     ``t_grid`` must start at 0 so the glued heads stay evaluable down to the
     pole.  Missing radial derivatives are taken from one C^2 value spline
-    through all columns.  The rays are checked and built in one pass over
-    all columns (``warp._build_splines``), each owning its coefficients, and
-    ``glue2d`` evaluates them together as stacked columns.  Each ray equals
-    the ``SplineWarp`` built from its column alone.
+    through all columns.  Non-finite samples raise the ``UsageError`` of
+    the build's finiteness check, whether ``dnu`` is given or not.  The
+    rays are checked and built in one pass over all columns
+    (``warp._build_splines``), each owning its coefficients, and ``glue2d``
+    evaluates them together as stacked columns.  Each ray equals the
+    ``SplineWarp`` built from its column alone.
     """
     t_grid = _grid(t_grid, "ray sample t_grid", least=2, zero=True)
     nu = np.asarray(nu, dtype=float)
@@ -571,6 +578,8 @@ def rays_from_polar_samples(t_grid, nu, dnu=None) -> list[SplineWarp]:
     if t_grid[0] != 0.0:
         raise UsageError("ray samples must start at t = 0 (the glued head reaches the pole)")
     if dnu is None:
+        if not np.isfinite(nu).all():  # refused as ``_build_splines`` refuses it, before CubicSpline's ValueError
+            raise UsageError("knot data must be finite")
         from scipy.interpolate import CubicSpline
 
         dnu = CubicSpline(t_grid, nu)(t_grid, 1)
@@ -644,7 +653,7 @@ def glue2d(rays, theta_grid, sigma: WarpingFunction, R_bar: float, R: float) -> 
     rays = list(rays)
     if len(rays) != theta_grid.size or not rays:
         raise UsageError("need one ray per theta sample")
-    _check_uniform_angles(theta_grid)
+    _uniform_angles(theta_grid)
     R1, R2, band = _glue_plan(GlueSpec(rays[0], sigma, R_bar, R))
 
     rho_a, drho_a, bounds = _convex_anchors(rays, theta_grid, band * 1e-3, R1 + 2.0 * band, R1 - band)

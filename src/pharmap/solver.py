@@ -17,7 +17,7 @@ Minimization is monotone descent: limited-memory quasi-Newton directions
 (memory 10) with a backtracking line search, and Dirichlet rows pinned
 bit-exactly.  The initial inverse Hessian of L-BFGS is gamma K_ii^{-1}, with
 K_ii the interior block of the P1 stiffness matrix (factored once per mesh,
-held while the mesh lives) and gamma = s^T y / y^T K_ii^{-1} y: the
+held in the per-mesh store below) and gamma = s^T y / y^T K_ii^{-1} y: the
 Sobolev-gradient, or weighted-Laplacian, preconditioning of Huang, Li & Liu
 (J. Sci. Comput. 32 (2007)).  K_ii is the exact Hessian of the Euclidean
 p=2 energy and the metric of the H^1 seminorm, so iteration counts do not
@@ -64,10 +64,14 @@ accepted step raises ``DivergenceError``; its ``report`` is the
 ``SolveReport`` of the state the solve keeps, with ``stop_reason``
 ``"nonfinite"``.
 
+Two kinds of table depend on the mesh alone: the chunk tables of the
+assembly (below) and the factor of K_ii with the block K_ib.  One per-mesh
+store (``_held``) builds each on first use and holds it, without keeping
+the mesh alive; energies, gradients and residuals build chunk tables only.
+
 Assembly is evaluated in fixed-size triangle chunks.  A chunk's tables
-depend on the mesh alone (its areas, the gradient rows of its vertices 1
-and 2 component-major, and its triangle index columns) and are held per
-mesh, like the factor of K_ii, until the mesh is collected.  A chunk stacks
+(its areas, the gradient rows of its vertices 1 and 2 component-major, and
+its triangle index columns) are those of the per-mesh store.  A chunk stacks
 all of its quadrature points and queries the chart once for them: one
 ``metric`` call and, for the gradient, one ``metric_jacobian`` call.
 Everything else is held component-major, as (component, triangle) arrays
@@ -267,28 +271,34 @@ def _check_p_and_quadrature(p, quadrature):
         raise UsageError("quadrature rule id must be 1 (centroid) or 3 (edge midpoints)")
 
 
-_CHUNK_TABLES = weakref.WeakKeyDictionary()  # TriMesh -> _chunk_tables(mesh)
+_HELD = weakref.WeakKeyDictionary()  # TriMesh -> {build: build(mesh)}
+
+
+def _held(mesh: TriMesh, build):
+    """``build(mesh)`` of a table that depends on the mesh alone: the first call on a mesh
+    builds it, later calls return the held result until the mesh is collected.
+
+    ``TriMesh`` is immutable, so nothing held goes stale; the held results
+    do not keep the mesh alive.  Threads that race on a fresh mesh may each
+    build; every build gives the same result.
+    """
+    tables = _HELD.setdefault(mesh, {})
+    try:
+        return tables[build]
+    except KeyError:
+        tables[build] = result = build(mesh)
+        return result
 
 
 def _chunk_tables(mesh: TriMesh):
     """Per chunk of at most ``_CHUNK`` triangles: its slice, its areas, the gradient rows of
-    its vertices 1 and 2 as (vertex 1..2, alpha, m) and its triangle index columns (3, m).
-
-    They depend on the mesh alone and are held like the factor of K_ii: the
-    first call builds them, later calls on the same mesh return the held
-    list until the mesh is collected.
-    """
-    try:
-        return _CHUNK_TABLES[mesh]
-    except KeyError:
-        pass
+    its vertices 1 and 2 as (vertex 1..2, alpha, m) and its triangle index columns (3, m)."""
     nt = mesh.num_triangles
     tables = []
     for lo in range(0, nt, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, nt))
         tables.append((sl, mesh.areas[sl], np.ascontiguousarray(mesh.grads[sl, 1:].transpose(1, 2, 0)),
                        np.ascontiguousarray(mesh.triangles[sl].T)))
-    _CHUNK_TABLES[mesh] = tables
     return tables
 
 
@@ -335,7 +345,7 @@ def _assemble(mesh, chart, comps, p, rule=1, need_grad=True, threads=1):
     nt = mesh.num_triangles
     e_out = np.empty(nt)
     g_out = np.empty((chart.dim, nt, 3)) if need_grad else None
-    tables = _chunk_tables(mesh)
+    tables = _held(mesh, _chunk_tables)
     if threads > 1 and len(tables) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
@@ -367,10 +377,12 @@ def energy_gradient(mesh: TriMesh, chart: TargetChart, state, p: float, *, quadr
                     threads: int = 1) -> np.ndarray:
     """Exact gradient of ``energy`` w.r.t. interior vertex coordinates.
 
-    Rows follow ``mesh.interior_indices()``.  With ``threads`` > 1 a mesh of
-    several chunks is assembled on a thread pool, with the same bytes.
+    Rows follow ``mesh.interior_indices()``.  ``threads`` is an integer
+    >= 1; with ``threads`` > 1 a mesh of several chunks is assembled on a
+    thread pool, with the same bytes.
     """
     _check_p_and_quadrature(p, quadrature)
+    _count(threads, "threads", 1)
     comps = np.ascontiguousarray(_map_points(mesh, chart, state).T)
     _, grad = _assemble(mesh, chart, comps, p, quadrature, need_grad=True, threads=threads)
     return np.ascontiguousarray(grad[:, mesh.interior_indices()].T)
@@ -401,30 +413,16 @@ def _stiffness(mesh: TriMesh):
     return K.tocsr()
 
 
-_FACTORS = weakref.WeakKeyDictionary()  # TriMesh -> _interior_stiffness(mesh)
-
-
 def _interior_stiffness(mesh: TriMesh):
     """``splu`` factor of the interior block K_ii of the stiffness matrix and
-    the block K_ib, or None for a mesh without interior vertices.
-
-    Both depend on the mesh alone, and ``TriMesh`` is immutable: the first
-    call factors, and later calls on the same mesh return the held result
-    until the mesh is collected.
-    """
-    try:
-        return _FACTORS[mesh]
-    except KeyError:
-        pass
+    the block K_ib, or None for a mesh without interior vertices."""
     iidx = mesh.interior_indices()
-    factor = None
-    if iidx.size:
-        from scipy.sparse.linalg import splu
+    if not iidx.size:
+        return None
+    from scipy.sparse.linalg import splu
 
-        K_i = _stiffness(mesh)[iidx]
-        factor = splu(K_i[:, iidx].tocsc()), K_i[:, mesh.boundary_indices()]
-    _FACTORS[mesh] = factor
-    return factor
+    K_i = _stiffness(mesh)[iidx]
+    return splu(K_i[:, iidx].tocsc()), K_i[:, mesh.boundary_indices()]
 
 
 def _harmonic_extension(mesh: TriMesh, bvals) -> np.ndarray:
@@ -432,7 +430,7 @@ def _harmonic_extension(mesh: TriMesh, bvals) -> np.ndarray:
     bidx = mesh.boundary_indices()
     pts = np.zeros_like(bvals)
     pts[bidx] = bvals[bidx]
-    factor = _interior_stiffness(mesh)
+    factor = _held(mesh, _interior_stiffness)
     if factor is not None:
         lu, K_ib = factor
         pts[mesh.interior_indices()] = lu.solve(-(K_ib @ bvals[bidx]))  # -K_ib would copy the sparse matrix
@@ -516,7 +514,7 @@ def solve(mesh: TriMesh, chart: TargetChart, boundary_values, config: SolveConfi
     bvals = _dirichlet_data(mesh, boundary_values, chart.dim)
     bidx = mesh.boundary_indices()
     iidx = mesh.interior_indices()
-    factor = _interior_stiffness(mesh)
+    factor = _held(mesh, _interior_stiffness)
     pts = _harmonic_extension(mesh, bvals) if initial is None else _map_points(mesh, chart, initial).copy()
     pts[bidx] = bvals[bidx]  # boundary rows pinned bit-exactly
     n = chart.dim

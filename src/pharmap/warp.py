@@ -136,7 +136,7 @@ class OddPolynomialWarp(WarpingFunction):
         self.third_at_zero = 6.0 * coeffs[1] if coeffs.size > 1 else 0.0
 
     def _eval(self, r):
-        return _odd_polynomial(self.coefficients, r)
+        return tuple(v[0] for v in _odd_polynomial(self.coefficients[:, None], r))
 
     def __repr__(self):
         return f"<OddPolynomialWarp {list(self.coefficients)}>"
@@ -166,13 +166,13 @@ class ScaledWarp(WarpingFunction):
 
 
 def _odd_polynomial(coefficients, r):
-    """(sigma, sigma', sigma'') at ``r`` of the odd polynomial whose r^(2m+1) coefficient is ``coefficients[m]``.
+    """(sigma, sigma', sigma'') at ``r`` of the odd polynomials whose r^(2m+1) coefficients are ``coefficients[m]``.
 
-    Horner in r^2 for each of sigma/r, sigma' and sigma''/r.  A 1d array
-    of coefficients gives samples of the shape of ``r``; coefficients of
-    shape (terms, rows, 1, ...), one column per polynomial, give one Horner
-    pass for the table of them and samples of shape (rows, *r.shape).
+    ``coefficients`` is a table of shape (terms, rows), one column per
+    polynomial; the samples have shape (rows, *r.shape).  One Horner pass
+    in r^2 for each of sigma/r, sigma' and sigma''/r serves every row.
     """
+    coefficients = coefficients.reshape(coefficients.shape + (1,) * r.ndim)
     r2 = r * r
     s = np.zeros(coefficients.shape[1:2] + r.shape)
     for c in coefficients[::-1]:
@@ -231,11 +231,13 @@ def _build_splines(radii, values, derivs, second_derivs=None, warps=None) -> lis
     the Taylor tails are computed for all columns in one pass; ``warps``, new
     ``SplineWarp``s by default, receive one column each.  A failing check
     raises what the columns would raise one by one: the first failing check
-    of the first failing column.  Each warp owns contiguous copies of its
-    coefficients, allocated before the shared work buffer of all columns,
-    which is dropped on return: no table outlives the build, and the freed
-    buffer leaves no hole below the warps' arrays, so a build of many
-    columns needs no more resident memory than building them one by one.
+    of the first failing column.  One column or many, the coefficients are
+    computed in a work buffer of all columns and each column is copied out:
+    each warp owns contiguous one-column tables of shape (order, pieces, 1),
+    allocated before the buffer, which is dropped on return.  No table of
+    all columns outlives the build, and the freed buffer leaves no hole
+    below the warps' arrays, so a build of many columns needs no more
+    resident memory than building them one by one.
     """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -265,15 +267,12 @@ def _build_splines(radii, values, derivs, second_derivs=None, warps=None) -> lis
         warps = [SplineWarp.__new__(SplineWarp) for _ in range(columns)]
     degree = 3 if second_derivs is None else 5
     orders = (degree + 1, degree, degree - 1)  # coefficients per interval of sigma, sigma', sigma''
-    # each warp's own coefficients, one column each; several columns are computed in a work
-    # buffer allocated after them and copied out, one column is computed in place
-    owned = [[np.empty((n, radii.size - 1)) for n in orders] for _ in warps]
-    if columns == 1:
-        work = [a[..., None] for a in owned[0]]
-    else:
-        bounds = np.cumsum((0,) + orders) * (radii.size - 1) * columns
-        buffer = np.empty(bounds[-1])
-        work = [buffer[a:b].reshape(n, radii.size - 1, columns) for n, a, b in zip(orders, bounds, bounds[1:])]
+    # each warp's own coefficients, one column each, allocated before the work buffer of all
+    # columns in which they are computed and from which they are copied out
+    owned = [[np.empty((n, radii.size - 1, 1)) for n in orders] for _ in warps]
+    bounds = np.cumsum((0,) + orders) * (radii.size - 1) * columns
+    buffer = np.empty(bounds[-1])
+    work = [buffer[a:b].reshape(n, radii.size - 1, columns) for n, a, b in zip(orders, bounds, bounds[1:])]
     c, dc, ddc = work
     _hermite_bernstein(radii, values, derivs, second_derivs, out=c)
     dx = np.diff(radii)[:, None]
@@ -285,9 +284,8 @@ def _build_splines(radii, values, derivs, second_derivs=None, warps=None) -> lis
     rN = radii[-1]
     tails = [BPoly.construct_fast(a, radii)(x) for a, x in zip(work, (rN, rN, rN - 1e-12))]
     for j, (w, arrays) in enumerate(zip(warps, owned)):
-        if columns > 1:
-            for a, table in zip(arrays, work):
-                a[...] = table[..., j]
+        for a, table in zip(arrays, work):
+            a[...] = table[..., j:j + 1]
         w.radii = radii
         w.values = values[:, j]
         w.derivs = derivs[:, j]
@@ -309,7 +307,9 @@ class SplineWarp(WarpingFunction):
     convexity whenever the terminal second derivative is nonnegative.
     Evaluation below the first knot raises, except when the knots start at 0.
     A spline warp is the one-column case of ``_build_splines``, which
-    ``glue.rays_from_polar_samples`` runs on all its rays at once.
+    ``glue.rays_from_polar_samples`` runs on all its rays at once, and it
+    evaluates as the one-ray case of ``_spline_rows``: its polynomials hold
+    one column, so they give values of shape (points, 1).
     """
 
     kind = "SampledSpline"
@@ -326,22 +326,20 @@ class SplineWarp(WarpingFunction):
 def _spline_rows(rays, r):
     """(sigma, sigma', sigma'') of spline warps on one knot array and of one degree at the radii ``r``.
 
-    One ``BPoly`` call per derivative order, on the rays' coefficient
-    columns stacked (a single ray's own polynomials), and the Taylor
-    tails past the last knot for all rays at once; the arrays have shape
-    (len(rays), *r.shape).  Radii below the first knot raise, those within
-    1e-12 of it are clipped onto it.
+    One ``BPoly`` call per derivative order, on the rays' one-column
+    coefficient tables concatenated (a single ray's own polynomials, which
+    are not copied), gives values of shape (points, rays); past the last
+    knot one Taylor tail formula replaces them, for one ray or many.  The
+    arrays returned have shape (len(rays), *r.shape).  Radii below the
+    first knot raise, those within 1e-12 of it are clipped onto it.
     """
     knots = rays[0].radii
     flat = r.reshape(-1)
     if (flat < knots[0] - 1e-12).any():
         raise DomainError(f"spline warp evaluated below first knot r={knots[0]:g} (no analytic head)")
     rN = knots[-1]
-    polys = rays[0]._polys
-    tails = rays[0]._tail
-    past = np.flatnonzero(flat > rN)
-    dr = flat[past] - rN
     ri = np.clip(flat, knots[0], rN)
+    polys = rays[0]._polys
     if len(rays) > 1:
         from scipy.interpolate import BPoly
 
@@ -349,19 +347,18 @@ def _spline_rows(rays, r):
         # each radius in the piece it finds it in among all knots (the right one at a knot)
         piece = np.clip(np.searchsorted(knots, ri, side="right") - 1, 0, knots.size - 2)
         lo, hi = (int(piece.min()), int(piece.max()) + 1) if piece.size else (0, 1)
-        polys = [BPoly.construct_fast(np.stack([w._coeffs[o][:, lo:hi] for w in rays], axis=-1),
+        polys = [BPoly.construct_fast(np.concatenate([w._coeffs[o][:, lo:hi] for w in rays], axis=-1),
                                       knots[lo:hi + 1]) for o in range(len(polys))]
-        tails = np.array([w._tail for w in rays]).T
-        dr = dr[:, None]
-    # BPoly's values, (points,) for one ray and (points, rays) for several; the tails replace
-    # the values past the last knot
+    # BPoly's values, (points, rays); the Taylor tails replace the values past the last knot
     out = [p(ri) for p in polys]
+    past = np.flatnonzero(flat > rN)
     if past.size:
-        v, dv, ddv = tails
+        v, dv, ddv = np.array([w._tail for w in rays]).T
+        dr = (flat[past] - rN)[:, None]
         out[0][past] = v + dv * dr + 0.5 * ddv * dr * dr
         out[1][past] = dv + ddv * dr
         out[2][past] = ddv
-    return tuple(o.reshape(flat.size, -1).T.reshape((len(rays),) + r.shape) for o in out)
+    return tuple(o.T.reshape((len(rays),) + r.shape) for o in out)
 
 
 def _ray_rows(rays, r):
@@ -382,8 +379,7 @@ def _ray_rows(rays, r):
             radii = _as_radii(r)
             if joint is SplineWarp:
                 return list(zip(*_spline_rows(rays, radii)))
-            table = np.array([w.coefficients for w in rays]).T
-            return list(zip(*_odd_polynomial(table.reshape(table.shape + (1,) * radii.ndim), radii)))
+            return list(zip(*_odd_polynomial(np.array([w.coefficients for w in rays]).T, radii)))
         except (ValueError, ArithmeticError, Warning):  # a bad radius, or an overflow raised as an error
             pass
     return (ray.evaluate(r) for ray in rays)
@@ -436,7 +432,7 @@ def _spline_convexity_bounds(splines, lo, hi):
     start = np.clip((lo - left) / h, 0.0, 1.0) / end
     # one column per (interval, spline), restricted to [lo, hi]
     order = len(splines[0]._coeffs[2])
-    pieces = np.stack([w._coeffs[2][:, first:stop] for w in splines], axis=-1).reshape(order, -1)
+    pieces = np.concatenate([w._coeffs[2][:, first:stop] for w in splines], axis=-1).reshape(order, -1)
     owner = np.tile(np.arange(len(splines)), left.size)
     pieces = _split(_split(pieces, np.repeat(end, len(splines)))[0], np.repeat(start, len(splines)))[1]
     for _ in range(_SUBDIVISIONS):

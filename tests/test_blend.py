@@ -209,6 +209,30 @@ def test_blend_adversarial_violation_flagged():
     assert result.min_radial_derivative < 0.0
 
 
+DECAYING = lambda t, h: np.exp(-t) * (2.0 + 0.1 * np.cos(h))  # noqa: E731  (d_t j < 0 everywhere)
+
+
+LYING_DT = {
+    "scalar": lambda t, h: 1.0,
+    "one column": lambda t, h: np.ones((t.shape[0], 1)),
+    "nan": lambda t, h: np.full(t.shape, np.nan),
+}
+
+
+@pytest.mark.parametrize("label", LYING_DT)
+def test_blend_refuses_a_derivative_generator_result_that_is_not_finite_or_not_of_the_shape_of_j(label):
+    # with the true d_t j the certificate of k = 1 fails; a scalar 1.0 or a column of ones, broadcast over the
+    # samples, would certify it with min d_t jhat = 1.0, and NaN would give a minimum of NaN
+    true = grid_from(DECAYING, T_GRID, gen_dt=lambda t, h: -DECAYING(t, h))
+    k, _ = find_k_blend(true, 1.0, 2.0)
+    assert k == 1.0 and not blend_metric(true, k, 1.0, 2.0).passed
+    lying = grid_from(DECAYING, T_GRID, gen_dt=LYING_DT[label])
+    with pytest.raises(UsageError, match="generator_dt must return"):
+        lying.d_dt()
+    with pytest.raises(UsageError, match="generator_dt must return"):
+        blend_metric(lying, k, 1.0, 2.0)
+
+
 def test_blend_refuses_a_hyperbolic_coefficient_that_overflows():
     # h_k' = sinh(2 sqrt(k) t)/sqrt(k) overflows from 8 t > 710.48 on at k = 16,
     # the k that find_k_blend returns for j = exp(3t); the grid steps by 0.5

@@ -704,6 +704,19 @@ def test_with_slope_reuses_the_anchors():
     assert not certify(bad, grid).passed
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_a_plateau_slope_that_is_not_finite_is_refused(s):
+    # every route to the fields refuses it, as the band half-width check refuses a bad delta; an infinite
+    # slope used to reach certify, where inf - inf raised "invalid value encountered in multiply"
+    gw = build_tau(RHO, ScaledWarp(SIGMA, 2.0), 2.0, 3.0, 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="plateau slope must be finite"):
+            gw.with_slope(s)
+        with pytest.raises(DomainError, match="plateau slope must be finite"):
+            GluedWarp(RHO, ScaledWarp(SIGMA, 2.0), 2.0, 3.0, 0.05, s)
+
+
 @st.composite
 def glue_specs(draw):
     """rho = r + sum_i a_i r^(2i+1) with 1 to 3 coefficients a_i in [0, 2), sigma = sinh, R < 5.5."""

@@ -18,7 +18,7 @@ from pharmap.errors import DomainError, UsageError
 from pharmap.glue import (GluedWarp, GlueSpec, certify, default_certification_grid, find_k, glue2d, glue_pipeline,
                           rays_from_polar_samples)
 from pharmap.mesh import build_annulus, build_polar, build_rect
-from pharmap.solver import SolveConfig, uniqueness_probe
+from pharmap.solver import SolveConfig, energy_gradient, uniqueness_probe
 from pharmap.warp import (ModelManifold, OddPolynomialWarp, ScaledWarp, SinhWarp, is_cartan_hadamard,
                           is_hyperbolic_type, save_warp_csv)
 
@@ -102,6 +102,14 @@ T = np.linspace(0.5, 2.5, 21)
 WAVY = lambda t, h: np.exp(2.0 * t) * (1.0 + 0.1 * np.cos(h))  # noqa: E731
 METRIC = PolarMetricGrid.from_generator(WAVY, T, 8)
 SQUARE = build_rect(1.0, 1.0, 1, 1)
+RAY_T = np.linspace(0.0, 4.5, 10)
+
+
+def ray_samples(i, j, value):
+    """Four rays nu = t + t^3 sampled on ``RAY_T``, with ``value`` at row i of column j."""
+    nu = np.tile((RAY_T + RAY_T**3)[:, None], (1, 4))
+    nu[i, j] = value
+    return nu
 
 
 def grids(grid, least, zero, call):
@@ -145,6 +153,10 @@ ENTRY_POINTS = {
     "PolarMetricGrid": grids(T, 1, False, lambda g, _: PolarMetricGrid(g, THETA, np.ones((np.size(g), THETA.size)))),
     "rays_from_polar_samples": grids(np.linspace(0.0, 4.5, 10), 2, True,
                                      lambda g, _: rays_from_polar_samples(g, np.ones((np.size(g), 4)))),
+    "rays_from_polar_samples nu": (UsageError, "knot data must be finite",
+                                   {f"{v} at ({i}, {j})": (i, j, v) for v in (math.nan, math.inf, -math.inf)
+                                    for i, j in ((0, 0), (5, 2), (9, 3))},
+                                   lambda bad, _: rays_from_polar_samples(RAY_T, ray_samples(*bad))),
     "build_polar rings": grids(np.linspace(1.0, 2.0, 3), 2, False, lambda g, _: build_polar(g, 8)),
     "GlueSpec": pairs(lambda r, _: GlueSpec(RHO, SIGMA, *r)),
     "glue2d": pairs(lambda r, _: glue2d([RHO] * 8, THETA, SIGMA, *r)),
@@ -163,6 +175,8 @@ ENTRY_POINTS = {
     "from_generator": counts(3, lambda n, _: PolarMetricGrid.from_generator(WAVY, T, n)),
     "uniqueness_probe": counts(1, lambda n, _: uniqueness_probe(SQUARE, TargetChart(None), np.zeros((4, 1)),
                                                                 SolveConfig(p=2.0), n)),
+    "energy_gradient threads": counts(1, lambda n, _: energy_gradient(SQUARE, TargetChart(None), np.zeros((4, 1)),
+                                                                      2.0, threads=n)),
     "SolveConfig.max_iter": counts(1, lambda n, _: SolveConfig(p=2.0, max_iter=n)),
     "SolveConfig.seed": counts(0, lambda n, _: SolveConfig(p=2.0, seed=n)),
     "ModelManifold.dim": counts(2, lambda n, _: ModelManifold(n, SIGMA)),

@@ -737,7 +737,7 @@ def test_one_factor_per_mesh(monkeypatch):
     for _ in range(2):
         assert harmonic_init(no_interior, no_interior.vertices).points.tobytes() == \
             no_interior.vertices.tobytes()
-    assert len(calls) == 1 and solver_module._FACTORS[no_interior] is None
+    assert len(calls) == 1 and solver_module._HELD[no_interior][solver_module._interior_stiffness] is None
 
 
 def test_held_factor_does_not_keep_the_mesh_alive():
@@ -759,10 +759,13 @@ def test_held_chunk_tables_do_not_keep_the_mesh_alive_and_energy_factors_nothing
     calls = []
     monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *args, **kwargs: calls.append(args))
     first = energy(mesh, SINH2, state, 3.0)
-    assert calls == [] and mesh not in solver_module._FACTORS and mesh in solver_module._CHUNK_TABLES
+    assert calls == [] and list(solver_module._HELD[mesh]) == [solver_module._chunk_tables]
+    held = solver_module._HELD[mesh][solver_module._chunk_tables]
     assert energy(mesh, SINH2, state, 3.0) == first
     grad = energy_gradient(mesh, SINH2, state, 3.0)
-    assert calls == [] and mesh not in solver_module._FACTORS
+    assert calls == [] and list(solver_module._HELD[mesh]) == [solver_module._chunk_tables]
+    assert solver_module._HELD[mesh][solver_module._chunk_tables] is held
+    del held
     assert grad.tobytes() == energy_gradient(wavy_ring_problem(4, 16)[0], SINH2, state, 3.0).tobytes()
     ref = weakref.ref(mesh)
     del mesh

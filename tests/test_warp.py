@@ -247,6 +247,18 @@ def test_spline_domain_and_tail():
     assert dd_tail == pytest.approx(dd2, rel=1e-6)
 
 
+def test_spline_warps_evaluate_empty_radii_as_the_analytic_warps_do():
+    # no radius gives three empty arrays of the radii's shape, alone and jointly; the spline paths used to raise
+    # "cannot reshape array of size 0"
+    knots = np.linspace(0.0, 1.0, 5)
+    splines = _build_splines(knots, np.tile(knots[:, None], (1, 3)), np.ones((5, 3)))
+    for shape in ((0,), (2, 0)):
+        r = np.zeros(shape)
+        for w in (splines[0], SinhWarp(), R_PLUS_R3):
+            assert [v.shape for v in w.evaluate(r)] == [shape] * 3
+        assert [[v.shape for v in row] for row in _ray_rows(splines, r)] == [[shape] * 3] * 3
+
+
 @st.composite
 def spline_queries(draw):
     """A cubic or quintic spline through sinh or r + r^3; radii of shape (), (7,) or (3, 4) on and past its knots."""
@@ -436,10 +448,13 @@ def test_splines_built_together_own_contiguous_coefficients():
     values = knots + cubic * knots**3
     rays = _build_splines(knots[:, 0], values, 1.0 + 3.0 * cubic * knots**2)
     assert all(w.radii is rays[0].radii and np.shares_memory(w.values, values) for w in rays)
-    # a ray evaluated on its own copies nothing, and no table of all rays is kept
-    polys = [p for w in rays for p in w._polys]
-    assert all(p.c.flags.c_contiguous and p.c.ndim == 2 for p in polys)
+    # one column or many, each ray owns one-column tables, evaluated on its own without a copy, and no
+    # table of all rays is kept
+    alone = SplineWarp(knots[:, 0], values[:, 0], 1.0 + 3.0 * knots[:, 0] ** 2)
+    polys = [p for w in rays + [alone] for p in w._polys]
+    assert all(p.c.flags.c_contiguous and p.c.flags.owndata and p.c.shape[1:] == (19, 1) for p in polys)
     assert not any(np.shares_memory(a.c, b.c) for a in polys for b in polys if a is not b)
+    assert all(p.c.tobytes() == q.c.tobytes() for p, q in zip(rays[0]._polys, alone._polys))
 
 
 def test_build_reports_the_first_failure_of_the_first_failing_column():
